@@ -97,18 +97,27 @@ class ConfigError(Exception):
 # output helpers
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
+def _strict(obj):
+    """The document in strict-JSON terms: NaN becomes null, +-inf the
+    strings "inf"/"-inf", arrays and NumPy scalars plain lists and numbers."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_strict(v) for v in obj]
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"cannot serialize {type(obj)}")
+    if isinstance(obj, (float, np.floating)):
+        val = float(obj)
+        if math.isnan(val):
+            return None
+        if math.isinf(val):
+            return "inf" if val > 0 else "-inf"
+        return val
+    return obj
 
 
 def _write_json(path: Path | None, doc: dict) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(_strict(doc), indent=2, sort_keys=True, allow_nan=False)
     if path is None:
         sys.stdout.write(text + "\n")
     else:
@@ -118,7 +127,7 @@ def _write_json(path: Path | None, doc: dict) -> None:
 def _write_csv(path: Path | None, header: list[str], rows, config: dict) -> None:
     lines = [
         f"# ladderlab csv schema v{CSV_SCHEMA_VERSION}",
-        "# config: " + json.dumps(config, sort_keys=True, default=_json_default),
+        "# config: " + json.dumps(_strict(config), sort_keys=True, allow_nan=False),
         ",".join(header),
     ]
     for row in rows:
@@ -132,7 +141,7 @@ def _write_csv(path: Path | None, header: list[str], rows, config: dict) -> None
 
 def _fmt(v) -> str:
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # NumPy scalars repr as np.float64(...)
     return str(v)
 
 
@@ -190,8 +199,7 @@ def cmd_profile(cfg: dict):
     for r in range(res.replicas):
         for lvl in range(1, res.n + 1):
             lr = res.log_ratios[r, lvl - 1]
-            rows.append([r, lvl, math.exp(lr) if math.isfinite(lr) else 0.0,
-                         lr if math.isfinite(lr) else float("-inf")])
+            rows.append([r, lvl, math.exp(lr), lr])  # exp(+-inf) is inf / 0.0
     summary = res.to_json()
     summary["slope_ci"] = [lo, hi]
     summary["slope_stderr"] = se
@@ -340,7 +348,9 @@ def cmd_spectrum(cfg: dict):
         "a": a, "eta": eta, "grid": p.get("grid", "default"),
         "grid_size": grid.size,
         "lambda": tri.value,
-        "gap": tri.gap,
+        "gap": tri.gap,  # |lambda2| / lambda1
+        "gap_residual": tri.gap_residual,
+        "gap_iterations": tri.gap_iterations,
         "residual_left": tri.residual_left,
         "residual_right": tri.residual_right,
         "hs_norm": ctx.op(eta).hs_norm(),

@@ -17,7 +17,6 @@ indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -437,13 +436,3 @@ def spanning_tree_count_recurrence(n: int) -> int:
         a, b = b, 4 * b - a
     return b
 
-
-def weighted_tree_sum(n: int, weights: Sequence[Fraction]) -> Fraction:
-    """Exact sum over spanning trees of the product of edge weights (small n)."""
-    total = Fraction(0)
-    for mask in all_spanning_trees(n):
-        prod = Fraction(1)
-        for e in indices_from_mask(mask):
-            prod *= weights[e]
-        total += prod
-    return total

@@ -8,6 +8,22 @@ own quadrature.  Matrices are stored in the quadrature-weighted
 of weighted vectors are plain dot products and left/right operator actions
 are plain matrix products.
 
+S is never stored dense.  Its block between tree letters t, t2 and signs
+s, s2 is diag(left[t]) C[t == A, t2 == B, s == s2] diag(right[t2]): eight
+nx²×nx² cores C (the two A->B cores vanish) and one side profile per
+letter on each side, about an eighth of the dense bytes.  A product groups
+the input by the A (resp. B) flag and the sign, so it costs twelve core
+products, one per non-zero core and sign row, against 64 dense blocks.
+
+The leading eigen-triple comes from power iteration on S and its adjoint,
+each stopped once its relative eigen-residual falls below 1e-13.  The
+second eigenvalue comes from power iteration with the leading pair
+projected out, stopped once the eigen-residual of its Rayleigh quotient
+falls below 1e-10 (capped at 2000 products); on the default grid λ3/λ2 is
+about 0.65, so that takes about 55 products.  Both residuals and the
+product counts are reported (Saad, Numerical Methods for Large Eigenvalue
+Problems, 2nd ed., 2011, ch. 4).
+
 Two numerical devices matter here.  First, the shift variable is
 integrated on nodes scaled per rung-field node: the sign-interaction
 factor concentrates on a shift window of width exp(z/2) as z drops, so a
@@ -171,17 +187,6 @@ class TransferGrid:
         cell = np.sqrt(np.outer(self.x_weights, self.x_weights)).reshape(-1)
         return np.tile(cell, _STATE_BLOCKS)
 
-    @cached_property
-    def state_u(self) -> np.ndarray:
-        """Mean cell field per state (used by the shift-weighted kernel)."""
-        u = 0.5 * (self.x_nodes[:, None] + self.x_nodes[None, :]).reshape(-1)
-        return np.tile(u, _STATE_BLOCKS)
-
-    @cached_property
-    def state_abs_xlo(self) -> np.ndarray:
-        v = np.abs(self.x_nodes)[:, None] * np.ones_like(self.x_nodes)[None, :]
-        return np.tile(v.reshape(-1), _STATE_BLOCKS)
-
     def reflect_permutation(self) -> np.ndarray:
         """State permutation of the letter swap A <-> B (fields, sign fixed)."""
         perm = np.arange(self.size)
@@ -257,49 +262,112 @@ def build_grid(params: GridParams | None = None, a: float = 1.0,
     )
 
 
+_A, _B = 0, 1  # tree-letter indices of A and B
+_OTHERS = {key: [t for t in range(4) if t != key] for key in (_A, _B)}
+# (row letter is A, column letter is B, signs agree) for the cores that do
+# not vanish: an A cell is never followed by a B cell
+_CORES = tuple((is_a, is_b, same) for is_a in (0, 1) for is_b in (0, 1) for same in (0, 1)
+               if not (is_a and is_b))
+_RUNG_CHUNK = 1024  # rung nodes per slab of the cell-pair table during assembly
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense discretized coupling operator in square-root-weighted form."""
+    """Discretized coupling operator in square-root-weighted, factorized form.
+
+    Block (t, s; t2, s2) of the weighted matrix S is
+    ``diag(left[t]) @ sym[t == A, t2 == B, s == s2] @ diag(right[t2])``:
+    eight ``nx²×nx²`` cores, of which the two A->B cores are zero, and one
+    side profile per tree letter on each side.  ``vecmat`` and ``matvec``
+    are the only products; ``dense()`` materializes S for tests and dumps.
+    """
 
     grid: TransferGrid
     a: float
     eta: float
     tag: str  # "one" for the plain kernel, "gamma" for the shift-weighted one
-    sym: np.ndarray
+    sym: np.ndarray  # cores, shape (2, 2, 2, nx², nx²), square-root weighted
+    left: np.ndarray  # side profiles of the row letter, shape (4, nx²)
+    right: np.ndarray  # side profiles of the column letter, shape (4, nx²)
 
     @property
     def size(self) -> int:
-        return self.sym.shape[0]
+        return self.grid.size
+
+    def vecmat(self, v: np.ndarray) -> np.ndarray:
+        """``v @ S`` for weighted vectors of shape (size,) or (m, size)."""
+        return _block_product(v, self.sym, self.left, _A, self.right, _B)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """``S @ v`` (the adjoint product, ``v @ S.T``), same shapes."""
+        return _block_product(v, self.sym.transpose(1, 0, 2, 4, 3), self.right, _B, self.left, _A)
+
+    def dense(self) -> np.ndarray:
+        """The weighted matrix S, shape (size, size)."""
+        t = np.repeat(np.arange(4), 2)  # letter and sign of each block, in state order
+        s = np.tile(np.arange(2), 4)
+        blocks = self.sym[(t == _A).astype(int)[:, None], (t == _B).astype(int)[None, :],
+                          (s[:, None] == s[None, :]).astype(int)]
+        blocks = self.left[t][:, None, :, None] * blocks * self.right[t][None, :, None, :]
+        return blocks.transpose(0, 2, 1, 3).reshape(self.size, self.size)
 
     def hs_norm(self) -> float:
-        """Discrete Hilbert-Schmidt norm (exact in the weighted form)."""
-        return float(np.linalg.norm(self.sym))
+        """Discrete Hilbert-Schmidt norm (exact in the weighted form), summed
+        core by core: each core meets every letter pair of its group and two
+        sign pairs."""
+        left2, right2 = self.left**2, self.right**2
+        rows = (left2[_OTHERS[_A]].sum(axis=0), left2[_A])
+        cols = (right2[_OTHERS[_B]].sum(axis=0), right2[_B])
+        total = sum(2.0 * float(rows[is_a] @ self.sym[is_a, is_b, same]**2 @ cols[is_b])
+                    for is_a, is_b, same in _CORES)
+        return math.sqrt(total)
 
     def kernel_values(self) -> np.ndarray:
         """Raw kernel values k(state, state')."""
         sw = self.grid.sqrt_w
-        return self.sym / np.outer(sw, sw)
+        return self.dense() / np.outer(sw, sw)
 
     def apply_right(self, f: np.ndarray) -> np.ndarray:
         """Function values of (f K), the operator acting from the right."""
         sw = self.grid.sqrt_w
-        return ((f * sw) @ self.sym) / sw
+        return self.vecmat(f * sw) / sw
 
     def apply_left(self, g: np.ndarray) -> np.ndarray:
         """Function values of (K g), the adjoint action."""
         sw = self.grid.sqrt_w
-        return (self.sym @ (g * sw)) / sw
+        return self.matvec(g * sw) / sw
+
+
+def _block_product(v: np.ndarray, cores: np.ndarray, p_in: np.ndarray, key_in: int,
+                   p_out: np.ndarray, key_out: int) -> np.ndarray:
+    """``v @ S`` for S with blocks ``diag(p_in[t]) cores[t == key_in, t2 == key_out,
+    s == s2] diag(p_out[t2])``.
+
+    The input is scaled by its profiles and summed over the letters other
+    than ``key_in``; each non-zero core then multiplies both sign rows at
+    once, and the result is scaled by the output profiles."""
+    nxx = p_in.shape[1]
+    x = v.reshape(-1, 4, 2, nxx) * p_in[:, None, :]
+    m = x.shape[0]
+    groups = (x[:, _OTHERS[key_in]].sum(axis=1).reshape(2 * m, nxx),
+              x[:, key_in].reshape(2 * m, nxx))
+    out = np.zeros((m, 2, 2, nxx))  # (vector, output letter is key_out, sign, cell)
+    for f_in, f_out, same in _CORES:
+        prod = (groups[f_in] @ cores[f_in, f_out, same]).reshape(m, 2, nxx)
+        out[:, f_out] += prod if same else prod[:, ::-1]
+    letter = [int(t == key_out) for t in range(4)]
+    return (out[:, letter] * p_out[:, None, :]).reshape(v.shape)
 
 
 def _side_profiles(grid: TransferGrid, a: float, eta: float, primed: bool) -> np.ndarray:
-    """Per-block cell prefactors, shape (8, nx * nx)."""
+    """Per-letter cell prefactors, shape (4, nx * nx)."""
     x = grid.x_nodes
     xlo = x[:, None]
     xhi = x[None, :]
     u = 0.5 * (xlo + xhi)
     base = (a + 0.5) * u - 0.25 * (np.exp(-xlo) + np.exp(-xhi))
     base = base + (-1.0 if primed else 1.0) * eta * u
-    out = np.empty((_STATE_BLOCKS, grid.nx * grid.nx))
+    out = np.empty((4, grid.nx * grid.nx))
     for t in range(4):
         expo = base.copy()
         if t == 2:
@@ -310,9 +378,7 @@ def _side_profiles(grid: TransferGrid, a: float, eta: float, primed: bool) -> np
             expo = expo + (0.5 if not primed else -0.5) * u
         elif t == 1:
             expo = expo + (-0.5 if not primed else 0.5) * u
-        vals = np.exp(expo).reshape(-1)
-        out[t * 2] = vals
-        out[t * 2 + 1] = vals
+        out[t] = np.exp(expo).reshape(-1)
     return out
 
 
@@ -344,19 +410,27 @@ def _log_sum3(x1, x2, x3):
     return m + np.log(np.exp(x1 - m) + np.exp(x2 - m) + np.exp(x3 - m))
 
 
-def assemble_kernel(grid: TransferGrid, a: float, eta: float, tag: str = "one") -> OperatorMatrix:
-    """Assemble the dense coupling operator on the grid.
+def _gram(f: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """``f.T @ diag(coef) @ f`` as Gram products ``g.T @ g`` of the rows
+    scaled by sqrt|coef|, which BLAS evaluates as a symmetric rank-k update;
+    rows with negative weight are subtracted."""
+    g = np.sqrt(np.abs(coef))[:, None] * f
+    if np.all(coef >= 0):
+        return g.T @ g
+    pos, neg = g[coef >= 0], g[coef < 0]
+    return pos.T @ pos - neg.T @ neg
+
+
+def _core_sums(grid: TransferGrid, a: float, eta: float,
+               weights: list[np.ndarray]) -> list[np.ndarray]:
+    """Cores of the kernel whose rung integrand carries the extra factor
+    ``weight`` (one set of cores per weight), square-root weighted.
 
     The integrand factorizes into one cell-pair table (lower and upper
-    fields share a node set), per-node sign and tree factors, and
-    state-dependent prefactors; per rung node everything combines through
-    matrix products.  ``tag='gamma'`` weights the integrand with the
-    separation variable.
-    """
-    if not -0.25 <= eta <= 0.25:
-        raise LadderError(f"eta={eta} outside [-1/4, 1/4]")
-    if tag not in ("one", "gamma"):
-        raise LadderError(f"unknown kernel tag {tag!r}")
+    fields share a node set), per-node sign and tree factors and the side
+    profiles; per rung node the cores are weighted Gram sums of the table.
+    The table is built one slab of rung nodes at a time, so the doubled
+    grid never holds it whole."""
     nx = grid.nx
     nxx = nx * nx
     z, w, qw = _rung_nodes(grid)
@@ -364,59 +438,76 @@ def assemble_kernel(grid: TransferGrid, a: float, eta: float, tag: str = "one") 
     c_a = np.exp(-(z - 0.5 * w))  # extra factor when the left letter is A
     c_b = np.exp(-(z + 0.5 * w))  # extra factor when the right letter is B
     agree, differ = _sign_factors(z, w)
+    coefs = {(is_a, is_b, same): rho * (c_a if is_a else 1.0) * (c_b if is_b else 1.0)
+             * (agree if same else differ) for is_a, is_b, same in _CORES}
     x = grid.x_nodes
-    lse = _log_sum3(
-        x[None, :, None] + 0.5 * w[:, None, None],
-        x[None, None, :] - 0.5 * w[:, None, None],
-        np.broadcast_to(z[:, None, None], (z.size, nx, nx)),
-    )
-    f_table = np.exp(-0.5 * (3 * a + 1) * lse).reshape(z.size, nxx)
-
-    weight_w = w if tag == "gamma" else None
-    cores = {}
-    for is_a in (False, True):
-        for is_b in (False, True):
-            for same_sign in (False, True):
-                coef = rho * (c_a if is_a else 1.0) * (c_b if is_b else 1.0)
-                coef = coef * (agree if same_sign else differ)
-                if weight_w is not None:
-                    coef = coef * weight_w
-                r = f_table.T @ (coef[:, None] * f_table)  # [(i,j), (k,l)]
-                cores[(is_a, is_b, same_sign)] = (
-                    r.reshape(nx, nx, nx, nx).transpose(0, 2, 1, 3).reshape(nxx, nxx)
-                )
-
-    p_left = _side_profiles(grid, a, eta, primed=False)
-    p_right = _side_profiles(grid, a, eta, primed=True)
+    sums = [np.zeros((2, 2, 2, nxx, nxx)) for _ in weights]
+    for lo in range(0, z.size, _RUNG_CHUNK):
+        part = slice(lo, lo + _RUNG_CHUNK)
+        zc, wc = z[part], w[part]
+        lse = _log_sum3(
+            x[None, :, None] + 0.5 * wc[:, None, None],
+            x[None, None, :] - 0.5 * wc[:, None, None],
+            np.broadcast_to(zc[:, None, None], (zc.size, nx, nx)),
+        )
+        f_table = np.exp(-0.5 * (3 * a + 1) * lse).reshape(zc.size, nxx)
+        for key, coef in coefs.items():
+            for out, weight in zip(sums, weights):
+                out[key] += _gram(f_table, coef[part] * weight[part])
     cell_w = np.sqrt(np.outer(grid.x_weights, grid.x_weights)).reshape(-1)
+    for out in sums:
+        for key in _CORES:  # [(i,j), (k,l)] -> [(i,k), (j,l)], then weight
+            core = out[key]
+            core[...] = core.reshape(nx, nx, nx, nx).transpose(0, 2, 1, 3).reshape(nxx, nxx)
+            core *= cell_w[:, None]
+            core *= cell_w[None, :]
+    return sums
 
-    sym = np.empty((grid.size, grid.size))
-    for t in range(4):
-        for s in (0, 1):
-            row = (t * 2 + s) * nxx
-            for t2 in range(4):
-                for s2 in (0, 1):
-                    col = (t2 * 2 + s2) * nxx
-                    if t == 0 and t2 == 1:
-                        sym[row:row + nxx, col:col + nxx] = 0.0
-                        continue
-                    block = cores[(t == 0, t2 == 1, s == s2)]
-                    block = block * (p_left[t * 2 + s] * cell_w)[:, None]
-                    block = block * (p_right[t2 * 2 + s2] * cell_w)[None, :]
-                    sym[row:row + nxx, col:col + nxx] = block
 
+def assemble_kernel(grid: TransferGrid, a: float, eta: float, tag: str = "one",
+                    plain: OperatorMatrix | None = None) -> OperatorMatrix:
+    """Assemble the factorized coupling operator on the grid.
+
+    ``tag='gamma'`` weights the integrand with the separation variable:
+    shift plus mean-field difference, i.e. the shift-weighted kernel plus
+    the commutator with the per-state mean field.  The commutator needs the
+    plain cores; pass the plain operator at the same (grid, a, eta) as
+    ``plain`` to reuse them, otherwise they are summed alongside.
+    """
+    if not -0.25 <= eta <= 0.25:
+        raise LadderError(f"eta={eta} outside [-1/4, 1/4]")
+    if tag not in ("one", "gamma"):
+        raise LadderError(f"unknown kernel tag {tag!r}")
+    z, w, _ = _rung_nodes(grid)
+    ones = np.ones_like(z)
+    if tag == "one":
+        (sym,) = _core_sums(grid, a, eta, [ones])
+    elif plain is None:
+        sym, base = _core_sums(grid, a, eta, [w, ones])
+    else:
+        if (plain.tag, plain.grid, plain.a, plain.eta) != ("one", grid, a, eta):
+            raise LadderError("plain operator does not match the gamma kernel's grid, a, eta")
+        (sym,) = _core_sums(grid, a, eta, [w])
+        base = plain.sym
     if tag == "gamma":
-        # separation = shift + mean-field difference: add the commutator
-        # with the per-state mean field
-        plain = assemble_kernel(grid, a, eta, "one").sym
-        u = grid.state_u
-        sym = sym + u[:, None] * plain - plain * u[None, :]
-    return OperatorMatrix(grid=grid, a=a, eta=eta, tag=tag, sym=sym)
+        x = grid.x_nodes
+        u = 0.5 * (x[:, None] + x[None, :]).reshape(-1)  # mean cell field
+        for key in _CORES:  # diagonal profiles commute with diag(u)
+            sym[key] += u[:, None] * base[key] - base[key] * u[None, :]
+    return OperatorMatrix(grid=grid, a=a, eta=eta, tag=tag, sym=sym,
+                          left=_side_profiles(grid, a, eta, primed=False),
+                          right=_side_profiles(grid, a, eta, primed=True))
 
 
 @dataclass(frozen=True)
 class EigenTriple:
-    """Leading eigenvalue with left/right eigenfunction values on the grid."""
+    """Leading eigenvalue with left/right eigenfunction values on the grid.
+
+    ``gap`` is the modulus ratio |λ2|/λ1 (the convergence factor of the
+    power iteration), not a difference of eigenvalues; ``gap_residual`` is
+    the relative eigen-residual of the λ2 estimate and ``gap_iterations``
+    the products it took.  ``iterations`` counts the left and right power
+    iterations."""
 
     value: float
     left: np.ndarray
@@ -425,44 +516,53 @@ class EigenTriple:
     residual_right: float
     gap: float
     iterations: int
+    gap_residual: float
+    gap_iterations: int
 
     def to_json(self) -> dict:
         return {
             "value": self.value,
             "residual_left": self.residual_left,
             "residual_right": self.residual_right,
-            "gap": self.gap,
+            "gap": self.gap,  # |lambda2| / lambda1, a ratio
+            "gap_residual": self.gap_residual,
+            "gap_iterations": self.gap_iterations,
             "iterations": self.iterations,
         }
 
 
-def _power_iteration(mat: np.ndarray, rng: np.random.Generator,
-                     tol: float, max_iter: int) -> tuple[np.ndarray, float, float, int]:
-    u = rng.uniform(0.5, 1.5, size=mat.shape[0])
-    u /= np.linalg.norm(u)
-    lam = 1.0
+_GAP_TOL, _GAP_MAX_ITER = 1e-10, 2_000  # stop rule of the second-eigenvalue iteration
+
+
+def _power_iteration(product, u: np.ndarray, tol: float,
+                     max_iter: int) -> tuple[np.ndarray, float, float, int]:
+    """Power iteration from ``u``; stops once ||u S - λ u|| / λ < tol for
+    the unit iterate u and λ = ||u S||."""
+    u = u / np.linalg.norm(u)
     for it in range(1, max_iter + 1):
-        v = u @ mat
+        v = product(u)
         lam = float(np.linalg.norm(v))
-        v /= lam
-        if it % 5 == 0:
-            resid = float(np.linalg.norm(v @ mat - lam * v)) / lam
-            if resid < tol:
-                return v, lam, resid, it
-        u = v
-    resid = float(np.linalg.norm(u @ mat - lam * u)) / lam
-    return u, lam, resid, max_iter
+        resid = float(np.linalg.norm(v - lam * u)) / lam
+        if resid < tol:
+            break
+        u = v / lam
+    return u, lam, resid, it
 
 
 def leading_triple(op: OperatorMatrix, tol: float = 1e-13, max_iter: int = 20_000,
                    seed: int = 0) -> EigenTriple:
     """Leading eigen-triple by power iteration on the operator and its
-    adjoint, with one rank-one deflation step for the gap estimate."""
+    adjoint, then the second eigenvalue by power iteration on the operator
+    with the leading pair projected out, stopped once the Rayleigh
+    quotient's eigen-residual falls below ``_GAP_TOL`` (at most
+    ``_GAP_MAX_ITER`` products)."""
     if op.tag != "one":
         raise LadderError("eigen-triples are defined for the plain kernel only")
     gen = np.random.default_rng(seed)
-    u_left, lam_l, res_l, it_l = _power_iteration(op.sym, gen, tol, max_iter)
-    u_right, lam_r, res_r, it_r = _power_iteration(op.sym.T, gen, tol, max_iter)
+    u_left, lam_l, res_l, it_l = _power_iteration(
+        op.vecmat, gen.uniform(0.5, 1.5, size=op.size), tol, max_iter)
+    u_right, lam_r, res_r, it_r = _power_iteration(
+        op.matvec, gen.uniform(0.5, 1.5, size=op.size), tol, max_iter)
     if res_l > tol * 100 or res_r > tol * 100:
         raise LadderError(
             f"power iteration stalled: residuals {res_l:.2e}/{res_r:.2e} after "
@@ -475,21 +575,18 @@ def leading_triple(op: OperatorMatrix, tol: float = 1e-13, max_iter: int = 20_00
     u_right = np.abs(u_right)
     u_right = u_right / float(u_left @ u_right)
 
-    # gap: growth rate after projecting out the leading pair
+    # second eigenvalue: x S with the spectral projector u_right u_left^T removed
     x = gen.standard_normal(op.size)
-    pairing = float(u_left @ u_right)
-    x -= u_left * float(x @ u_right) / pairing
+    x -= u_left * float(x @ u_right)
     x /= np.linalg.norm(x)
-    ratios = []
-    for _ in range(400):
-        y = x @ op.sym
-        y = y - u_left * float(y @ u_right) / pairing
-        norm = float(np.linalg.norm(y))
-        if norm == 0:
+    for gap_it in range(1, _GAP_MAX_ITER + 1):
+        y = op.vecmat(x)
+        y -= u_left * float(y @ u_right)
+        lam2 = float(x @ y)
+        gap_res = float(np.linalg.norm(y - lam2 * x)) / abs(lam2)
+        if gap_res < _GAP_TOL:
             break
-        ratios.append(norm)
-        x = y / norm
-    lam2 = float(np.exp(np.mean(np.log(ratios[-50:])))) if len(ratios) >= 50 else math.nan
+        x = y / np.linalg.norm(y)
     sw = op.grid.sqrt_w
     return EigenTriple(
         value=lam,
@@ -497,8 +594,10 @@ def leading_triple(op: OperatorMatrix, tol: float = 1e-13, max_iter: int = 20_00
         right=u_right / sw,
         residual_left=res_l,
         residual_right=res_r,
-        gap=lam2 / lam,
+        gap=abs(lam2) / lam,
         iterations=it_l + it_r,
+        gap_residual=gap_res,
+        gap_iterations=gap_it,
     )
 
 
@@ -553,7 +652,8 @@ class TransferContext:
     def op(self, eta: float, tag: str = "one") -> OperatorMatrix:
         key = (round(eta, 12), tag)
         if key not in self._ops:
-            self._ops[key] = assemble_kernel(self.grid, self.a, eta, tag)
+            plain = self.op(eta) if tag == "gamma" else None
+            self._ops[key] = assemble_kernel(self.grid, self.a, eta, tag, plain=plain)
         return self._ops[key]
 
     @cached_property
@@ -569,7 +669,7 @@ class TransferContext:
         u = self.gl_u.copy()
         logs = 0.0
         for op in ops:
-            u = u @ op.sym
+            u = op.vecmat(u)
             scale = float(np.max(np.abs(u)))
             if scale == 0.0:
                 raise LadderError("vanishing bracket: grid pathology")
@@ -616,19 +716,19 @@ def sigma_moment(ctx: TransferContext, n: int, j: int) -> float:
 
 def sigma_moment_profile(ctx: TransferContext, n: int) -> np.ndarray:
     """log separation moment for every j in 0..n-1, in one pass."""
-    k0 = ctx.op(0.0).sym
-    k14 = ctx.op(0.25).sym
+    k0 = ctx.op(0.0)
+    k14 = ctx.op(0.25)
     pre_vecs = [ctx.gl_u.copy()]
     pre_logs = [0.0]
     for _ in range(n - 1):
-        u = pre_vecs[-1] @ k0
+        u = k0.vecmat(pre_vecs[-1])
         s = float(np.max(np.abs(u)))
         pre_vecs.append(u / s)
         pre_logs.append(pre_logs[-1] + math.log(s))
     suf_vecs = [ctx.gr_u.copy()]
     suf_logs = [0.0]
     for _ in range(n - 1):
-        u = k14 @ suf_vecs[-1]
+        u = k14.matvec(suf_vecs[-1])
         s = float(np.max(np.abs(u)))
         suf_vecs.append(u / s)
         suf_logs.append(suf_logs[-1] + math.log(s))
@@ -649,13 +749,13 @@ def symmetry_defect(ctx: TransferContext, seed: int = 0) -> dict:
     u_left = triple0.left * sw
     u_right = triple0.right * sw
     kg0 = ctx.op(0.0, "gamma")
-    raw0 = float(u_left @ kg0.sym @ u_right)
+    raw0 = float(kg0.vecmat(u_left) @ u_right)
     defect = abs(raw0) / (np.linalg.norm(u_left) * kg0.hs_norm() * np.linalg.norm(u_right))
     triple14 = leading_triple(ctx.op(0.25), seed=seed)
     ul14 = triple14.left * sw
     ur14 = triple14.right * sw
     kg14 = ctx.op(0.25, "gamma")
-    raw14 = float(ul14 @ kg14.sym @ ur14)
+    raw14 = float(kg14.vecmat(ul14) @ ur14)
     control = abs(raw14) / (np.linalg.norm(ul14) * kg14.hs_norm() * np.linalg.norm(ur14))
     return {
         "defect": float(defect),

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -162,3 +163,52 @@ def test_chain_stats_operator_only(tmp_path):
     assert code == 0
     doc = read_json(out)
     assert "operator_value" in doc["summary"]
+
+
+def read_strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+PROFILE_UNCROSSED = ["profile", "--n", "3", "--steps", "60", "--replicas", "40", "--seed", "2",
+                     "--fit-lo", "1", "--fit-hi", "2"]
+
+
+def test_profile_rows_keep_infinite_ratios(tmp_path):
+    # 7 of these 40 replicas never cross the left rung: their ratios are +inf
+    out = tmp_path / "prof.csv"
+    assert run(PROFILE_UNCROSSED + ["--format", "csv", "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    ratios = [float(r[2]) for r in rows]
+    logs = [float(r[3]) for r in rows]
+    assert len(rows) == 120
+    assert sum(v == math.inf for v in ratios) == 21
+    for ratio, log_ratio in zip(ratios, logs):
+        if ratio == 0.0:
+            assert log_ratio == -math.inf
+        elif ratio == math.inf:
+            assert log_ratio == math.inf
+        else:
+            assert log_ratio == pytest.approx(math.log(ratio), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("args", [
+    PROFILE_UNCROSSED,
+    ["sample-env", "--n", "1", "--samples", "50", "--burn-in", "50", "--seed", "1"],
+    ["spectrum", "--grid", "small"],
+])
+def test_json_output_is_strict(tmp_path, args):
+    out = tmp_path / "out.json"
+    run(args + ["--out", str(out)])
+    doc = read_strict_json(out)
+    assert doc["status"] == "ok"
+    if args[0] == "profile":
+        assert "-inf" in doc["summary"]["median_log_ratio"]
+        assert ["inf", "inf"] == doc["rows"][0][2:]
+    if args[0] == "sample-env":
+        assert doc["summary"]["acceptance"]["gamma"] is None  # never proposed at n=1
+    if args[0] == "spectrum":
+        assert doc["summary"]["gap_residual"] < 1e-10
+        assert doc["summary"]["gap_iterations"] > 0

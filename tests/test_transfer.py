@@ -79,7 +79,7 @@ def test_axis_rates_values():
 
 
 def test_kernel_zero_pattern(ctx, grid):
-    sym = ctx.op(0.25).sym
+    sym = ctx.op(0.25).dense()
     nxx = grid.nx * grid.nx
     a_rows = slice(0, 2 * nxx)
     b_cols = slice(2 * nxx, 4 * nxx)
@@ -127,11 +127,11 @@ def test_kernel_matches_scalar_energy_on_grid_nodes(small_grid):
 def test_reflection_identities(ctx, grid):
     perm = grid.reflect_permutation()
     for eta in (0.0, 0.25):
-        sym = ctx.op(eta).sym
-        neg = assemble_kernel(grid, A, -eta).sym
+        sym = ctx.op(eta).dense()
+        neg = assemble_kernel(grid, A, -eta).dense()
         assert np.allclose(sym, neg[np.ix_(perm, perm)].T, rtol=1e-12, atol=1e-300)
-        g_sym = ctx.op(eta, "gamma").sym
-        g_neg = assemble_kernel(grid, A, -eta, "gamma").sym
+        g_sym = ctx.op(eta, "gamma").dense()
+        g_neg = assemble_kernel(grid, A, -eta, "gamma").dense()
         scale = np.max(np.abs(g_sym))
         assert np.max(np.abs(g_sym + g_neg[np.ix_(perm, perm)].T)) < 1e-13 * scale
 
@@ -149,7 +149,7 @@ def test_leading_triple_properties(ctx):
 def test_rank_one_convergence(ctx):
     # powers of the normalized operator converge to the spectral projector
     tri = leading_triple(ctx.op(0.0))
-    sym = ctx.op(0.0).sym
+    sym = ctx.op(0.0).dense()
     sw = ctx.grid.sqrt_w
     u_left = tri.left * sw
     u_right = tri.right * sw
@@ -278,3 +278,41 @@ def test_apply_right_matches_matrix(ctx, grid):
     w = grid.sqrt_w**2
     direct = (f * w) @ kv
     assert np.allclose(out, direct, rtol=1e-10)
+
+
+@pytest.mark.parametrize("tag", ["one", "gamma"])
+@pytest.mark.parametrize("eta", [-0.25, 0.0, 0.25])
+def test_factorized_products_match_dense(small_grid, tag, eta):
+    op = assemble_kernel(small_grid, A, eta, tag)
+    dense = op.dense()
+    sw = small_grid.sqrt_w
+    f = np.random.default_rng(11).standard_normal(small_grid.size)
+
+    def rel(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    assert rel(op.apply_right(f), ((f * sw) @ dense) / sw) < 1e-13
+    assert rel(op.apply_left(f), (dense @ (f * sw)) / sw) < 1e-13
+    assert op.hs_norm() == pytest.approx(np.linalg.norm(dense), rel=1e-13)
+    assert rel(op.kernel_values() * np.outer(sw, sw), dense) < 1e-13
+
+
+def test_gamma_kernel_reuses_plain_cores(small_grid):
+    plain = assemble_kernel(small_grid, A, 0.25)
+    reused = assemble_kernel(small_grid, A, 0.25, "gamma", plain=plain)
+    fresh = assemble_kernel(small_grid, A, 0.25, "gamma")
+    scale = np.max(np.abs(fresh.sym))
+    assert np.max(np.abs(reused.sym - fresh.sym)) < 1e-13 * scale
+    with pytest.raises(LadderError, match="plain operator"):
+        assemble_kernel(small_grid, A, 0.0, "gamma", plain=plain)
+
+
+@pytest.mark.parametrize("eta, lam_ref, ratio_ref",
+                         [(0.0, 7.174309147472, 0.322276), (0.25, 7.845132018405, 0.313309)])
+def test_leading_triple_anchors(ctx, eta, lam_ref, ratio_ref):
+    # lambda1 and |lambda2|/lambda1 from dense eigvals on the default grid at a=1
+    tri = leading_triple(ctx.op(eta))
+    assert tri.value == pytest.approx(lam_ref, rel=1e-9)
+    assert tri.gap == pytest.approx(ratio_ref, abs=1e-6)
+    assert tri.gap_residual < 1e-10
+    assert 0 < tri.gap_iterations < 2_000

@@ -281,20 +281,8 @@ def cmd_verify(cfg: dict):
                     worst = max(worst, abs(environment.gibbs_identity_residual(omega, a)))
         add("gibbs-identity", worst < 1e-9, {"max_residual": worst, "samples": count * 9})
     if suite in ("scaling", "all"):
-        gen = RngSpec(seed, 23).generator()
-        worst = 0.0
         count = p.get("samples", 10_000)
-        for _ in range(count):
-            n = int(gen.integers(1, 6))
-            vals = gen.uniform(0.1, 5.0, size=3 * n + 1)
-            y = gen.normal(size=n)
-            c = float(gen.uniform(0.05, 20.0))
-            a = float(gen.uniform(0.76, 3.0))
-            base = environment.log_phi(EdgeWeights(vals), y, "D" * n, a)
-            scaled = environment.log_phi(EdgeWeights(c * vals), math.sqrt(c) * y, "D" * n, a)
-            drop = -(3.5 * n + 1.0) * math.log(c)
-            denom = max(1.0, abs(base))
-            worst = max(worst, abs(scaled - base - drop) / denom)
+        worst = environment.scaling_law_residual(RngSpec(seed, 23).generator(), count)
         add("scaling", worst < 1e-12, {"max_relative_residual": worst, "samples": count})
     if suite in ("gamma-derivatives", "all"):
         gen = RngSpec(seed, 29).generator()
@@ -557,11 +545,13 @@ def run(argv=None) -> int:
         sys.stderr.write(f"config error: {err}\n")
         return 2
     out = Path(cfg["out"]) if cfg["out"] else None
+    # in CSV mode the JSON document goes next to the CSV, never over it
+    summary_out = out.with_suffix(out.suffix + ".summary.json") if out is not None else None
     try:
         ok, report = _HANDLERS[cfg["subcommand"]](cfg)
     except LadderError as err:
-        _write_json(out, {"config": _public_config(cfg), "status": "check-failure",
-                          "error": str(err)})
+        _write_json(summary_out if cfg["format"] == "csv" else out,
+                    {"config": _public_config(cfg), "status": "check-failure", "error": str(err)})
         return 1
     doc = {"config": _public_config(cfg), "status": "ok" if ok else "check-failure"}
     if "summary" in report:
@@ -569,7 +559,7 @@ def run(argv=None) -> int:
     if cfg["format"] == "csv" and "rows" in report:
         _write_csv(out, report["header"], report["rows"], _public_config(cfg))
         if "summary" in report and out is not None:
-            _write_json(out.with_suffix(out.suffix + ".summary.json"), doc)
+            _write_json(summary_out, doc)
     else:
         if "rows" in report and cfg["format"] == "json":
             doc["rows"] = report["rows"]

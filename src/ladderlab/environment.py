@@ -38,6 +38,7 @@ __all__ = [
     "CycleSpin",
     "RungSpin",
     "log_phi",
+    "scaling_law_residual",
     "normalize_weights",
     "h_middle",
     "h_middle_parts",
@@ -501,6 +502,27 @@ def log_phi(x: EdgeWeights | np.ndarray, y: Sequence[float], code: SpanningTreeC
     out -= (a + 0.5) * (logv[graph.vertex(n, 1)] + logv[graph.vertex(n, 2)])
     out -= 0.5 * cycle_form(x, y)
     return float(out)
+
+
+def scaling_law_residual(gen: np.random.Generator, count: int) -> float:
+    """Largest relative residual of the density scaling law over ``count``
+    random draws: scaling the weights by ``c`` and ``y`` by ``sqrt(c)``
+    shifts ``log_phi`` (all-``D`` tree code) by ``-(3.5 n + 1) log c``.
+    Each draw takes ``n``, the weights, ``y``, ``c`` and ``a`` from ``gen``
+    in that order; residuals are relative to ``max(1, |base|)``.  Contract:
+    below 1e-12."""
+    worst = 0.0
+    for _ in range(count):
+        n = int(gen.integers(1, 6))
+        vals = gen.uniform(0.1, 5.0, size=3 * n + 1)
+        y = gen.normal(size=n)
+        c = float(gen.uniform(0.05, 20.0))
+        a = float(gen.uniform(0.76, 3.0))
+        base = log_phi(EdgeWeights(vals), y, "D" * n, a)
+        scaled = log_phi(EdgeWeights(c * vals), math.sqrt(c) * y, "D" * n, a)
+        drop = -(3.5 * n + 1.0) * math.log(c)
+        worst = max(worst, abs(scaled - base - drop) / max(1.0, abs(base)))
+    return worst
 
 
 def normalize_weights(

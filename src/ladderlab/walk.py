@@ -16,6 +16,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -66,40 +67,101 @@ class WalkTrace:
         return self.a + self.local_times
 
 
-def _run_loop(graph: LadderGraph, w: list[float], steps: int, start: int,
-              gen: np.random.Generator, reinforce: bool, stride: int):
-    incident = graph.incident
+_RETURN, _STOP = 1, 2  # vertex marks read by the step kernel
+
+
+class _Uniforms:
+    """One generator's uniforms, drawn in blocks of 256 doubling up to
+    ``_BLOCK``.  PCG64 gives ``random(m)`` then ``random(k)`` the values of
+    ``random(m + k)``: the stream is that of fixed blocks, and a short
+    episode draws a few hundred values instead of a full block."""
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen, self.buf, self.ptr, self.size = gen, [], 0, 256
+
+    def refill(self) -> None:
+        self.buf, self.ptr = self.gen.random(self.size).tolist(), 0
+        self.size = min(2 * self.size, _BLOCK)
+
+
+@lru_cache(maxsize=16)
+def _step_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per vertex ``(e0, n0, e1, n1, e2, n2)``: incident edges and the
+    neighbors across them in incidence order, ``e2 = -1`` at degree 2."""
+    return tuple(sum(opts, ()) + (-1, -1) * (3 - len(opts)) for opts in build(n).incident)
+
+
+def _marks(num_vertices: int, stops=()) -> list[int]:
+    """Kernel marks: ``_RETURN`` on the left rung pair, ``_STOP`` on ``stops``."""
+    marks = [_RETURN, _RETURN] + [0] * (num_vertices - 2)
+    for v in stops:
+        marks[v] |= _STOP
+    return marks
+
+
+def _advance(table, w: list[float], k: list[int], inc: float, pos: int, budget: int,
+             marks: list[int], uniforms: _Uniforms) -> tuple[int, int, int]:
+    """The step rule: advance one walk by at most ``budget`` steps, stopping on
+    arrival at a vertex marked ``_STOP``.  A step from ``pos`` crosses an
+    incident edge with probability proportional to its weight in ``w``, adds
+    one to its crossing count in ``k`` and ``inc`` to its weight.  Returns
+    ``(pos, steps taken, arrivals at the left rung pair)``."""
+    counted = sum(k)  # every step adds one crossing
+    returns, left = 0, budget
+    while left > 0:
+        if uniforms.ptr == len(uniforms.buf):
+            uniforms.refill()
+        lo = uniforms.ptr
+        hi = min(len(uniforms.buf), lo + left)
+        uniforms.ptr = hi
+        left -= hi - lo
+        for u in uniforms.buf[lo:hi]:
+            e0, n0, e1, n1, e2, n2 = table[pos]
+            w0 = w[e0]
+            if e2 < 0:
+                if u * (w0 + w[e1]) - w0 < 0.0:
+                    e, pos = e0, n0
+                else:
+                    e, pos = e1, n1
+            else:
+                w1 = w[e1]
+                r = u * (w0 + w1 + w[e2]) - w0
+                if r < 0.0:
+                    e, pos = e0, n0
+                elif r - w1 < 0.0:
+                    e, pos = e1, n1
+                else:
+                    e, pos = e2, n2
+            k[e] += 1
+            w[e] += inc
+            mark = marks[pos]
+            if mark:
+                returns += mark & _RETURN
+                if mark & _STOP:
+                    taken = sum(k) - counted
+                    # the block's uniforms past this step stay in the stream
+                    uniforms.ptr = hi - (budget - left - taken)
+                    return pos, taken, returns
+    return pos, budget - left, returns
+
+
+def _trace_run(graph: LadderGraph, w: list[float], a: float | None, steps: int, start: int,
+               rng: RngSpec, stride: int) -> WalkTrace:
+    """A walk of ``steps`` steps from weights ``w``, reinforced unless ``a`` is None."""
+    if not 0 <= start < graph.num_vertices:
+        raise LadderError(f"start vertex {start} outside the graph")
+    table, marks = _step_table(graph.n), _marks(graph.num_vertices)
+    uniforms, inc = _Uniforms(rng.generator()), 0.0 if a is None else 1.0
     k = [0] * graph.num_edges
-    pos = start
-    returns = 0
-    hist = [] if stride > 0 else None
-    buf: list[float] = []
-    ptr = 0
-    for t in range(steps):
-        if ptr == len(buf):
-            buf = gen.random(_BLOCK).tolist()
-            ptr = 0
-        u = buf[ptr]
-        ptr += 1
-        opts = incident[pos]
-        tot = 0.0
-        for e, _ in opts:
-            tot += w[e]
-        r = u * tot
-        for e, nxt in opts:
-            r -= w[e]
-            if r < 0.0:
-                break
-        k[e] += 1
-        if reinforce:
-            w[e] += 1.0
-        pos = nxt
-        if pos <= 1:
-            returns += 1
-        if hist is not None and (t + 1) % stride == 0:
-            hist.append(pos)
-    history = None if hist is None else np.array(hist, dtype=np.int32)
-    return np.array(k, dtype=np.int64), pos, returns, history
+    pos, returns, hist = start, 0, []
+    for _ in range(steps // stride if stride > 0 else 0):
+        pos, _, ret = _advance(table, w, k, inc, pos, stride, marks, uniforms)
+        returns += ret
+        hist.append(pos)
+    pos, _, ret = _advance(table, w, k, inc, pos, steps - stride * len(hist), marks, uniforms)
+    return WalkTrace(start=start, steps=steps, local_times=np.array(k, dtype=np.int64),
+                     position=pos, returns=returns + ret, a=a,
+                     history=np.array(hist, dtype=np.int32) if stride > 0 else None)
 
 
 def errw_run(graph: LadderGraph, a: float, steps: int, start: int, rng: RngSpec,
@@ -107,12 +169,8 @@ def errw_run(graph: LadderGraph, a: float, steps: int, start: int, rng: RngSpec,
     """Run the reinforced walk for ``steps`` steps."""
     if not a > 0:
         raise LadderError(f"initial weight must be positive, got a={a}")
-    if not 0 <= start < graph.num_vertices:
-        raise LadderError(f"start vertex {start} outside the graph")
-    k, pos, returns, history = _run_loop(graph, [float(a)] * graph.num_edges, steps, start,
-                                         rng.generator(), True, history_stride)
-    return WalkTrace(start=start, steps=steps, local_times=k, position=pos,
-                     returns=returns, a=float(a), history=history)
+    return _trace_run(graph, [float(a)] * graph.num_edges, float(a), steps, start, rng,
+                      history_stride)
 
 
 def rwre_run(graph: LadderGraph, x: EdgeWeights, steps: int, start: int, rng: RngSpec,
@@ -120,12 +178,7 @@ def rwre_run(graph: LadderGraph, x: EdgeWeights, steps: int, start: int, rng: Rn
     """Run the fixed-weight (reversible) walk for ``steps`` steps."""
     if x.n != graph.n:
         raise LadderError(f"weights are for n={x.n}, graph has n={graph.n}")
-    if not 0 <= start < graph.num_vertices:
-        raise LadderError(f"start vertex {start} outside the graph")
-    k, pos, returns, history = _run_loop(graph, x.values.tolist(), steps, start,
-                                         rng.generator(), False, history_stride)
-    return WalkTrace(start=start, steps=steps, local_times=k, position=pos,
-                     returns=returns, a=None, history=history)
+    return _trace_run(graph, x.values.tolist(), None, steps, start, rng, history_stride)
 
 
 def path_probability_errw(graph: LadderGraph, path: Sequence, a) -> Fraction | float:
@@ -163,10 +216,7 @@ def local_time_profile(trace: WalkTrace, graph: LadderGraph,
     k0 = int(trace.local_times[graph.rung_index(0)])
     if k0 == 0:
         raise LadderError("left rung was never crossed; run longer")
-    out = []
-    for i in range(1, graph.n + 1):
-        out.append((i, float(trace.local_times[pick(i)]) / k0))
-    return out
+    return [(i, float(trace.local_times[pick(i)]) / k0) for i in range(1, graph.n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -184,46 +234,22 @@ def _returns_episode(graph: LadderGraph, a: float, levels: list[int], k_cap: int
     stretch); its pending levels keep the returns seen so far, the
     conservative resolution.
     """
-    incident = graph.incident
-    w = [float(a)] * graph.num_edges
-    pos = start
-    returns = 0
+    table, uniforms = _step_table(graph.n), _Uniforms(gen)
+    w, k = [float(a)] * graph.num_edges, [0] * graph.num_edges
+    pos, returns, used = start, 0, 0
     pending = sorted(levels)
     counts: dict[int, int] = {}
-    buf: list[float] = []
-    ptr = 0
-    decided = True
-    for _ in range(step_cap):
-        if returns >= k_cap:
-            break
-        if ptr == len(buf):
-            buf = gen.random(_BLOCK).tolist()
-            ptr = 0
-        u = buf[ptr]
-        ptr += 1
-        opts = incident[pos]
-        tot = 0.0
-        for e, _ in opts:
-            tot += w[e]
-        r = u * tot
-        for e, nxt in opts:
-            r -= w[e]
-            if r < 0.0:
-                break
-        w[e] += 1.0
-        pos = nxt
-        if pos <= 1:
-            returns += 1
-        level = pos >> 1
-        while pending and level >= pending[0]:
-            counts[pending[0]] = returns
-            pending.pop(0)
-        if not pending:
-            break
-    else:
-        decided = False
+    while pending and returns < k_cap and used < step_cap:
+        # stop at the next return and on first reaching the lowest pending level
+        marks = _marks(graph.num_vertices, [0, 1, *range(2 * pending[0], graph.num_vertices)])
+        pos, taken, ret = _advance(table, w, k, 1.0, pos, step_cap - used, marks, uniforms)
+        used += taken
+        returns += ret
+        while pending and pos >> 1 >= pending[0]:
+            counts[pending.pop(0)] = returns
     for lev in pending:
         counts[lev] = returns
+    decided = not pending or used < step_cap
     return [counts[lev] for lev in levels], decided
 
 
@@ -292,39 +318,16 @@ def escape_frequency(graph: LadderGraph, x: EdgeWeights, rng: RngSpec, replicas:
                      step_cap: int = 10_000_000) -> float:
     """Monte Carlo frequency of reaching the far end before returning to the
     start vertex, for the fixed-weight walk started at the top-left corner."""
-    incident = graph.incident
-    w = x.values.tolist()
-    start = graph.vertex(0, 2)
-    far_level = graph.n
+    table, start = _step_table(graph.n), graph.vertex(0, 2)
+    w, k = x.values.tolist(), [0] * graph.num_edges  # crossings are not reported
+    marks = _marks(graph.num_vertices, [start, *range(2 * graph.n, graph.num_vertices)])
     escapes = 0
     for r in range(replicas):
-        gen = RngSpec(rng.seed, rng.stream + r).generator()
-        buf: list[float] = []
-        ptr = 0
-        pos = start
-        for _ in range(step_cap):
-            if ptr == len(buf):
-                buf = gen.random(_BLOCK).tolist()
-                ptr = 0
-            u = buf[ptr]
-            ptr += 1
-            opts = incident[pos]
-            tot = 0.0
-            for e, _ in opts:
-                tot += w[e]
-            rr = u * tot
-            for e, nxt in opts:
-                rr -= w[e]
-                if rr < 0.0:
-                    break
-            pos = nxt
-            if pos == start:
-                break
-            if (pos >> 1) == far_level:
-                escapes += 1
-                break
-        else:
+        uniforms = _Uniforms(RngSpec(rng.seed, rng.stream + r).generator())
+        pos, taken, _ = _advance(table, w, k, 0.0, start, step_cap, marks, uniforms)
+        if taken == 0 or not marks[pos] & _STOP:
             raise LadderError(f"episode undecided after {step_cap} steps")
+        escapes += pos != start
     return escapes / replicas
 
 
@@ -374,15 +377,11 @@ def _profile_replica(args) -> np.ndarray:
     n, a, steps, seed, stream, representative = args
     graph = build(n)
     trace = errw_run(graph, a, steps, graph.vertex(0, 2), RngSpec(seed, stream))
-    pick = {"rung": graph.rung_index, "lower": graph.lower_index,
-            "upper": graph.upper_index}[representative]
-    k0 = int(trace.local_times[graph.rung_index(0)])
-    counts = np.array([trace.local_times[pick(i)] for i in range(1, n + 1)], dtype=float)
-    if k0 == 0:
+    if trace.local_times[graph.rung_index(0)] == 0:
         # the replica never crossed the left rung: its ratios are infinite,
         # which is the conservative direction for every decay statistic
         return np.full(n, np.inf)
-    return counts / k0
+    return np.array([ratio for _, ratio in local_time_profile(trace, graph, representative)])
 
 
 def profile_experiment(n: int, a: float, steps: int, replicas: int, rng: RngSpec,

@@ -93,19 +93,7 @@ def test_c02_gibbs_identity():
 
 
 def test_c03_scaling_law():
-    gen = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(10_000):
-        n = int(gen.integers(1, 6))
-        vals = gen.uniform(0.1, 5.0, size=3 * n + 1)
-        y = gen.normal(size=n)
-        c = float(gen.uniform(0.05, 20.0))
-        a = float(gen.uniform(0.76, 3.0))
-        code = "D" * n
-        base = environment.log_phi(EdgeWeights(vals), y, code, a)
-        scaled = environment.log_phi(EdgeWeights(c * vals), math.sqrt(c) * y, code, a)
-        drop = -(3.5 * n + 1.0) * math.log(c)
-        worst = max(worst, abs(scaled - base - drop) / max(1.0, abs(base), abs(scaled)))
+    worst = environment.scaling_law_residual(np.random.default_rng(11), 10_000)
     ok = worst < 1e-12
     report(3, ok, f"max relative residual = {worst:.3e} over 10^4 draws (< 1e-12)")
     assert ok

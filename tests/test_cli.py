@@ -198,6 +198,10 @@ def test_profile_rows_keep_infinite_ratios(tmp_path):
     PROFILE_UNCROSSED,
     ["sample-env", "--n", "1", "--samples", "50", "--burn-in", "50", "--seed", "1"],
     ["spectrum", "--grid", "small"],
+    ["simulate", "--n", "3", "--steps", "2000", "--replicas", "2", "--seed", "9"],
+    ["simulate", "--n", "2", "--mode", "rwre", "--steps", "500", "--replicas", "2", "--seed", "4"],
+    ["returns", "--n-list", "2,4", "--k-list", "1,2", "--replicas", "100", "--seed", "7"],
+    ["verify", "--suite", "scaling", "--samples", "300", "--seed", "5"],
 ])
 def test_json_output_is_strict(tmp_path, args):
     out = tmp_path / "out.json"
@@ -212,3 +216,25 @@ def test_json_output_is_strict(tmp_path, args):
     if args[0] == "spectrum":
         assert doc["summary"]["gap_residual"] < 1e-10
         assert doc["summary"]["gap_iterations"] > 0
+    if args[0] == "simulate":
+        assert len(doc["rows"]) == 2
+        assert all(sum(row[3:]) == int(args[args.index("--steps") + 1]) for row in doc["rows"])
+    if args[0] == "returns":
+        assert doc["summary"]["undecided_replicas"] == 0
+        assert set(doc["summary"]["fractions"]) == {"1", "2"}
+    if args[0] == "verify":
+        assert doc["summary"]["checks"][0]["details"]["max_relative_residual"] < 1e-12
+
+
+def test_csv_failure_report_goes_next_to_the_csv(tmp_path):
+    # two replicas of 50 steps never reach level 12: the profile check raises
+    args = ["profile", "--n", "12", "--steps", "50", "--replicas", "2", "--seed", "1"]
+    out = tmp_path / "e.csv"
+    assert run(args + ["--format", "csv", "--out", str(out)]) == 1
+    assert not out.exists()
+    doc = read_strict_json(out.with_suffix(".csv.summary.json"))
+    assert doc["status"] == "check-failure"
+    assert "median log ratio not finite" in doc["error"]
+    out_json = tmp_path / "e.json"
+    assert run(args + ["--out", str(out_json)]) == 1
+    assert read_strict_json(out_json)["status"] == "check-failure"

@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from ladderlab.ladder import EdgeWeights, LadderError, build
 from ladderlab.network import escape_probability
 from ladderlab.rng import RngSpec
 from ladderlab.walk import (
+    _BLOCK,
+    _Uniforms,
     errw_run,
     escape_frequency,
     local_time_profile,
@@ -15,6 +19,7 @@ from ladderlab.walk import (
     profile_experiment,
     return_statistics,
     returns_before_far_end,
+    returns_before_far_end_detailed,
     rwre_run,
 )
 
@@ -229,3 +234,85 @@ def test_history_thinning():
     trace2 = errw_run(g, 1.0, 1000, g.vertex(0, 2), RngSpec(53))
     assert trace2.history is None
     assert np.array_equal(trace.local_times, trace2.local_times)
+
+
+# Fixed-seed outputs of the walk entry points; any change in the step rule's
+# floating-point order or in the uniform stream shows here.
+GOLDEN = json.loads((Path(__file__).parent / "walk_golden.json").read_text())
+
+
+def _assert_trace(trace, golden):
+    assert trace.local_times.tolist() == golden["local_times"]
+    assert trace.position == golden["position"]
+    assert trace.returns == golden["returns"]
+    assert trace.history.tolist() == golden["history"]
+
+
+@pytest.mark.parametrize("a", [1.0, 0.3])
+def test_errw_run_golden(a):
+    g = build(16)
+    trace = errw_run(g, a, 200_000, g.vertex(0, 2), RngSpec(61), history_stride=1000)
+    _assert_trace(trace, GOLDEN[f"errw_a{a}"])
+
+
+def test_rwre_run_golden():
+    g = build(16)
+    x = EdgeWeights(np.random.default_rng(5).uniform(0.5, 2.0, size=49))
+    trace = rwre_run(g, x, 200_000, g.vertex(0, 2), RngSpec(67), history_stride=1000)
+    _assert_trace(trace, GOLDEN["rwre"])
+
+
+def test_returns_before_far_end_golden():
+    counts, undecided = returns_before_far_end_detailed((4, 8, 16), 1.0, 4, RngSpec(3), 50)
+    assert counts.tolist() == GOLDEN["returns"]["counts"]
+    assert undecided == GOLDEN["returns"]["undecided"]
+
+
+def test_escape_frequency_golden():
+    x = EdgeWeights(np.exp(np.random.default_rng(7).uniform(-0.5, 0.5, size=25)))
+    assert escape_frequency(build(8), x, RngSpec(71), 200) == GOLDEN["escape"]
+
+
+def test_growing_blocks_draw_the_fixed_block_stream():
+    uniforms = _Uniforms(RngSpec(73).generator())
+    sizes, drawn = [], []
+    while len(drawn) < 3 * _BLOCK:  # past two full-size blocks
+        uniforms.refill()
+        sizes.append(len(uniforms.buf))
+        drawn.extend(uniforms.buf)
+    assert sizes[0] == 256 and sizes[-2:] == [_BLOCK, _BLOCK]
+    assert drawn == RngSpec(73).generator().random(len(drawn)).tolist()
+    gen = RngSpec(73).generator()
+    fixed = np.concatenate([gen.random(_BLOCK) for _ in range(len(drawn) // _BLOCK + 1)])
+    assert drawn == fixed[:len(drawn)].tolist()
+
+
+def _reference_run(graph, w, steps, start, gen, inc):
+    """The step rule as a plain loop over the incident edges of each vertex."""
+    k = [0] * graph.num_edges
+    pos, returns = start, 0
+    for u in gen.random(steps).tolist():
+        opts = graph.incident[pos]
+        r = u * sum(w[e] for e, _ in opts)
+        for e, pos_next in opts:
+            r -= w[e]
+            if r < 0.0:
+                break
+        k[e] += 1
+        w[e] += inc
+        pos = pos_next
+        returns += pos <= 1
+    return k, pos, returns
+
+
+@pytest.mark.parametrize("n,a,start", [(1, 1.0, 1), (3, 0.3, 4), (6, 2.5, 7), (6, None, 0)])
+def test_step_kernel_matches_reference_loop(n, a, start):
+    g = build(n)
+    x = EdgeWeights(np.random.default_rng(n).uniform(0.2, 3.0, size=3 * n + 1))
+    if a is None:
+        trace = rwre_run(g, x, 40_000, start, RngSpec(79, n), history_stride=999)
+        ref = _reference_run(g, x.values.tolist(), 40_000, start, RngSpec(79, n).generator(), 0.0)
+    else:
+        trace = errw_run(g, a, 40_000, start, RngSpec(79, n), history_stride=999)
+        ref = _reference_run(g, [a] * g.num_edges, 40_000, start, RngSpec(79, n).generator(), 1.0)
+    assert (trace.local_times.tolist(), trace.position, trace.returns) == ref

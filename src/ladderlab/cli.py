@@ -271,14 +271,8 @@ def cmd_verify(cfg: dict):
                 add(f"boundary-bound a={a} {side}", rep.passed,
                     {"min_margin": rep.min_margin, "samples": rep.samples})
     if suite in ("gibbs-identity", "all"):
-        gen = RngSpec(seed, 17).generator()
-        worst = 0.0
         count = p.get("samples", 10_000) // 9
-        for n in (1, 2, 5):
-            for a in (0.8, 1.0, 2.0):
-                for _ in range(count):
-                    omega = _random_spin(gen, n)
-                    worst = max(worst, abs(environment.gibbs_identity_residual(omega, a)))
+        worst = environment.gibbs_identity_sweep(RngSpec(seed, 17).generator(), count)
         add("gibbs-identity", worst < 1e-9, {"max_residual": worst, "samples": count * 9})
     if suite in ("scaling", "all"):
         count = p.get("samples", 10_000)
@@ -310,19 +304,6 @@ def cmd_verify(cfg: dict):
 
     ok = all(c["passed"] for c in checks)
     return ok, {"summary": {"suite": suite, "passed": ok, "checks": checks}}
-
-
-def _random_spin(gen, n):
-    while True:
-        t = "".join(gen.choice(list("ABCD"), size=n))
-        if "AB" not in t:
-            break
-    return environment.SpinConfig(
-        z0=gen.normal(scale=2.5), xlo=gen.normal(scale=2.5, size=n),
-        xhi=gen.normal(scale=2.5, size=n), sigma=gen.choice([-1, 1], size=n),
-        t=t, z=gen.normal(scale=2.5, size=n - 1), gamma=gen.normal(scale=2.5, size=n - 1),
-        zn=gen.normal(scale=2.5),
-    )
 
 
 def cmd_spectrum(cfg: dict):

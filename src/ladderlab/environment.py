@@ -49,6 +49,7 @@ __all__ = [
     "psi_inverse",
     "log_jacobian",
     "gibbs_identity_residual",
+    "gibbs_identity_sweep",
     "middle_energy",
     "middle_energy_no_exp2",
     "left_energy",
@@ -69,19 +70,60 @@ def _lse2(x: float, y: float) -> float:
     return m + math.log(math.exp(x - m) + math.exp(y - m))
 
 
-def _lse3(x: float, y: float, z: float) -> float:
-    m = x if x >= y else y
-    if z > m:
-        m = z
-    if m == -INF:
-        return -INF
-    return m + math.log(math.exp(x - m) + math.exp(y - m) + math.exp(z - m))
-
-
 _LN2 = math.log(2.0)
 
 
-def _exp2_term(w: float, z: float, ss_prod: float) -> float:
+# ---------------------------------------------------------------------------
+# scalar local energies (hot path: plain floats, tree states as ints 0..3)
+#
+# The coupling energy across an inner rung is the sum, in this order, of its
+# parts h_ln, h_linear, h_tree, h_exp1, h_exp2 and -eta * gamma.  One helper
+# per part, taking u = (xlo + xhi)/2, e^{-x} and w = gamma + u2 - u, so the
+# sampler can cache them and recompute only the parts a move changes.
+
+
+def h_ln(xlo: float, xhi: float, z: float, w: float, xlo2: float, xhi2: float, a: float) -> float:
+    """Log part: (3a + 1)/2 times a three-way log-sum-exp per rail, each
+    written out (max shift, then the log of the shifted exponentials)."""
+    x, y = xlo + 0.5 * w, xlo2 - 0.5 * w
+    m = x if x >= y else y
+    if z > m:
+        m = z
+    lse_lo = -INF if m == -INF else m + math.log(math.exp(x - m) + math.exp(y - m) + math.exp(z - m))
+    x, y = xhi + 0.5 * w, xhi2 - 0.5 * w
+    m = x if x >= y else y
+    if z > m:
+        m = z
+    lse_hi = -INF if m == -INF else m + math.log(math.exp(x - m) + math.exp(y - m) + math.exp(z - m))
+    return 0.5 * (3.0 * a + 1.0) * (lse_lo + lse_hi)
+
+
+def h_linear(u: float, u2: float, z: float, a: float) -> float:
+    return -(a + 0.5) * (u + u2 + z)
+
+
+def _tree_letter(t: int, xlo: float, xhi: float, u: float, r: float, joined: int) -> float:
+    """Tree-letter energy of one cell beside a rung with rung term ``r``: C and D
+    weigh half the lower or upper field, the letter ``joined`` (A left of the
+    rung, B right of it) weighs ``r - u/2`` and the other of A and B ``u/2``."""
+    if t == 2:
+        return 0.5 * xlo
+    if t == 3:
+        return 0.5 * xhi
+    return r - 0.5 * u if t == joined else 0.5 * u
+
+
+def h_tree(t: int, xlo: float, xhi: float, u: float, z: float, w: float,
+           t2: int, xlo2: float, xhi2: float, u2: float) -> float:
+    return _tree_letter(t, xlo, xhi, u, z - 0.5 * w, 0) + _tree_letter(t2, xlo2, xhi2, u2, z + 0.5 * w, 1)
+
+
+def h_exp1(elo: float, ehi: float, elo2: float, ehi2: float) -> float:
+    """Field part from the four cell exponentials e^{-xlo}, e^{-xhi}, ..."""
+    return 0.25 * (elo + ehi + elo2 + ehi2)
+
+
+def h_exp2(w: float, z: float, ss_prod: float) -> float:
     """Sign-interaction energy: half of (s e^{w/4} - s' e^{-w/4})^2 e^{-z}.
 
     Evaluated through logs so the square never produces inf - inf.
@@ -93,11 +135,55 @@ def _exp2_term(w: float, z: float, ss_prod: float) -> float:
         logq = m + math.log1p(-math.exp(-2.0 * m))
     else:
         logq = m + math.log1p(math.exp(-2.0 * m))
-    return _exp(2.0 * logq - z - _LN2)
+    v = 2.0 * logq - z - _LN2
+    return INF if v > _EXP_CAP else math.exp(v)  # _exp, written out
 
 
-# ---------------------------------------------------------------------------
-# scalar local energies (hot path: plain floats, tree states as ints 0..3)
+def coupling_total(h_ln: float, h_linear: float, h_tree: float, h_exp1: float, h_exp2: float,
+                   eta_term: float) -> float:
+    """The coupling energy from its parts; ``eta_term`` is ``-eta * gamma``."""
+    return h_ln + h_linear + h_tree + h_exp1 + h_exp2 + eta_term
+
+
+class MiddleParts(NamedTuple):
+    h_ln: float
+    h_linear: float
+    h_tree: float
+    h_exp1: float
+    h_exp2: float
+    eta_term: float
+    constrained: bool
+
+    @property
+    def total(self) -> float:
+        return INF if self.constrained else coupling_total(*self[:6])
+
+    @property
+    def total_no_exp2(self) -> float:
+        # adding -0.0 leaves every float bit-unchanged: the sum without the sign term
+        return INF if self.constrained else coupling_total(*self[:4], -0.0, self.eta_term)
+
+
+def middle_parts(
+    xlo: float, xhi: float, ss: int, t: int,
+    z: float, gamma: float,
+    xlo2: float, xhi2: float, ss2: int, t2: int,
+    a: float, eta: float,
+) -> MiddleParts:
+    """Named parts of the coupling energy between neighbouring cells across
+    one inner rung; ``constrained`` marks the forbidden tree pair (A, B)."""
+    u = 0.5 * (xlo + xhi)
+    u2 = 0.5 * (xlo2 + xhi2)
+    w = gamma + u2 - u
+    return MiddleParts(
+        h_ln(xlo, xhi, z, w, xlo2, xhi2, a),
+        h_linear(u, u2, z, a),
+        h_tree(t, xlo, xhi, u, z, w, t2, xlo2, xhi2, u2),
+        h_exp1(_exp(-xlo), _exp(-xhi), _exp(-xlo2), _exp(-xhi2)),
+        h_exp2(w, z, ss * ss2),
+        -eta * gamma,
+        t == 0 and t2 == 1,
+    )
 
 
 def middle_energy(
@@ -107,36 +193,7 @@ def middle_energy(
     a: float, eta: float,
 ) -> float:
     """Coupling energy between neighboring cells across one inner rung."""
-    if t == 0 and t2 == 1:  # (A, B)
-        return INF
-    u = 0.5 * (xlo + xhi)
-    u2 = 0.5 * (xlo2 + xhi2)
-    w = gamma + u2 - u
-    h_ln = 0.5 * (3.0 * a + 1.0) * (
-        _lse3(xlo + 0.5 * w, xlo2 - 0.5 * w, z)
-        + _lse3(xhi + 0.5 * w, xhi2 - 0.5 * w, z)
-    )
-    h_linear = -(a + 0.5) * (u + u2 + z)
-    h_tree = 0.0
-    if t == 2:
-        h_tree += 0.5 * xlo
-    elif t == 3:
-        h_tree += 0.5 * xhi
-    if t2 == 2:
-        h_tree += 0.5 * xlo2
-    elif t2 == 3:
-        h_tree += 0.5 * xhi2
-    if t == 0:
-        h_tree += z - 0.5 * w - 0.5 * u
-    elif t == 1:
-        h_tree += 0.5 * u
-    if t2 == 0:
-        h_tree += 0.5 * u2
-    elif t2 == 1:
-        h_tree += z + 0.5 * w - 0.5 * u2
-    h_exp1 = 0.25 * (_exp(-xlo) + _exp(-xhi) + _exp(-xlo2) + _exp(-xhi2))
-    h_exp2 = _exp2_term(w, z, float(ss * ss2))
-    return h_ln + h_linear + h_tree + h_exp1 + h_exp2 - eta * gamma
+    return middle_parts(xlo, xhi, ss, t, z, gamma, xlo2, xhi2, ss2, t2, a, eta).total
 
 
 def middle_energy_no_exp2(
@@ -145,73 +202,25 @@ def middle_energy_no_exp2(
     xlo2: float, xhi2: float, t2: int,
     a: float, eta: float,
 ) -> float:
-    """Coupling energy with the sign-interaction term removed.
-
-    The result does not depend on the sign variables at all.
-    """
-    if t == 0 and t2 == 1:
-        return INF
-    u = 0.5 * (xlo + xhi)
-    u2 = 0.5 * (xlo2 + xhi2)
-    w = gamma + u2 - u
-    h_ln = 0.5 * (3.0 * a + 1.0) * (
-        _lse3(xlo + 0.5 * w, xlo2 - 0.5 * w, z)
-        + _lse3(xhi + 0.5 * w, xhi2 - 0.5 * w, z)
-    )
-    h_linear = -(a + 0.5) * (u + u2 + z)
-    h_tree = 0.0
-    if t == 2:
-        h_tree += 0.5 * xlo
-    elif t == 3:
-        h_tree += 0.5 * xhi
-    if t2 == 2:
-        h_tree += 0.5 * xlo2
-    elif t2 == 3:
-        h_tree += 0.5 * xhi2
-    if t == 0:
-        h_tree += z - 0.5 * w - 0.5 * u
-    elif t == 1:
-        h_tree += 0.5 * u
-    if t2 == 0:
-        h_tree += 0.5 * u2
-    elif t2 == 1:
-        h_tree += z + 0.5 * w - 0.5 * u2
-    h_exp1 = 0.25 * (_exp(-xlo) + _exp(-xhi) + _exp(-xlo2) + _exp(-xhi2))
-    return h_ln + h_linear + h_tree + h_exp1 - eta * gamma
+    """Coupling energy with the sign-interaction term removed; it does not
+    depend on the sign variables at all."""
+    return middle_parts(xlo, xhi, 1, t, z, gamma, xlo2, xhi2, 1, t2, a, eta).total_no_exp2
 
 
 def left_energy(z0: float, xlo: float, xhi: float, t: int, a: float) -> float:
     """Boundary energy binding the left rung to the first cell."""
     u = 0.5 * (xlo + xhi)
     h_ln = a * _lse2(xhi, z0) + (a + 0.5) * (_lse2(xlo, z0) - u - z0)
-    h_tree = 0.0
-    if t == 2:
-        h_tree += 0.5 * xlo
-    elif t == 3:
-        h_tree += 0.5 * xhi
-    if t == 0:
-        h_tree += 0.5 * u
-    elif t == 1:
-        h_tree += z0 - 0.5 * u
     h_exp = 0.25 * (_exp(-xlo) + _exp(-xhi)) + 0.5 * _exp(-z0)
-    return h_ln + h_tree + h_exp + 0.25 * u
+    return h_ln + _tree_letter(t, xlo, xhi, u, z0, 1) + h_exp + 0.25 * u
 
 
 def right_energy(xlo: float, xhi: float, t: int, zn: float, a: float) -> float:
     """Boundary energy binding the last cell to the right rung."""
     u = 0.5 * (xlo + xhi)
     h_ln = (a + 0.5) * (_lse2(xlo, zn) + _lse2(xhi, zn) - u - zn)
-    h_tree = 0.0
-    if t == 2:
-        h_tree += 0.5 * xlo
-    elif t == 3:
-        h_tree += 0.5 * xhi
-    if t == 0:
-        h_tree += zn - 0.5 * u
-    elif t == 1:
-        h_tree += 0.5 * u
     h_exp = 0.25 * (_exp(-xlo) + _exp(-xhi)) + 0.5 * _exp(-zn)
-    return h_ln + h_tree + h_exp - 0.25 * u
+    return h_ln + _tree_letter(t, xlo, xhi, u, zn, 0) + h_exp - 0.25 * u
 
 
 # ---------------------------------------------------------------------------
@@ -228,28 +237,6 @@ class CycleSpin(NamedTuple):
 class RungSpin(NamedTuple):
     z: float
     gamma: float
-
-
-class MiddleParts(NamedTuple):
-    h_ln: float
-    h_linear: float
-    h_tree: float
-    h_exp1: float
-    h_exp2: float
-    eta_term: float
-    constrained: bool
-
-    @property
-    def total(self) -> float:
-        if self.constrained:
-            return INF
-        return self.h_ln + self.h_linear + self.h_tree + self.h_exp1 + self.h_exp2 + self.eta_term
-
-    @property
-    def total_no_exp2(self) -> float:
-        if self.constrained:
-            return INF
-        return self.h_ln + self.h_linear + self.h_tree + self.h_exp1 + self.eta_term
 
 
 @dataclass(frozen=True)
@@ -408,37 +395,12 @@ def h_middle(cyc: CycleSpin, rung: RungSpin, cyc2: CycleSpin, params: Hamiltonia
 
 def h_middle_parts(cyc: CycleSpin, rung: RungSpin, cyc2: CycleSpin, params: HamiltonianParams) -> MiddleParts:
     """All named pieces of the coupling energy (used by the bound checks)."""
-    t, t2 = T_TO_INT[cyc.t], T_TO_INT[cyc2.t]
-    constrained = t == 0 and t2 == 1
-    u = 0.5 * (cyc.xlo + cyc.xhi)
-    u2 = 0.5 * (cyc2.xlo + cyc2.xhi)
-    w = rung.gamma + u2 - u
-    z = rung.z
-    h_ln = 0.5 * (3.0 * params.a + 1.0) * (
-        _lse3(cyc.xlo + 0.5 * w, cyc2.xlo - 0.5 * w, z)
-        + _lse3(cyc.xhi + 0.5 * w, cyc2.xhi - 0.5 * w, z)
+    return middle_parts(
+        cyc.xlo, cyc.xhi, cyc.sigma, T_TO_INT[cyc.t],
+        rung.z, rung.gamma,
+        cyc2.xlo, cyc2.xhi, cyc2.sigma, T_TO_INT[cyc2.t],
+        params.a, params.eta,
     )
-    h_linear = -(params.a + 0.5) * (u + u2 + z)
-    h_tree = 0.0
-    if t == 2:
-        h_tree += 0.5 * cyc.xlo
-    elif t == 3:
-        h_tree += 0.5 * cyc.xhi
-    if t2 == 2:
-        h_tree += 0.5 * cyc2.xlo
-    elif t2 == 3:
-        h_tree += 0.5 * cyc2.xhi
-    if t == 0:
-        h_tree += z - 0.5 * w - 0.5 * u
-    elif t == 1:
-        h_tree += 0.5 * u
-    if t2 == 0:
-        h_tree += 0.5 * u2
-    elif t2 == 1:
-        h_tree += z + 0.5 * w - 0.5 * u2
-    h_exp1 = 0.25 * (_exp(-cyc.xlo) + _exp(-cyc.xhi) + _exp(-cyc2.xlo) + _exp(-cyc2.xhi))
-    h_exp2 = _exp2_term(w, z, float(cyc.sigma * cyc2.sigma))
-    return MiddleParts(h_ln, h_linear, h_tree, h_exp1, h_exp2, -params.eta * rung.gamma, constrained)
 
 
 def h_left(z0: float, cyc: CycleSpin, a: float) -> float:
@@ -614,3 +576,27 @@ def gibbs_identity_residual(omega: SpinConfig, a: float) -> float:
     lhs = -log_phi(point.x, point.y, point.code, a) - log_jacobian(omega)
     rhs = h_total(omega, a, 0) + omega.n * math.log(2.0)
     return lhs - rhs
+
+
+def gibbs_identity_sweep(gen: np.random.Generator, per_combo: int) -> float:
+    """Largest |``gibbs_identity_residual``| over ``per_combo`` random admissible
+    configurations for each n in (1, 2, 5) and a in (0.8, 1, 2).  Each draw takes
+    the tree word (redrawn until it has no adjacent ``AB``), z0, xlo, xhi, sigma,
+    z, gamma and zn from ``gen`` in that order, the real fields normal with
+    scale 2.5.  Contract: below 1e-9."""
+    worst = 0.0
+    for n in (1, 2, 5):
+        for a in (0.8, 1.0, 2.0):
+            for _ in range(per_combo):
+                while True:
+                    t = "".join(gen.choice(list("ABCD"), size=n))
+                    if "AB" not in t:
+                        break
+                omega = SpinConfig(
+                    z0=gen.normal(scale=2.5), xlo=gen.normal(scale=2.5, size=n),
+                    xhi=gen.normal(scale=2.5, size=n), sigma=gen.choice([-1, 1], size=n),
+                    t=t, z=gen.normal(scale=2.5, size=n - 1),
+                    gamma=gen.normal(scale=2.5, size=n - 1), zn=gen.normal(scale=2.5),
+                )
+                worst = max(worst, abs(gibbs_identity_residual(omega, a)))
+    return worst

@@ -2,9 +2,16 @@
 
 Single-site sweeps: random-walk proposals on every continuous field, plain
 sign flips, and tree-state redraws restricted to the locally admissible
-letters (so a forbidden adjacent ``AB`` is never proposed).  Local energy
-pieces are cached and updated on acceptance, which keeps a sweep at O(n)
-energy evaluations.
+letters (so a forbidden adjacent ``AB`` is never proposed).  The sweep
+caches u = (xlo + xhi)/2, e^{-xlo} and e^{-xhi} per cell, the named parts of
+the coupling energy (``environment.h_ln`` ... ``h_exp2``) with w and the
+total per coupling, and the two boundary energies.  A move recomputes only
+what it changes: an x move every part of its two couplings, reusing the
+neighbours' exponentials; a sign flip only h_exp2; a tree letter only
+h_tree; a z move all but h_exp1; a gamma move all but h_linear and h_exp1.
+The z0/zn moves and the x and tree moves on an end cell recompute its
+boundary energy through this module's ``left_energy``/``right_energy``;
+perfbench traces those and ``middle_energy`` under their names here.
 """
 
 from __future__ import annotations
@@ -15,11 +22,18 @@ from typing import Sequence
 
 import numpy as np
 
-from ladderlab.environment import (
+from ladderlab.environment import (  # noqa: F401 (middle_energy: see the module docstring)
     INF,
     INT_TO_T,
     SpinConfig,
     T_TO_INT,
+    _exp,
+    coupling_total,
+    h_exp1,
+    h_exp2,
+    h_linear,
+    h_ln,
+    h_tree,
     left_energy,
     middle_energy,
     psi_forward,
@@ -42,6 +56,9 @@ __all__ = [
 ]
 
 _CLASSES = ("z0", "x", "z", "gamma", "zn", "sigma", "tree")
+_SCALED = _CLASSES[:5]  # the classes with a tuned proposal scale
+# tree letters allowed by (right neighbour is B) + 2 * (left neighbour is A)
+_LETTERS = ((0, 1, 2, 3), (1, 2, 3), (0, 2, 3), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -68,6 +85,10 @@ class McmcConfig:
             raise LadderError(f"deform_j={self.deform_j} outside 0..{self.n - 1}")
         if self.burn_in < 0 or self.thinning < 1 or self.samples < 1:
             raise LadderError("burn_in >= 0, thinning >= 1, samples >= 1 required")
+        missing, unknown = set(_SCALED) - set(self.scales), set(self.scales) - set(_SCALED)
+        if missing or unknown:
+            raise LadderError(f"scales need exactly the keys {', '.join(_SCALED)}: missing "
+                              f"{sorted(missing)}, unknown {sorted(map(str, unknown))}")
         if any(s <= 0 for s in self.scales.values()):
             raise LadderError("proposal scales must be positive")
         if not self.a > 0:
@@ -116,87 +137,216 @@ class SampleBatch:
         return not bool(bad.any())
 
 
-class _Chain:
-    """Mutable sampler state with cached local energies."""
-
-    def __init__(self, cfg: McmcConfig):
-        self.cfg = cfg
-        n = cfg.n
-        if cfg.init is not None:
-            om = cfg.init
-            if om.n != n or not om.admissible():
-                raise LadderError("init configuration incompatible with the sampler")
-            self.z0 = float(om.z0)
-            self.xlo = [float(v) for v in om.xlo]
-            self.xhi = [float(v) for v in om.xhi]
-            self.sig = [int(v) for v in om.sigma]
-            self.t = [T_TO_INT[c] for c in om.t]
-            self.z = [float(v) for v in om.z]
-            self.ga = [float(v) for v in om.gamma]
-            self.zn = float(om.zn)
-        else:
-            self.z0 = 0.0
-            self.xlo = [0.0] * n
-            self.xhi = [0.0] * n
-            self.sig = [1] * n
-            self.t = [2] * n  # all C
-            self.z = [0.0] * (n - 1)
-            self.ga = [0.0] * (n - 1)
-            self.zn = 0.0
-        self.eta = [0.0 if i < cfg.deform_j else 0.25 for i in range(n - 1)]
-        self.e_left = left_energy(self.z0, self.xlo[0], self.xhi[0], self.t[0], cfg.a)
-        self.e_mid = [self._mid(i) for i in range(n - 1)]
-        self.e_right = right_energy(self.xlo[n - 1], self.xhi[n - 1], self.t[n - 1], self.zn, cfg.a)
-
-    def _mid(self, i: int) -> float:
-        return middle_energy(
-            self.xlo[i], self.xhi[i], self.sig[i], self.t[i],
-            self.z[i], self.ga[i],
-            self.xlo[i + 1], self.xhi[i + 1], self.sig[i + 1], self.t[i + 1],
-            self.cfg.a, self.eta[i],
-        )
-
-    def total_energy(self) -> float:
-        return self.e_left + sum(self.e_mid) + self.e_right
-
-    def spin(self) -> SpinConfig:
-        return SpinConfig(
-            z0=self.z0, xlo=np.array(self.xlo), xhi=np.array(self.xhi),
-            sigma=np.array(self.sig), t="".join(INT_TO_T[v] for v in self.t),
-            z=np.array(self.z), gamma=np.array(self.ga), zn=self.zn,
-        )
-
-    def cell_pieces(self, i: int) -> list[int]:
-        """Indices of the couplings touched by cell i (0-based): i-1 and i."""
-        out = []
-        if i > 0:
-            out.append(i - 1)
-        if i < self.cfg.n - 1:
-            out.append(i)
-        return out
-
-
-def _admissible_letters(chain: _Chain, i: int) -> list[int]:
-    n = chain.cfg.n
-    letters = [0, 1, 2, 3]
-    if i + 1 < n and chain.t[i + 1] == 1:
-        letters.remove(0)  # A before B is forbidden
-    if i > 0 and chain.t[i - 1] == 0:
-        letters.remove(1)  # B after A is forbidden
-    return letters
-
-
 def sample_chain(cfg: McmcConfig) -> SampleBatch:
     """Run the sampler and return the retained samples."""
-    n = cfg.n
-    a = cfg.a
+    n, a = cfg.n, cfg.a
+    n1 = n - 1
+    om = cfg.init if cfg.init is not None else SpinConfig(  # default start: zero fields, all C
+        z0=0.0, xlo=np.zeros(n), xhi=np.zeros(n), sigma=np.ones(n), t="C" * n,
+        z=np.zeros(n1), gamma=np.zeros(n1), zn=0.0)
+    if om.n != n or not om.admissible():
+        raise LadderError("init configuration incompatible with the sampler")
+    z0, zn = float(om.z0), float(om.zn)
+    xlo, xhi, z, ga = ([float(v) for v in f] for f in (om.xlo, om.xhi, om.z, om.gamma))
+    sig = [int(v) for v in om.sigma]
+    t = [T_TO_INT[c] for c in om.t]
+    eta = [0.0 if p < cfg.deform_j else 0.25 for p in range(n1)]
+    # cached cell values and boundary energies
+    u = [0.5 * (lo + hi) for lo, hi in zip(xlo, xhi)]
+    elo = [_exp(-v) for v in xlo]
+    ehi = [_exp(-v) for v in xhi]
+    e_left = left_energy(z0, xlo[0], xhi[0], t[0], a)
+    e_right = right_energy(xlo[n1], xhi[n1], t[n1], zn, a)
+
     gen = cfg.rng.generator()
-    chain = _Chain(cfg)
     scales = dict(cfg.scales)
-    accept = {c: 0 for c in _CLASSES}
-    propose = {c: 0 for c in _CLASSES}
-    log_budget = [cfg.debug_log_moves]
+    accept = dict.fromkeys(_CLASSES, 0)
+    propose = dict.fromkeys(_CLASSES, 0)
+    per_sweep = {"z0": 1, "x": 2 * n, "z": n1, "gamma": n1, "zn": 1, "sigma": n, "tree": n}
+    budget = 0  # moves still to log; none during burn-in
     proposal_log: list[dict] = []
+    draw_u = None
+
+    def spin() -> SpinConfig:
+        return SpinConfig(
+            z0=z0, xlo=np.array(xlo), xhi=np.array(xhi), sigma=np.array(sig),
+            t="".join(INT_TO_T[v] for v in t), z=np.array(z), gamma=np.array(ga), zn=zn,
+        )
+
+    def coupling(p):
+        """Every part of coupling p (between cells p and p+1) from the cached cell values."""
+        q = p + 1
+        zp, up, uq = z[p], u[p], u[q]
+        w = ga[p] + uq - up
+        ln = h_ln(xlo[p], xhi[p], zp, w, xlo[q], xhi[q], a)
+        lin = h_linear(up, uq, zp, a)
+        tr = h_tree(t[p], xlo[p], xhi[p], up, zp, w, t[q], xlo[q], xhi[q], uq)
+        e1 = h_exp1(elo[p], ehi[p], elo[q], ehi[q])
+        e2 = h_exp2(w, zp, sig[p] * sig[q])
+        return w, ln, lin, tr, e1, e2, coupling_total(ln, lin, tr, e1, e2, -eta[p] * ga[p])
+
+    def with_sign(p):
+        """Coupling p after a sign flip: only h_exp2 changes."""
+        w, ln, lin, tr, e1, _, _ = parts[p]
+        e2 = h_exp2(w, z[p], sig[p] * sig[p + 1])
+        return w, ln, lin, tr, e1, e2, coupling_total(ln, lin, tr, e1, e2, -eta[p] * ga[p])
+
+    def with_tree(p):
+        """Coupling p after a tree-letter move: only h_tree changes."""
+        w, ln, lin, _, e1, e2, _ = parts[p]
+        q = p + 1
+        tr = h_tree(t[p], xlo[p], xhi[p], u[p], z[p], w, t[q], xlo[q], xhi[q], u[q])
+        return w, ln, lin, tr, e1, e2, coupling_total(ln, lin, tr, e1, e2, -eta[p] * ga[p])
+
+    parts = [coupling(p) for p in range(n1)]  # (w, h_ln, h_linear, h_tree, h_exp1, h_exp2, total)
+
+    def decide(kind: str, delta: float, uniform: float, before) -> bool:
+        nonlocal budget
+        ok = delta <= 0.0 or (delta < INF and uniform < math.exp(-delta))
+        if ok:
+            accept[kind] += 1
+        if before is not None:
+            budget -= 1
+            proposal_log.append({"kind": kind, "delta_h": delta, "accepted": ok,
+                                 "before": before, "proposed": spin()})
+        return ok
+
+    def move_cell(kind: str, i: int, refresh, bounds: bool, before) -> bool:
+        """Accept or reject a move already applied to cell i: ``refresh``
+        gives the new parts of the couplings i-1 and i, and ``bounds``
+        recomputes the boundary energy of an end cell."""
+        nonlocal e_left, e_right
+        e_new = e_old = 0
+        if i > 0:
+            new_l = refresh(i - 1)
+            e_new += new_l[6]
+            e_old += parts[i - 1][6]
+        if i < n1:
+            new_r = refresh(i)
+            e_new += new_r[6]
+            e_old += parts[i][6]
+        delta = e_new - e_old
+        e_l, e_r = e_left, e_right
+        if bounds and i == 0:
+            e_l = left_energy(z0, xlo[0], xhi[0], t[0], a)
+            delta += e_l - e_left
+        if bounds and i == n1:
+            e_r = right_energy(xlo[n1], xhi[n1], t[n1], zn, a)
+            delta += e_r - e_right
+        if not decide(kind, delta, draw_u(), before):
+            return False
+        if i > 0:
+            parts[i - 1] = new_l
+        if i < n1:
+            parts[i] = new_r
+        e_left, e_right = e_l, e_r
+        return True
+
+    def sweep():
+        nonlocal z0, zn, e_left, e_right, draw_u
+        draw_n = iter(gen.standard_normal(4 * n).tolist()).__next__
+        draw_u = iter(gen.random(7 * n).tolist()).__next__
+        s_z0, s_x, s_z, s_gamma, s_zn = (scales[c] for c in _SCALED)
+
+        # left boundary field
+        before = spin() if budget > 0 else None
+        old = z0
+        z0 = old + s_z0 * draw_n()
+        e_new = left_energy(z0, xlo[0], xhi[0], t[0], a)
+        if decide("z0", e_new - e_left, draw_u(), before):
+            e_left = e_new
+        else:
+            z0 = old
+
+        for i in range(n):
+            # x move: every part of both couplings; the new exponential is
+            # shared by them and the neighbours' cached ones are reused
+            for xs, es in ((xlo, elo), (xhi, ehi)):
+                before = spin() if budget > 0 else None
+                old, e_old, u_old = xs[i], es[i], u[i]
+                xs[i] = old + s_x * draw_n()
+                es[i] = _exp(-xs[i])
+                u[i] = 0.5 * (xlo[i] + xhi[i])
+                if not move_cell("x", i, coupling, True, before):
+                    xs[i], es[i], u[i] = old, e_old, u_old
+
+            # sign flip: only the adjacent sign terms move (the boundary
+            # energies do not depend on the sign); for a single cell the
+            # measure is symmetric in the sign, so flip a fair coin
+            if n > 1:
+                before = spin() if budget > 0 else None
+                sig[i] = -sig[i]
+                if not move_cell("sigma", i, with_sign, False, before):
+                    sig[i] = -sig[i]
+            else:
+                accept["sigma"] += 1
+                if draw_u() < 0.5:
+                    sig[i] = -sig[i]
+
+            # tree letter: uniform over the locally admissible states; the
+            # admissible set does not depend on the current letter, so the
+            # proposal is symmetric
+            letters = _LETTERS[(i < n1 and t[i + 1] == 1) + 2 * (i > 0 and t[i - 1] == 0)]
+            old_t = t[i]
+            new_t = letters[int(draw_u() * len(letters)) % len(letters)]
+            if new_t != old_t:
+                before = spin() if budget > 0 else None
+                t[i] = new_t
+                if not move_cell("tree", i, with_tree, True, before):
+                    t[i] = old_t
+            else:
+                accept["tree"] += 1
+                draw_u()
+
+        # inner rung fields: z changes every part but h_exp1, gamma every
+        # part but h_linear and h_exp1
+        for p in range(n1):
+            q = p + 1
+            for fs, step, kind in ((z, s_z, "z"), (ga, s_gamma, "gamma")):
+                w, ln, lin, tr, e1, e2, total = parts[p]
+                before = spin() if budget > 0 else None
+                old = fs[p]
+                fs[p] = old + step * draw_n()
+                zp = z[p]
+                if fs is z:
+                    lin = h_linear(u[p], u[q], zp, a)
+                else:
+                    w = ga[p] + u[q] - u[p]
+                ln = h_ln(xlo[p], xhi[p], zp, w, xlo[q], xhi[q], a)
+                tr = h_tree(t[p], xlo[p], xhi[p], u[p], zp, w, t[q], xlo[q], xhi[q], u[q])
+                e2 = h_exp2(w, zp, sig[p] * sig[q])
+                e_new = coupling_total(ln, lin, tr, e1, e2, -eta[p] * ga[p])
+                if decide(kind, e_new - total, draw_u(), before):
+                    parts[p] = w, ln, lin, tr, e1, e2, e_new
+                else:
+                    fs[p] = old
+
+        # right boundary field
+        before = spin() if budget > 0 else None
+        old = zn
+        zn = old + s_zn * draw_n()
+        e_new = right_energy(xlo[n1], xhi[n1], t[n1], zn, a)
+        if decide("zn", e_new - e_right, draw_u(), before):
+            e_right = e_new
+        else:
+            zn = old
+
+        for c in _CLASSES:
+            propose[c] += per_sweep[c]
+
+    # burn-in with optional scale tuning toward 0.4 acceptance
+    window = 50
+    for b in range(cfg.burn_in):
+        sweep()
+        if cfg.tune and (b + 1) % window == 0:
+            for c in _SCALED:
+                if propose[c]:
+                    rate = accept[c] / propose[c]
+                    scales[c] = float(np.clip(scales[c] * math.exp(0.6 * (rate - 0.4)), 0.02, 50.0))
+                accept[c] = propose[c] = 0
+    for c in _CLASSES:
+        accept[c] = propose[c] = 0
+    budget = cfg.debug_log_moves
 
     m = cfg.samples
     out_z0 = np.empty(m)
@@ -205,156 +355,19 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
     out_xhi = np.empty((m, n))
     out_sig = np.empty((m, n), dtype=np.int8)
     out_t = np.empty((m, n), dtype=np.int8)
-    out_z = np.empty((m, n - 1))
-    out_ga = np.empty((m, n - 1))
-
-    def decide(kind: str, delta: float, u: float, before, proposed) -> bool:
-        propose[kind] += 1
-        ok = delta <= 0.0 or (delta < INF and u < math.exp(-delta))
-        if ok:
-            accept[kind] += 1
-        if before is not None:
-            log_budget[0] -= 1
-            proposal_log.append({
-                "kind": kind, "delta_h": delta, "accepted": ok,
-                "before": before, "proposed": proposed,
-            })
-        return ok
-
-    def sweep(dbg: bool = False):
-        normals = gen.standard_normal(4 * n).tolist()
-        unis = gen.random(7 * n).tolist()
-        ni = ui = 0
-
-        def next_n():
-            nonlocal ni
-            v = normals[ni]
-            ni += 1
-            return v
-
-        def next_u():
-            nonlocal ui
-            v = unis[ui]
-            ui += 1
-            return v
-
-        def snap():
-            return chain.spin() if dbg and log_budget[0] > 0 else None
-
-        # left boundary field
-        before = snap()
-        old = chain.z0
-        chain.z0 = old + scales["z0"] * next_n()
-        e_new = left_energy(chain.z0, chain.xlo[0], chain.xhi[0], chain.t[0], a)
-        if decide("z0", e_new - chain.e_left, next_u(), before, snap()):
-            chain.e_left = e_new
-        else:
-            chain.z0 = old
-
-        for i in range(n):
-            pieces = chain.cell_pieces(i)
-
-            def cell_move(kind: str, before, revert):
-                """Accept or revert the already-applied modification of cell i."""
-                e_l = (left_energy(chain.z0, chain.xlo[0], chain.xhi[0], chain.t[0], a)
-                       if i == 0 else None)
-                e_r = (right_energy(chain.xlo[n - 1], chain.xhi[n - 1], chain.t[n - 1], chain.zn, a)
-                       if i == n - 1 else None)
-                e_m = [chain._mid(p) for p in pieces]
-                delta = sum(e_m) - sum(chain.e_mid[p] for p in pieces)
-                if e_l is not None:
-                    delta += e_l - chain.e_left
-                if e_r is not None:
-                    delta += e_r - chain.e_right
-                if decide(kind, delta, next_u(), before, snap()):
-                    for p, e in zip(pieces, e_m):
-                        chain.e_mid[p] = e
-                    if e_l is not None:
-                        chain.e_left = e_l
-                    if e_r is not None:
-                        chain.e_right = e_r
-                else:
-                    revert()
-
-            for attr in (chain.xlo, chain.xhi):
-                before = snap()
-                old = attr[i]
-                attr[i] = old + scales["x"] * next_n()
-                cell_move("x", before, lambda attr=attr, i=i, old=old: attr.__setitem__(i, old))
-
-            # sign flip: only the adjacent couplings move; for a single cell
-            # the measure is symmetric in the sign, so flip a fair coin
-            if n > 1:
-                before = snap()
-                chain.sig[i] = -chain.sig[i]
-                cell_move("sigma", before, lambda i=i: chain.sig.__setitem__(i, -chain.sig[i]))
-            else:
-                propose["sigma"] += 1
-                accept["sigma"] += 1
-                if next_u() < 0.5:
-                    chain.sig[i] = -chain.sig[i]
-
-            # tree letter: uniform over the locally admissible states; the
-            # admissible set does not depend on the current letter, so the
-            # proposal is symmetric
-            letters = _admissible_letters(chain, i)
-            old_t = chain.t[i]
-            new_t = letters[int(next_u() * len(letters)) % len(letters)]
-            if new_t != old_t:
-                before = snap()
-                chain.t[i] = new_t
-                cell_move("tree", before, lambda i=i, old_t=old_t: chain.t.__setitem__(i, old_t))
-            else:
-                propose["tree"] += 1
-                accept["tree"] += 1
-                next_u()
-
-        # inner rung fields
-        for i in range(n - 1):
-            for attr, kind in ((chain.z, "z"), (chain.ga, "gamma")):
-                before = snap()
-                old = attr[i]
-                attr[i] = old + scales[kind] * next_n()
-                e_new = chain._mid(i)
-                if decide(kind, e_new - chain.e_mid[i], next_u(), before, snap()):
-                    chain.e_mid[i] = e_new
-                else:
-                    attr[i] = old
-
-        # right boundary field
-        before = snap()
-        old = chain.zn
-        chain.zn = old + scales["zn"] * next_n()
-        e_new = right_energy(chain.xlo[n - 1], chain.xhi[n - 1], chain.t[n - 1], chain.zn, a)
-        if decide("zn", e_new - chain.e_right, next_u(), before, snap()):
-            chain.e_right = e_new
-        else:
-            chain.zn = old
-
-    # burn-in with optional scale tuning toward 0.4 acceptance
-    window = 50
-    for b in range(cfg.burn_in):
-        sweep()
-        if cfg.tune and (b + 1) % window == 0:
-            for c in ("z0", "x", "z", "gamma", "zn"):
-                if propose[c]:
-                    rate = accept[c] / propose[c]
-                    scales[c] = float(np.clip(scales[c] * math.exp(0.6 * (rate - 0.4)), 0.02, 50.0))
-                accept[c] = propose[c] = 0
-    for c in _CLASSES:
-        accept[c] = propose[c] = 0
-
+    out_z = np.empty((m, n1))
+    out_ga = np.empty((m, n1))
     for k in range(m):
         for _ in range(cfg.thinning):
-            sweep(dbg=log_budget[0] > 0)
-        out_z0[k] = chain.z0
-        out_zn[k] = chain.zn
-        out_xlo[k] = chain.xlo
-        out_xhi[k] = chain.xhi
-        out_sig[k] = chain.sig
-        out_t[k] = chain.t
-        out_z[k] = chain.z
-        out_ga[k] = chain.ga
+            sweep()
+        out_z0[k] = z0
+        out_zn[k] = zn
+        out_xlo[k] = xlo
+        out_xhi[k] = xhi
+        out_sig[k] = sig
+        out_t[k] = t
+        out_z[k] = z
+        out_ga[k] = ga
 
     rates = {c: (accept[c] / propose[c] if propose[c] else math.nan) for c in _CLASSES}
     warnings = [

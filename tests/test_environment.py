@@ -10,6 +10,7 @@ from ladderlab.environment import (
     CycleSpin,
     EnvironmentPoint,
     HamiltonianParams,
+    T_TO_INT,
     LadderError,
     RungSpin,
     SpinConfig,
@@ -21,6 +22,7 @@ from ladderlab.environment import (
     h_total,
     log_jacobian,
     log_phi,
+    middle_energy_no_exp2,
     normalize_weights,
     psi_forward,
     psi_inverse,
@@ -192,18 +194,32 @@ def test_middle_energy_reflection_symmetry(seed, eta, a):
 def test_middle_parts_and_no_exp2():
     rng = np.random.default_rng(3)
     params = HamiltonianParams(1.0, 0.25)
+    points = []
     for _ in range(50):
         c1 = CycleSpin(rng.normal(scale=4), rng.normal(scale=4), int(rng.choice([-1, 1])), rng.choice(list("ABCD")))
         c2 = CycleSpin(rng.normal(scale=4), rng.normal(scale=4), int(rng.choice([-1, 1])), rng.choice(list("ABCD")))
-        r = RungSpin(rng.normal(scale=4), rng.normal(scale=4))
+        points.append((c1, RungSpin(rng.normal(scale=4), rng.normal(scale=4)), c2))
+    # saturated exponentials (|x| > 700), a saturated sign term and the AB pair
+    points += [
+        (CycleSpin(-720.0, 3.0, 1, "C"), RungSpin(0.5, -1.0), CycleSpin(1.0, 2.0, -1, "D")),
+        (CycleSpin(2.0, 750.0, -1, "A"), RungSpin(-1.0, 0.3), CycleSpin(-705.0, 0.0, -1, "A")),
+        (CycleSpin(0.2, -0.1, 1, "B"), RungSpin(-710.0, 2.0), CycleSpin(0.4, 0.3, -1, "C")),
+        (CycleSpin(0.2, -0.1, 1, "A"), RungSpin(0.1, -0.4), CycleSpin(0.4, 0.3, -1, "B")),
+    ]
+    for c1, r, c2 in points:
         parts = h_middle_parts(c1, r, c2, params)
         total = h_middle(c1, r, c2, params)
+        no_exp2 = middle_energy_no_exp2(c1.xlo, c1.xhi, T_TO_INT[c1.t], r.z, r.gamma,
+                                        c2.xlo, c2.xhi, T_TO_INT[c2.t], params.a, params.eta)
+        assert parts.total == total
+        assert parts.total_no_exp2 == no_exp2
         if parts.constrained:
-            assert total == math.inf
+            assert total == no_exp2 == math.inf
             continue
-        assert parts.total == pytest.approx(total, rel=1e-12, abs=1e-12)
         assert parts.h_exp2 >= 0.0
-        assert parts.total_no_exp2 == pytest.approx(total - parts.h_exp2, rel=1e-10, abs=1e-10)
+        if math.isfinite(total):
+            assert parts.total_no_exp2 == pytest.approx(total - parts.h_exp2, rel=1e-10, abs=1e-10)
+    assert h_middle_parts(*points[-1], params).constrained
 
 
 def test_left_energy_zero_point():

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,3 +230,64 @@ def test_config_validation():
         McmcConfig(n=4, a=-1.0)
     with pytest.raises(LadderError):
         McmcConfig(n=4, a=1.0, scales={"z0": 0.0, "x": 1, "z": 1, "gamma": 1, "zn": 1})
+    # an incomplete or unknown key set used to fail mid-run or pass silently
+    with pytest.raises(LadderError, match=r"missing \['gamma', 'z', 'z0', 'zn'\]"):
+        McmcConfig(n=3, a=1.0, scales={"x": 0.5})
+    with pytest.raises(LadderError, match=r"unknown \['bogus'\]"):
+        McmcConfig(n=3, a=1.0, scales={"z0": 1, "x": 1, "z": 1, "gamma": 1, "zn": 1, "bogus": 1})
+
+
+# Fixed-seed sampler outputs: any change in the floating-point order of an
+# energy, the RNG draws of a sweep, the site order or the burn-in tuning
+# shows here.  Small chains store every value, n = 8 and 12 a SHA-256 digest
+# of each array's bytes.
+MCMC_GOLDEN = json.loads((Path(__file__).parent / "mcmc_golden.json").read_text())
+
+_GOLDEN_INIT = SpinConfig(
+    z0=1.5, xlo=np.array([-2.0, 0.5, 3.0]), xhi=np.array([2.0, -1.0, 0.25]),
+    sigma=np.array([1, -1, -1]), t="DAC", z=np.array([1.0, -0.5]),
+    gamma=np.array([-1.5, 2.0]), zn=-2.5,
+)
+GOLDEN_CHAINS = {
+    "n1": dict(n=1, a=1.0, seed=101),
+    "n2_a0.7": dict(n=2, a=0.7, seed=102),
+    "n3_j1_init": dict(n=3, a=1.0, seed=103, deform_j=1, init=_GOLDEN_INIT),
+    "n8": dict(n=8, a=1.0, seed=108, samples=300),
+    "n12_j10_a0.7": dict(n=12, a=0.7, seed=112, deform_j=10, samples=300),
+}
+
+
+def _golden_batch(n, a, seed, samples=60, **kw):
+    return sample_chain(McmcConfig(n=n, a=a, burn_in=200, thinning=2, samples=samples,
+                                   rng=RngSpec(seed), **kw))
+
+
+def _number(v):
+    """JSON-safe float: non-finite values as their repr."""
+    return v if math.isfinite(v) else repr(v)
+
+
+def golden_summary(batch) -> dict:
+    arrays = {"z0": batch.z0, "zn": batch.zn, "xlo": batch.xlo, "xhi": batch.xhi,
+              "sigma": batch.sigma, "t": batch.t, "z": batch.z, "gamma": batch.gamma}
+    if batch.config.n <= 3:
+        out = {k: v.tolist() for k, v in arrays.items()}
+    else:
+        out = {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in arrays.items()}
+    out["tuned_scales"] = batch.tuned_scales
+    out["acceptance"] = {k: _number(v) for k, v in batch.acceptance.items()}
+    return out
+
+
+def golden_move_log(batch) -> list:
+    return [[rec["kind"], _number(rec["delta_h"]), rec["accepted"]] for rec in batch.proposal_log]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHAINS))
+def test_sample_chain_golden(name):
+    assert golden_summary(_golden_batch(**GOLDEN_CHAINS[name])) == MCMC_GOLDEN[name]
+
+
+def test_proposal_log_golden():
+    batch = small_batch(n=3, samples=30, seed=13, debug_log_moves=60)
+    assert golden_move_log(batch) == MCMC_GOLDEN["move_log"]

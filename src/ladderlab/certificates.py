@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ladderlab.environment import CycleSpin, RungSpin, T_TO_INT
+from ladderlab.environment import CycleSpin, RungSpin, T_TO_INT, middle_energy
 from ladderlab.ladder import LadderError
 from ladderlab.rng import RngSpec
 
@@ -30,6 +30,7 @@ __all__ = [
     "check_middle_bound",
     "check_boundary_bound",
     "gamma_derivatives",
+    "gamma_derivative_fd_errors",
     "middle_growth_rate",
     "boundary_growth_rate",
 ]
@@ -502,3 +503,34 @@ def gamma_derivatives(
         d1 += math.copysign(math.inf, w)
         d2 += math.inf
     return d1, d2
+
+
+def gamma_derivative_fd_errors(gen: np.random.Generator, count: int,
+                               a_range: tuple[float, float] | None = None) -> tuple[float, float]:
+    """Largest relative errors of the first and second ``gamma_derivatives``
+    against central finite differences (step 1e-4) of the zero-coupling
+    energy, over ``count`` random triples whose signs disagree.  Each draw
+    takes the letter pair, the fields of the -1 cell, of the +1 cell and of
+    the rung (normal with scale 2), the shift (uniform on [-1, 1]) and, if
+    ``a_range`` is given, a (uniform on it; otherwise a = 1) from ``gen`` in
+    that order.  An error is |d - fd| / max(1, |fd|)."""
+    h = 1e-4
+    worst1 = worst2 = 0.0
+    for _ in range(count):
+        t, t2 = PAIRS[gen.integers(len(PAIRS))]
+        c1 = CycleSpin(gen.normal(scale=2), gen.normal(scale=2), -1, t)
+        c2 = CycleSpin(gen.normal(scale=2), gen.normal(scale=2), 1, t2)
+        r = RungSpin(gen.normal(scale=2), gen.normal(scale=2))
+        g = float(gen.uniform(-1, 1))
+        a = 1.0 if a_range is None else float(gen.uniform(*a_range))
+        d1, d2 = gamma_derivatives(c1, r, c2, a, g)
+
+        def f(shift):
+            return middle_energy(c1.xlo, c1.xhi, c1.sigma, T_TO_INT[c1.t], r.z, r.gamma + shift,
+                                 c2.xlo, c2.xhi, c2.sigma, T_TO_INT[c2.t], a, 0.0)
+
+        fd1 = (f(g + h) - f(g - h)) / (2 * h)
+        fd2 = (f(g + h) - 2 * f(g) + f(g - h)) / (h * h)
+        worst1 = max(worst1, abs(d1 - fd1) / max(1, abs(fd1)))
+        worst2 = max(worst2, abs(d2 - fd2) / max(1, abs(fd2)))
+    return worst1, worst2

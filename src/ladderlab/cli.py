@@ -279,27 +279,8 @@ def cmd_verify(cfg: dict):
         worst = environment.scaling_law_residual(RngSpec(seed, 23).generator(), count)
         add("scaling", worst < 1e-12, {"max_relative_residual": worst, "samples": count})
     if suite in ("gamma-derivatives", "all"):
-        gen = RngSpec(seed, 29).generator()
-        worst = 0.0
         count = p.get("samples", 10_000) // 20
-        for _ in range(count):
-            t, t2 = certificates.PAIRS[gen.integers(len(certificates.PAIRS))]
-            c1 = environment.CycleSpin(gen.normal(scale=2), gen.normal(scale=2), -1, t)
-            c2 = environment.CycleSpin(gen.normal(scale=2), gen.normal(scale=2), 1, t2)
-            r = environment.RungSpin(gen.normal(scale=2), gen.normal(scale=2))
-            g = float(gen.uniform(-1, 1))
-            d1, d2 = certificates.gamma_derivatives(c1, r, c2, 1.0, g)
-            h = 1e-4
-
-            def f(shift):
-                return environment.middle_energy(
-                    c1.xlo, c1.xhi, c1.sigma, environment.T_TO_INT[c1.t],
-                    r.z, r.gamma + shift, c2.xlo, c2.xhi, c2.sigma,
-                    environment.T_TO_INT[c2.t], 1.0, 0.0)
-
-            fd1 = (f(g + h) - f(g - h)) / (2 * h)
-            fd2 = (f(g + h) - 2 * f(g) + f(g - h)) / (h * h)
-            worst = max(worst, abs(d1 - fd1) / max(1, abs(fd1)), abs(d2 - fd2) / max(1, abs(fd2)))
+        worst = max(certificates.gamma_derivative_fd_errors(RngSpec(seed, 29).generator(), count))
         add("gamma-derivatives", worst < 1e-4, {"max_relative_fd_error": worst, "samples": count})
 
     ok = all(c["passed"] for c in checks)

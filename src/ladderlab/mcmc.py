@@ -199,6 +199,9 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
         return w, ln, lin, tr, e1, e2, coupling_total(ln, lin, tr, e1, e2, -eta[p] * ga[p])
 
     parts = [coupling(p) for p in range(n1)]  # (w, h_ln, h_linear, h_tree, h_exp1, h_exp2, total)
+    if not all(map(math.isfinite, [e_left, e_right] + [part[6] for part in parts])):
+        # every move out of a zero-density start computes inf - inf and is rejected
+        raise LadderError("init configuration has a non-finite boundary or coupling energy")
 
     def decide(kind: str, delta: float, uniform: float, before) -> bool:
         nonlocal budget

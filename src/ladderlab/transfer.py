@@ -15,6 +15,17 @@ letter on each side, about an eighth of the dense bytes.  A product groups
 the input by the A (resp. B) flag and the sign, so it costs twelve core
 products, one per non-zero core and sign row, against 64 dense blocks.
 
+The cores are weighted Gram sums over the rung nodes of one cell-pair
+table.  The shift rule is symmetric bit for bit, so the nodes come in
+mirror pairs (z, w), (z, -w): the row at -w adds to the core with letter
+flags (p, q, s) what the row at w adds, at coupling -eta, to the core with
+flags (q, p, s), with the cell pair (i, j) -> (j, i) swapped on both
+sides.  The table is built for the w > 0 nodes only; at eta = 0 the
+mirrored half is then a permuted copy of the other core, which halves the
+Gram products as well.  Rows whose weight is exactly 0 (the sign-mismatch
+factor underflows for z below about -6) are left out of the Gram
+products, and nodes without an exact mirror are summed directly.
+
 The leading eigen-triple comes from power iteration on S and its adjoint,
 each stopped once its relative eigen-residual falls below 1e-13.  The
 second eigenvalue comes from power iteration with the leading pair
@@ -268,7 +279,7 @@ _OTHERS = {key: [t for t in range(4) if t != key] for key in (_A, _B)}
 # not vanish: an A cell is never followed by a B cell
 _CORES = tuple((is_a, is_b, same) for is_a in (0, 1) for is_b in (0, 1) for same in (0, 1)
                if not (is_a and is_b))
-_RUNG_CHUNK = 1024  # rung nodes per slab of the cell-pair table during assembly
+_RUNG_CHUNK = 1024  # rows per slab of the cell-pair table during assembly
 
 
 @dataclass(frozen=True)
@@ -410,27 +421,89 @@ def _log_sum3(x1, x2, x3):
     return m + np.log(np.exp(x1 - m) + np.exp(x2 - m) + np.exp(x3 - m))
 
 
-def _gram(f: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """``f.T @ diag(coef) @ f`` as Gram products ``g.T @ g`` of the rows
-    scaled by sqrt|coef|, which BLAS evaluates as a symmetric rank-k update;
-    rows with negative weight are subtracted."""
-    g = np.sqrt(np.abs(coef))[:, None] * f
-    if np.all(coef >= 0):
-        return g.T @ g
-    pos, neg = g[coef >= 0], g[coef < 0]
-    return pos.T @ pos - neg.T @ neg
+def _mirror_pairs(grid: TransferGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rung-node indices (as in ``_rung_nodes``) of the mirror pairs: the
+    nodes at (z, w > 0), their partners at (z, -w), and the nodes without a
+    partner.  A pair needs shift nodes and weights that mirror bit for bit
+    (Gauss-Legendre rules do), so both nodes carry the same z, |w| and
+    quadrature weight exactly."""
+    v, vw = grid.v_nodes.tolist(), grid.v_weights.tolist()
+    index = {node: k for k, node in enumerate(zip(v, vw))}
+    pos = [k for k in range(len(v)) if v[k] > 0 and (-v[k], vw[k]) in index]
+    neg = [index[(-v[k], vw[k])] for k in pos]
+    single = sorted(set(range(len(v))) - set(pos) - set(neg))
+    start = len(v) * np.arange(grid.z_nodes.size)[:, None]
+    return tuple((start + np.array(ks, dtype=int)).reshape(-1) for ks in (pos, neg, single))
+
+
+def _cell_pair_table(x: np.ndarray, z: np.ndarray, w: np.ndarray, a: float) -> np.ndarray:
+    """Cell-pair factor of the rung integrand per rung node, shape
+    (len(z), nx²): row n holds ``exp(-(3a+1)/2 lse(x_i + w/2, x_j - w/2, z))``
+    at cell pair (i, j).  The row at -w is the row at w with i and j swapped."""
+    lse = _log_sum3(
+        x[None, :, None] + 0.5 * w[:, None, None],
+        x[None, None, :] - 0.5 * w[:, None, None],
+        np.broadcast_to(z[:, None, None], (z.size, x.size, x.size)),
+    )
+    return np.exp(-0.5 * (3 * a + 1) * lse).reshape(z.size, -1)
+
+
+def _gram_add(out: np.ndarray, f: np.ndarray, coef: np.ndarray) -> None:
+    """Add ``f.T @ diag(coef) @ f`` to ``out`` as Gram products ``g.T @ g``
+    of the rows scaled by sqrt|coef|, which BLAS evaluates as a symmetric
+    rank-k update.  Rows of negative weight are subtracted; rows of weight
+    exactly 0 change no sum and are left out."""
+    for combine, rows in ((np.add, coef > 0), (np.subtract, coef < 0)):
+        if rows.any():
+            g = f[rows]
+            g *= np.sqrt(np.abs(coef[rows]))[:, None]
+            combine(out, g.T @ g, out=out)
+
+
+def _fold_mirrors(out: np.ndarray, sign: float, nx: int) -> None:
+    """Add the share of the mirrored rung nodes at eta = 0, given the sums
+    over their partners in ``out`` (cores before the cell-pair transpose).
+
+    The node at (z, -w) adds to core (is_a, is_b, same) what its partner
+    at (z, w) adds to core (is_b, is_a, same), with the cell pair
+    (i, j) -> (j, i) swapped on both sides, times ``sign`` (the parity of
+    the weight in w)."""
+    def mirrored(core):
+        swapped = core.reshape(nx, nx, nx, nx).transpose(1, 0, 3, 2).reshape(core.shape)
+        swapped *= sign
+        return swapped
+
+    for same in (0, 1):
+        out[0, 0, same] += mirrored(out[0, 0, same])
+        ab, ba = mirrored(out[1, 0, same]), mirrored(out[0, 1, same])
+        out[1, 0, same] += ba
+        out[0, 1, same] += ab
 
 
 def _core_sums(grid: TransferGrid, a: float, eta: float,
-               weights: list[np.ndarray]) -> list[np.ndarray]:
+               powers: list[int]) -> list[np.ndarray]:
     """Cores of the kernel whose rung integrand carries the extra factor
-    ``weight`` (one set of cores per weight), square-root weighted.
+    ``w**k`` (one set of cores per power k in ``powers``), square-root
+    weighted.
 
     The integrand factorizes into one cell-pair table (lower and upper
     fields share a node set), per-node sign and tree factors and the side
     profiles; per rung node the cores are weighted Gram sums of the table.
     The table is built one slab of rung nodes at a time, so the doubled
-    grid never holds it whole."""
+    grid never holds it whole.
+
+    Rung nodes come in mirror pairs (z, w), (z, -w), and the table is built
+    for the w > 0 partner only: the row at -w is the row at w with the cell
+    pair swapped, c_a and c_b trade places and the sign factors are even in
+    w.  At eta = 0 the coefficients of the row at -w are those of its
+    partner in the core with the letter flags swapped, so the Gram sums run
+    over the w > 0 nodes alone and ``_fold_mirrors`` adds the mirrored half
+    at the end; otherwise the mirrored rows (the column-permuted table, no
+    exp or log) join each slab's Gram products with their own coefficients.
+    Nodes without an exact mirror are summed directly.  Rows of weight
+    exactly 0 are left out of every Gram product: ``differ`` underflows for
+    z below about -6, which drops about 40% of the rows of the three
+    sign-mismatch cores."""
     nx = grid.nx
     nxx = nx * nx
     z, w, qw = _rung_nodes(grid)
@@ -440,20 +513,29 @@ def _core_sums(grid: TransferGrid, a: float, eta: float,
     agree, differ = _sign_factors(z, w)
     coefs = {(is_a, is_b, same): rho * (c_a if is_a else 1.0) * (c_b if is_b else 1.0)
              * (agree if same else differ) for is_a, is_b, same in _CORES}
-    x = grid.x_nodes
-    sums = [np.zeros((2, 2, 2, nxx, nxx)) for _ in weights]
-    for lo in range(0, z.size, _RUNG_CHUNK):
-        part = slice(lo, lo + _RUNG_CHUNK)
-        zc, wc = z[part], w[part]
-        lse = _log_sum3(
-            x[None, :, None] + 0.5 * wc[:, None, None],
-            x[None, None, :] - 0.5 * wc[:, None, None],
-            np.broadcast_to(zc[:, None, None], (zc.size, nx, nx)),
-        )
-        f_table = np.exp(-0.5 * (3 * a + 1) * lse).reshape(zc.size, nxx)
-        for key, coef in coefs.items():
-            for out, weight in zip(sums, weights):
-                out[key] += _gram(f_table, coef[part] * weight[part])
+    sums = [np.zeros((2, 2, 2, nxx, nxx)) for _ in powers]
+    swap = np.arange(nxx).reshape(nx, nx).T.reshape(-1)  # cell pair (i, j) -> (j, i)
+
+    def add_rows(rows, mirrors):
+        step = _RUNG_CHUNK if mirrors is None else _RUNG_CHUNK // 2
+        for lo in range(0, rows.size, step):
+            part = slice(lo, lo + step)
+            nodes = rows[part]
+            table = _cell_pair_table(grid.x_nodes, z[nodes], w[nodes], a)
+            if mirrors is not None:
+                nodes = np.concatenate([nodes, mirrors[part]])
+                table = np.concatenate([table, table[:, swap]])
+            for key, coef in coefs.items():
+                for out, k in zip(sums, powers):
+                    _gram_add(out[key], table, coef[nodes] * w[nodes] ** k)
+
+    pos, neg, single = _mirror_pairs(grid)
+    fold = eta == 0.0
+    add_rows(pos, None if fold else neg)
+    if fold:
+        for out, k in zip(sums, powers):
+            _fold_mirrors(out, (-1.0) ** k, nx)
+    add_rows(single, None)
     cell_w = np.sqrt(np.outer(grid.x_weights, grid.x_weights)).reshape(-1)
     for out in sums:
         for key in _CORES:  # [(i,j), (k,l)] -> [(i,k), (j,l)], then weight
@@ -478,16 +560,14 @@ def assemble_kernel(grid: TransferGrid, a: float, eta: float, tag: str = "one",
         raise LadderError(f"eta={eta} outside [-1/4, 1/4]")
     if tag not in ("one", "gamma"):
         raise LadderError(f"unknown kernel tag {tag!r}")
-    z, w, _ = _rung_nodes(grid)
-    ones = np.ones_like(z)
     if tag == "one":
-        (sym,) = _core_sums(grid, a, eta, [ones])
+        (sym,) = _core_sums(grid, a, eta, [0])
     elif plain is None:
-        sym, base = _core_sums(grid, a, eta, [w, ones])
+        sym, base = _core_sums(grid, a, eta, [1, 0])
     else:
         if (plain.tag, plain.grid, plain.a, plain.eta) != ("one", grid, a, eta):
             raise LadderError("plain operator does not match the gamma kernel's grid, a, eta")
-        (sym,) = _core_sums(grid, a, eta, [w])
+        (sym,) = _core_sums(grid, a, eta, [1])
         base = plain.sym
     if tag == "gamma":
         x = grid.x_nodes

@@ -9,6 +9,7 @@ from ladderlab.certificates import (
     BoundReport,
     check_boundary_bound,
     check_middle_bound,
+    gamma_derivative_fd_errors,
     gamma_derivatives,
     minorant_certificate,
     middle_growth_rate,
@@ -22,7 +23,6 @@ from ladderlab.environment import (
     HamiltonianParams,
     RungSpin,
     h_middle_parts,
-    middle_energy,
     middle_energy_no_exp2,
 )
 from ladderlab.ladder import LadderError
@@ -160,34 +160,11 @@ def test_gamma_derivatives_zero_when_signs_agree():
     assert gamma_derivatives(c1, RungSpin(0.3, -0.2), c2, 1.0, 0.5) == (0.0, 0.0)
 
 
-def _fd_gamma(c1, r, c2, a, g, h=1e-4):
-    def f(shift):
-        ind = 1.0 if c1.sigma != c2.sigma else 0.0
-        return middle_energy(
-            c1.xlo, c1.xhi, c1.sigma, "ABCD".index(c1.t),
-            r.z, r.gamma + ind * shift,
-            c2.xlo, c2.xhi, c2.sigma, "ABCD".index(c2.t),
-            a, 0.0,
-        )
-
-    d1 = (f(g + h) - f(g - h)) / (2 * h)
-    d2 = (f(g + h) - 2 * f(g) + f(g - h)) / (h * h)
-    return d1, d2
-
-
 def test_gamma_derivatives_match_finite_differences():
-    rng = np.random.default_rng(13)
-    for _ in range(300):
-        t, t2 = PAIRS[rng.integers(len(PAIRS))]
-        c1 = CycleSpin(rng.normal(scale=2), rng.normal(scale=2), -1, t)
-        c2 = CycleSpin(rng.normal(scale=2), rng.normal(scale=2), 1, t2)
-        r = RungSpin(rng.normal(scale=2), rng.normal(scale=2))
-        g = rng.uniform(-1, 1)
-        a = rng.uniform(0.8, 3.0)
-        d1, d2 = gamma_derivatives(c1, r, c2, a, g)
-        f1, f2 = _fd_gamma(c1, r, c2, a, g)
-        assert d1 == pytest.approx(f1, rel=1e-6, abs=1e-6)
-        assert d2 == pytest.approx(f2, rel=2e-4, abs=2e-4)
+    # per sample: first derivative to 1e-6, second to 2e-4, relative to max(1, |fd|)
+    worst1, worst2 = gamma_derivative_fd_errors(np.random.default_rng(13), 300, a_range=(0.8, 3.0))
+    assert worst1 <= 1e-6
+    assert worst2 <= 2e-4
 
 
 def _derivative_excess(rng, a, count):

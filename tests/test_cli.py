@@ -202,6 +202,9 @@ def test_profile_rows_keep_infinite_ratios(tmp_path):
     ["simulate", "--n", "2", "--mode", "rwre", "--steps", "500", "--replicas", "2", "--seed", "4"],
     ["returns", "--n-list", "2,4", "--k-list", "1,2", "--replicas", "100", "--seed", "7"],
     ["verify", "--suite", "scaling", "--samples", "300", "--seed", "5"],
+    ["resistance", "--n", "3", "--random-weights", "4"],
+    ["chain-stats", "--n", "6", "--j", "3", "--i", "2", "--grid", "small"],
+    ["verify", "--suite", "gamma-derivatives", "--samples", "400"],
 ])
 def test_json_output_is_strict(tmp_path, args):
     out = tmp_path / "out.json"
@@ -222,8 +225,14 @@ def test_json_output_is_strict(tmp_path, args):
     if args[0] == "returns":
         assert doc["summary"]["undecided_replicas"] == 0
         assert set(doc["summary"]["fractions"]) == {"1", "2"}
-    if args[0] == "verify":
+    if args[0] == "resistance":
+        assert len(doc["rows"]) == 4 and doc["summary"]["all_bounds_hold"] is True
+    if args[0] == "chain-stats":
+        assert math.isfinite(doc["summary"]["operator_value"])
+    if args[:3] == ["verify", "--suite", "scaling"]:
         assert doc["summary"]["checks"][0]["details"]["max_relative_residual"] < 1e-12
+    if args[:3] == ["verify", "--suite", "gamma-derivatives"]:
+        assert doc["summary"]["checks"][0]["details"]["max_relative_fd_error"] < 1e-4
 
 
 def test_csv_failure_report_goes_next_to_the_csv(tmp_path):

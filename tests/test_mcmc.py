@@ -237,6 +237,21 @@ def test_config_validation():
         McmcConfig(n=3, a=1.0, scales={"z0": 1, "x": 1, "z": 1, "gamma": 1, "zn": 1, "bogus": 1})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("z0", -800.0),  # left boundary energy overflows
+    ("zn", -800.0),  # right boundary energy overflows
+    ("z", np.array([-800.0, 0.0])),  # coupling energy overflows (signs differ)
+])
+def test_zero_density_init_is_refused(field, value):
+    # such a start used to freeze: every move out of it computed inf - inf
+    start = dict(z0=0.0, xlo=np.zeros(3), xhi=np.zeros(3), sigma=np.array([1, -1, 1]), t="CCC",
+                 z=np.zeros(2), gamma=np.zeros(2), zn=0.0)
+    start[field] = value
+    cfg = McmcConfig(n=3, a=1.0, burn_in=10, samples=60, thinning=1, init=SpinConfig(**start))
+    with pytest.raises(LadderError, match="non-finite boundary or coupling energy"):
+        sample_chain(cfg)
+
+
 # Fixed-seed sampler outputs: any change in the floating-point order of an
 # energy, the RNG draws of a sweep, the site order or the burn-in tuning
 # shows here.  Small chains store every value, n = 8 and 12 a SHA-256 digest

@@ -316,3 +316,68 @@ def test_leading_triple_anchors(ctx, eta, lam_ref, ratio_ref):
     assert tri.gap == pytest.approx(ratio_ref, abs=1e-6)
     assert tri.gap_residual < 1e-10
     assert 0 < tri.gap_iterations < 2_000
+
+
+def _direct_cores(grid, eta, tag):
+    """Reference cores: every rung node summed on its own, no mirror pairing
+    and no dropped rows, straight into the (i, k), (j, l) core layout."""
+    from ladderlab.transfer import _rung_nodes
+
+    nx = grid.nx
+    x = grid.x_nodes
+    cell_w = np.sqrt(np.outer(grid.x_weights, grid.x_weights))
+    u = 0.5 * (x[:, None] + x[None, :]).reshape(-1)
+    z, w, qw = _rung_nodes(grid)
+    one = np.zeros((2, 2, 2, nx, nx, nx, nx))
+    shift = np.zeros_like(one)
+    for zn, wn, q in zip(z, w, qw):
+        lse = np.logaddexp(np.logaddexp(x[:, None] + 0.5 * wn, x[None, :] - 0.5 * wn), zn)
+        f = np.exp(-0.5 * (3 * A + 1) * lse) * cell_w  # f[i, j] * cell weight (i, j)
+        outer = np.einsum("ij,kl->ikjl", f, f)
+        rho = q * np.exp((A + 0.5) * zn + eta * wn)
+        sign = {1: np.exp(-2 * np.exp(-zn) * np.sinh(0.25 * wn) ** 2),
+                0: np.exp(-2 * np.exp(-zn) * np.cosh(0.25 * wn) ** 2)}
+        for is_a, is_b, same in ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (0, 1, 0), (0, 1, 1)):
+            c = rho * sign[same]
+            c *= np.exp(-(zn - 0.5 * wn)) if is_a else 1.0
+            c *= np.exp(-(zn + 0.5 * wn)) if is_b else 1.0
+            one[is_a, is_b, same] += c * outer
+            shift[is_a, is_b, same] += c * wn * outer
+    one = one.reshape(2, 2, 2, nx * nx, nx * nx)
+    if tag == "one":
+        return one
+    return shift.reshape(one.shape) + u[:, None] * one - one * u[None, :]
+
+
+def _shift_rule(kind):
+    """Shift nodes and weights on [-1, 1]: Gauss-Legendre with an even or odd
+    count (the odd one has an unpaired node at 0), the uneven rule of the
+    asymmetric control (no mirror pairs) and a rule mirrored only on its
+    middle panel (pairs and unpaired nodes at once)."""
+    from ladderlab.transfer import _panel_gauss
+
+    if kind == "even":
+        return np.polynomial.legendre.leggauss(8)
+    if kind == "odd":
+        return np.polynomial.legendre.leggauss(9)
+    if kind == "asymmetric":
+        return _panel_gauss([(-1.0, 0.25, 6), (0.25, 1.0, 3)])
+    return _panel_gauss([(-1.0, -0.5, 3), (-0.5, 0.5, 4), (0.5, 1.0, 2)])
+
+
+@pytest.mark.parametrize("kind", ["even", "odd", "asymmetric", "partly-mirrored"])
+@pytest.mark.parametrize("tag", ["one", "gamma"])
+@pytest.mark.parametrize("eta", [-0.25, 0.0, 0.25])
+def test_cores_match_direct_sum(kind, tag, eta):
+    from ladderlab.transfer import _mirror_pairs
+
+    vn, vw = _shift_rule(kind)
+    g = build_grid(GridParams(nx_core=5, nx_tail=3, nz_core=6, nz_tail=3, nv=vn.size, nzb=16), a=A)
+    object.__setattr__(g, "v_nodes", vn)
+    object.__setattr__(g, "v_weights", vw)
+    pos, neg, single = _mirror_pairs(g)
+    assert sorted(np.concatenate([pos, neg, single])) == list(range(g.z_nodes.size * vn.size))
+    assert (pos.size > 0) == (kind != "asymmetric") and (single.size > 0) == (kind != "even")
+    got = assemble_kernel(g, A, eta, tag).sym
+    want = _direct_cores(g, eta, tag)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -467,6 +467,9 @@ def _effective_config(args: argparse.Namespace) -> dict:
             raise ConfigError("; ".join(errors))
         if doc.get("subcommand", name) != name:
             raise ConfigError(f"config is for {doc['subcommand']!r}, not {name!r}")
+        unknown = sorted(set(doc.get("params", {})) - set(_PARAM_SPECS[name]))
+        if unknown:
+            raise ConfigError(f"params not defined for {name!r}: {', '.join(unknown)}")
         for key in ("seed", "workers", "out", "format"):
             if key in doc:
                 cfg[key] = doc[key]

@@ -250,8 +250,13 @@ def test_c08_sigma_moment_decay(ctx):
     prof = transfer.sigma_moment_profile(ctx, 30)
     slope, _, r2 = linear_fit(np.arange(5, 26), prof[5:26])
     z0_exact = transfer.sigma_moment(ctx, 30, 0)
+    # in the bulk each level trades a factor lambda1(0) for lambda1(1/4)
+    rate = -math.log(transfer.leading_triple(ctx.op(0.25)).value
+                     / transfer.leading_triple(ctx.op(0.0)).value)
     ok = prof[0] == 0.0 and z0_exact == 1.0 and slope < 0 and r2 > 0.99
-    report(8, ok, f"n=30: slope={slope:.4f} (<0), r2={r2:.6f} (>0.99), Z(30,0)={z0_exact} (=1)")
+    ok = ok and abs(slope - rate) < 1e-8
+    report(8, ok, f"n=30: slope={slope:.4f} (<0), r2={r2:.6f} (>0.99), Z(30,0)={z0_exact} (=1), "
+                  f"slope + log(lambda1(1/4)/lambda1(0)) = {slope - rate:.1e} (<1e-8)")
     assert ok
 
 

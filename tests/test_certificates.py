@@ -1,11 +1,15 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ladderlab.certificates import (
+    _BLOCK,
     PAIRS,
+    STATES,
     BoundReport,
     check_boundary_bound,
     check_middle_bound,
@@ -14,10 +18,15 @@ from ladderlab.certificates import (
     minorant_certificate,
     middle_growth_rate,
     boundary_growth_rate,
+    _cell_terms,
+    _grid_blocks,
+    _middle_base_vec,
+    _tree_piece_vec,
     middle_no_exp2_vec,
     perturbed_minorant_residual,
     verify_linear_minorant,
 )
+from ladderlab.cli import run
 from ladderlab.environment import (
     CycleSpin,
     HamiltonianParams,
@@ -196,3 +205,200 @@ def test_bound_report_json():
     report = BoundReport(name="x", samples=3, min_margin=0.5)
     doc = report.to_json()
     assert doc["name"] == "x" and doc["samples"] == 3
+
+
+# ---------------------------------------------------------------------------
+# the chunked coupling-bound scan that the block scan replaced, kept as the
+# oracle: the whole grid materialised, 2^20-point chunks, and per chunk one
+# margin array per letter pair
+
+
+def _oracle_tree_piece(points, t, t2):
+    xlo, xhi, z, gamma, xlo2, xhi2 = points
+    u = 0.5 * (xlo + xhi)
+    u2 = 0.5 * (xlo2 + xhi2)
+    w = gamma + u2 - u
+    h_tree = np.zeros_like(z)
+    if t == "C":
+        h_tree = h_tree + 0.5 * xlo
+    elif t == "D":
+        h_tree = h_tree + 0.5 * xhi
+    if t2 == "C":
+        h_tree = h_tree + 0.5 * xlo2
+    elif t2 == "D":
+        h_tree = h_tree + 0.5 * xhi2
+    if t == "A":
+        h_tree = h_tree + z - 0.5 * w - 0.5 * u
+    elif t == "B":
+        h_tree = h_tree + 0.5 * u
+    if t2 == "A":
+        h_tree = h_tree + 0.5 * u2
+    elif t2 == "B":
+        h_tree = h_tree + z + 0.5 * w - 0.5 * u2
+    return h_tree
+
+
+def _oracle_base(points, a, eta, rate):
+    xlo, xhi, z, gamma, xlo2, xhi2 = points
+    u = 0.5 * (xlo + xhi)
+    u2 = 0.5 * (xlo2 + xhi2)
+    w = gamma + u2 - u
+    h_ln = 0.5 * (3.0 * a + 1.0) * (
+        np.logaddexp(np.logaddexp(xlo + 0.5 * w, xlo2 - 0.5 * w), z)
+        + np.logaddexp(np.logaddexp(xhi + 0.5 * w, xhi2 - 0.5 * w), z)
+    )
+    h_linear = -(a + 0.5) * (u + u2 + z)
+    with np.errstate(over="ignore"):
+        h_exp1 = 0.25 * (np.exp(-xlo) + np.exp(-xhi) + np.exp(-xlo2) + np.exp(-xhi2))
+    rhs = rate * (np.abs(xlo) + np.abs(xhi) + np.abs(z) + np.abs(gamma) + np.abs(xlo2) + np.abs(xhi2))
+    return h_ln + h_linear + h_exp1 - eta * gamma - rhs
+
+
+def _oracle_grid(radius, step, dims):
+    axis = np.arange(-radius, radius + 0.5 * step, step)
+    grids = np.meshgrid(*([axis] * dims), indexing="ij", copy=False)
+    return [g.reshape(-1) for g in grids]
+
+
+def oracle_middle_scan(samples, a, eta, rng, radius=50.0, grid_radius=30.0, grid_step=5.0,
+                       extra_points=None):
+    """(min_margin, samples, worst) of the chunked scan, same draws."""
+    rate = middle_growth_rate(a)
+    gen = rng.generator()
+    min_margin = math.inf
+    worst = {}
+    total = 0
+    chunk = 1 << 20
+
+    def scan(points, origin):
+        nonlocal min_margin, worst, total
+        npts = points[0].size
+        for lo in range(0, npts, chunk):
+            part = tuple(p[lo:lo + chunk] for p in points)
+            base = _oracle_base(part, a, eta, rate)
+            for t, t2 in PAIRS:
+                margins = base + _oracle_tree_piece(part, t, t2)
+                total += part[0].size
+                k = int(np.argmin(margins))
+                if margins[k] < min_margin:
+                    min_margin = float(margins[k])
+                    worst = {"pair": t + t2, "point": [float(p[k]) for p in part],
+                             "origin": origin}
+
+    uniform = [gen.uniform(-radius, radius, size=samples) for _ in range(6)]
+    scan(uniform, "uniform")
+    if grid_step > 0:
+        scan(_oracle_grid(grid_radius, grid_step, 6), "grid")
+    if extra_points is not None:
+        scan([np.asarray(p, dtype=float) for p in extra_points], "extra")
+    return min_margin, total, worst
+
+
+def oracle_margin_at(worst, a, eta):
+    """The chunked scan's margin at a reported worst point and pair."""
+    point = tuple(np.array([v]) for v in worst["point"])
+    base = _oracle_base(point, a, eta, middle_growth_rate(a))
+    return float((base + _oracle_tree_piece(point, worst["pair"][0], worst["pair"][1]))[0])
+
+
+# Bound-check goldens, recorded with the chunked scan.  A change to the
+# sampled points, the margin arithmetic, the sample count or the tie rule
+# shows here.  The verify entries are the byte-exact CLI outputs.
+CERT_GOLDEN = json.loads((Path(__file__).parent / "certificates_golden.json").read_text())
+
+
+def golden_extra(seed, count):
+    return np.random.default_rng(seed).normal(scale=2.0, size=(6, count))
+
+
+GOLDEN_BOUNDS = {
+    "a0.8_eta-0.25": dict(a=0.8, eta=-0.25),
+    "a0.8_eta-0.25_extra": dict(a=0.8, eta=-0.25, extra=(41, 2000)),
+    "a1_eta0": dict(a=1.0, eta=0.0),
+    "a1_eta0_extra": dict(a=1.0, eta=0.0, extra=(42, 2000)),
+    "a5_eta0.25": dict(a=5.0, eta=0.25),
+    "a5_eta0.25_extra": dict(a=5.0, eta=0.25, extra=(43, 2000)),
+    # shaped like the sampler workload: full sample count, default grid
+    "sampler": dict(a=1.0, eta=0.0, samples=100_000, grid_step=5.0, extra=(44, 5000)),
+}
+GOLDEN_VERIFY = {
+    "verify middle-bound": ["verify", "--suite", "middle-bound", "--samples", "2000",
+                            "--seed", "1", "--workers", "1"],
+    "verify boundary-bound": ["verify", "--suite", "boundary-bound", "--samples", "2000",
+                              "--seed", "1", "--workers", "1"],
+}
+
+
+def golden_bound(a, eta, samples=20_000, grid_step=10.0, extra=None):
+    return check_middle_bound(samples, a, eta, rng=RngSpec(11), grid_step=grid_step,
+                              extra_points=None if extra is None else golden_extra(*extra))
+
+
+def bound_summary(report) -> dict:
+    return {"min_margin": report.min_margin, "samples": report.samples,
+            "passed": report.passed, "worst_point": report.worst_point}
+
+
+def verify_text(tmp_path, args) -> str:
+    out = tmp_path / "verify.json"
+    assert run(args + ["--out", str(out)]) == 0
+    return out.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BOUNDS))
+def test_middle_bound_golden(name):
+    case = GOLDEN_BOUNDS[name]
+    report = golden_bound(**case)
+    assert bound_summary(report) == CERT_GOLDEN[name]
+    assert oracle_margin_at(report.worst_point, case["a"], case["eta"]) == report.min_margin
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
+def test_verify_bound_suites_golden(tmp_path, name):
+    text = verify_text(tmp_path, GOLDEN_VERIFY[name])
+    assert text == CERT_GOLDEN[name]
+    doc = json.loads(text, parse_constant=lambda token: pytest.fail(f"non-standard token {token}"))
+    assert doc["status"] == "ok" and len(doc["summary"]["checks"]) in (4, 9)
+
+
+def test_margin_terms_match_the_chunked_arithmetic_bit_for_bit():
+    gen = np.random.default_rng(17)
+    points = gen.normal(scale=20.0, size=(6, 4000))
+    points[:, :200] = -0.0  # 0 + (-0) is +0: the pieces start from zero
+    points[:, 200:400] = np.round(points[:, 200:400])
+    terms = _cell_terms(tuple(points))
+    for t in STATES:
+        for t2 in STATES:
+            want = _oracle_tree_piece(tuple(points), t, t2)
+            assert _tree_piece_vec(terms, t, t2).tobytes() == want.tobytes(), t + t2
+    want = _oracle_base(tuple(points), 1.3, 0.1, 0.02)
+    assert _middle_base_vec(tuple(points), terms, 1.3, 0.1, 0.02).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid_step", [0.0, 7.5, 10.0, 15.0])
+def test_block_scan_matches_chunked_oracle(grid_step):
+    # steps 7.5, 10 and 15 give 9, 7 and 5 points per axis: two, one and no
+    # leading axes are filled per block
+    gen = np.random.default_rng(int(4 * grid_step) + 600)
+    for _ in range(3):
+        a = float(gen.uniform(0.55, 6.0))
+        eta = float(gen.uniform(-0.25, 0.25))
+        seed = int(gen.integers(1 << 30))
+        pts = gen.normal(scale=2.0, size=(6, 400))
+        # duplicated points and xlo <-> xhi mirrored points tie with the originals
+        extra = np.concatenate([pts, pts[:, :100], pts[[1, 0, 2, 3, 5, 4]]], axis=1)
+        report = check_middle_bound(3000, a, eta, rng=RngSpec(seed), grid_step=grid_step,
+                                    extra_points=extra)
+        margin, samples, _ = oracle_middle_scan(3000, a, eta, RngSpec(seed), grid_step=grid_step,
+                                                extra_points=extra)
+        assert (report.min_margin, report.samples, report.passed) == (margin, samples, margin >= -1e-9)
+        assert oracle_margin_at(report.worst_point, a, eta) == margin
+
+
+@pytest.mark.parametrize("radius,step,dims", [(30.0, 7.5, 6), (30.0, 6.0, 5), (30.0, 10.0, 6),
+                                              (30.0, 15.0, 6), (30.0, 5.0, 3)])
+def test_grid_blocks_are_the_grid_in_c_order(radius, step, dims):
+    blocks = list(_grid_blocks(radius, step, dims))
+    assert all(len(b) == dims and b[0].size <= _BLOCK for b in blocks)
+    for coord, want in zip(zip(*blocks), _oracle_grid(radius, step, dims)):
+        assert np.array_equal(np.concatenate(coord), want)

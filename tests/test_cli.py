@@ -35,6 +35,18 @@ def test_bad_config_file(tmp_path):
     assert run(["verify", "--config", str(bad)]) == 2  # config for a different subcommand
 
 
+def test_config_params_of_another_subcommand_are_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "verify", "params": {"n": 3, "steps": 10,
+                                                                  "suite": "minorant"}}))
+    out = tmp_path / "out.json"
+    assert run(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "n, steps" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_text(json.dumps({"subcommand": "verify", "params": {"suite": "minorant"}}))
+    assert run(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+
+
 def test_verify_linear_minorant(tmp_path):
     out = tmp_path / "report.json"
     code = run(["verify", "--suite", "minorant", "--out", str(out)])
@@ -197,6 +209,7 @@ def test_profile_rows_keep_infinite_ratios(tmp_path):
 @pytest.mark.parametrize("args", [
     PROFILE_UNCROSSED,
     ["sample-env", "--n", "1", "--samples", "50", "--burn-in", "50", "--seed", "1"],
+    ["sample-env", "--n", "3", "--samples", "50", "--burn-in", "50", "--seed", "1"],
     ["spectrum", "--grid", "small"],
     ["simulate", "--n", "3", "--steps", "2000", "--replicas", "2", "--seed", "9"],
     ["simulate", "--n", "2", "--mode", "rwre", "--steps", "500", "--replicas", "2", "--seed", "4"],
@@ -205,6 +218,8 @@ def test_profile_rows_keep_infinite_ratios(tmp_path):
     ["resistance", "--n", "3", "--random-weights", "4"],
     ["chain-stats", "--n", "6", "--j", "3", "--i", "2", "--grid", "small"],
     ["verify", "--suite", "gamma-derivatives", "--samples", "400"],
+    ["verify", "--suite", "minorant"],
+    ["verify", "--suite", "gibbs-identity", "--samples", "900"],
 ])
 def test_json_output_is_strict(tmp_path, args):
     out = tmp_path / "out.json"
@@ -214,8 +229,11 @@ def test_json_output_is_strict(tmp_path, args):
     if args[0] == "profile":
         assert "-inf" in doc["summary"]["median_log_ratio"]
         assert ["inf", "inf"] == doc["rows"][0][2:]
-    if args[0] == "sample-env":
+    if args[:3] == ["sample-env", "--n", "1"]:
         assert doc["summary"]["acceptance"]["gamma"] is None  # never proposed at n=1
+    if args[:3] == ["sample-env", "--n", "3"]:
+        assert len(doc["rows"]) == 50 and len(doc["summary"]["mean_Gamma"]) == 2
+        assert all(0 < rate <= 1 for rate in doc["summary"]["acceptance"].values())
     if args[0] == "spectrum":
         assert doc["summary"]["gap_residual"] < 1e-10
         assert doc["summary"]["gap_iterations"] > 0
@@ -233,6 +251,11 @@ def test_json_output_is_strict(tmp_path, args):
         assert doc["summary"]["checks"][0]["details"]["max_relative_residual"] < 1e-12
     if args[:3] == ["verify", "--suite", "gamma-derivatives"]:
         assert doc["summary"]["checks"][0]["details"]["max_relative_fd_error"] < 1e-4
+    if args[:3] == ["verify", "--suite", "minorant"]:
+        assert len(doc["summary"]["checks"][0]["details"]["residuals"]) == 15
+    if args[:3] == ["verify", "--suite", "gibbs-identity"]:
+        details = doc["summary"]["checks"][0]["details"]
+        assert details["samples"] == 900 and details["max_residual"] < 1e-9
 
 
 def test_csv_failure_report_goes_next_to_the_csv(tmp_path):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -28,10 +27,6 @@ from ladderlab.rng import RngSpec
 from ladderlab.stats import slope_interval, wilson_interval
 
 CSV_SCHEMA_VERSION = 1
-SUBCOMMANDS = (
-    "simulate", "profile", "sample-env", "verify", "spectrum",
-    "chain-stats", "resistance", "returns",
-)
 
 __all__ = ["main", "run", "load_schema", "validate_config"]
 
@@ -60,6 +55,10 @@ def _check(doc, schema, path) -> list[str]:
     elif typ == "array":
         if not isinstance(doc, list):
             return [f"{path}: expected array"]
+        if len(doc) < schema.get("minItems", 0):
+            errors.append(f"{path}: fewer than {schema['minItems']} items")
+        if len(doc) > schema.get("maxItems", len(doc)):
+            errors.append(f"{path}: more than {schema['maxItems']} items")
         item_schema = schema.get("items")
         if item_schema:
             for idx, item in enumerate(doc):
@@ -86,7 +85,15 @@ def _check(doc, schema, path) -> list[str]:
 
 
 def validate_config(doc: dict) -> list[str]:
-    return _check(doc, load_schema(), "$")
+    """Schema errors of a config document, plus any ``params`` key that its
+    subcommand does not define."""
+    errors = _check(doc, load_schema(), "$")
+    if not errors:
+        name = doc["subcommand"]
+        unknown = sorted(set(doc.get("params", {})) - set(SUBCOMMANDS[name][1]))
+        if unknown:
+            errors.append(f"$.params: not defined for {name!r}: {', '.join(unknown)}")
+    return errors
 
 
 class ConfigError(Exception):
@@ -170,14 +177,14 @@ def _load_weights(spec: str | None, n: int) -> EdgeWeights:
 def cmd_simulate(cfg: dict):
     p = cfg["params"]
     graph = ladder.build(p["n"])
-    start = graph.vertex(*p.get("start", (0, 2)))
+    start = graph.vertex(*p["start"])
     rows = []
     for r in range(p["replicas"]):
         rng = RngSpec(cfg["seed"], r)
-        if p.get("mode", "errw") == "errw":
+        if p["mode"] == "errw":
             trace = walk.errw_run(graph, p["a"], p["steps"], start, rng)
         else:
-            trace = walk.rwre_run(graph, _load_weights(p.get("weights"), p["n"]), p["steps"], start, rng)
+            trace = walk.rwre_run(graph, _load_weights(p["weights"], p["n"]), p["steps"], start, rng)
         rows.append([r, trace.position, trace.returns] + trace.local_times.tolist())
     header = ["replica", "last_vertex", "returns"] + [f"k_edge_{e}" for e in range(graph.num_edges)]
     report = {"rows": rows, "header": header}
@@ -188,8 +195,8 @@ def cmd_profile(cfg: dict):
     p = cfg["params"]
     res = walk.profile_experiment(
         p["n"], p["a"], p["steps"], p["replicas"], RngSpec(cfg["seed"]),
-        workers=cfg["workers"], representative=p.get("representative", "rung"),
-        fit_levels=(p.get("fit_lo", 2), p.get("fit_hi", 12)),
+        workers=cfg["workers"], representative=p["representative"],
+        fit_levels=(p["fit_lo"], p["fit_hi"]),
     )
     lo, hi, se = slope_interval(
         np.arange(res.fit_levels[0], res.fit_levels[1] + 1),
@@ -211,8 +218,8 @@ def cmd_profile(cfg: dict):
 def cmd_sample_env(cfg: dict):
     p = cfg["params"]
     mc = mcmc.McmcConfig(
-        n=p["n"], a=p["a"], deform_j=p.get("deform_j", 0),
-        burn_in=p.get("burn_in", 2000), thinning=p.get("thinning", 2),
+        n=p["n"], a=p["a"], deform_j=p["deform_j"],
+        burn_in=p["burn_in"], thinning=p["thinning"],
         samples=p["samples"], rng=RngSpec(cfg["seed"]),
     )
     batch = mcmc.sample_chain(mc)
@@ -246,7 +253,7 @@ def cmd_sample_env(cfg: dict):
 
 def cmd_verify(cfg: dict):
     p = cfg["params"]
-    suite = p.get("suite", "all")
+    suite, samples = p["suite"], p["samples"]
     seed = cfg["seed"]
     checks = []
 
@@ -257,29 +264,26 @@ def cmd_verify(cfg: dict):
         rep = certificates.verify_linear_minorant()
         add("minorant", rep.passed, rep.details)
     if suite in ("middle-bound", "all"):
-        samples = p.get("samples", 100_000)
         for a in (0.8, 1.0, 5.0):
             for eta in (-0.25, 0.0, 0.25):
                 rep = certificates.check_middle_bound(samples, a, eta, rng=RngSpec(seed))
                 add(f"middle-bound a={a} eta={eta}", rep.passed,
                     {"min_margin": rep.min_margin, "samples": rep.samples})
     if suite in ("boundary-bound", "all"):
-        samples = p.get("samples", 100_000)
         for a in (0.75, 1.0):
             for side in ("left", "right"):
                 rep = certificates.check_boundary_bound(samples, a, side, rng=RngSpec(seed))
                 add(f"boundary-bound a={a} {side}", rep.passed,
                     {"min_margin": rep.min_margin, "samples": rep.samples})
     if suite in ("gibbs-identity", "all"):
-        count = p.get("samples", 10_000) // 9
+        count = samples // 9
         worst = environment.gibbs_identity_sweep(RngSpec(seed, 17).generator(), count)
         add("gibbs-identity", worst < 1e-9, {"max_residual": worst, "samples": count * 9})
     if suite in ("scaling", "all"):
-        count = p.get("samples", 10_000)
-        worst = environment.scaling_law_residual(RngSpec(seed, 23).generator(), count)
-        add("scaling", worst < 1e-12, {"max_relative_residual": worst, "samples": count})
+        worst = environment.scaling_law_residual(RngSpec(seed, 23).generator(), samples)
+        add("scaling", worst < 1e-12, {"max_relative_residual": worst, "samples": samples})
     if suite in ("gamma-derivatives", "all"):
-        count = p.get("samples", 10_000) // 20
+        count = samples // 20
         worst = max(certificates.gamma_derivative_fd_errors(RngSpec(seed, 29).generator(), count))
         add("gamma-derivatives", worst < 1e-4, {"max_relative_fd_error": worst, "samples": count})
 
@@ -289,13 +293,13 @@ def cmd_verify(cfg: dict):
 
 def cmd_spectrum(cfg: dict):
     p = cfg["params"]
-    a = p.get("a", 1.0)
-    eta = p.get("eta", 0.0)
-    grid = transfer.build_grid(_grid_params(p.get("grid", "default")), a=a)
+    a = p["a"]
+    eta = p["eta"]
+    grid = transfer.build_grid(_grid_params(p["grid"]), a=a)
     ctx = transfer.TransferContext(grid, a)
     tri = transfer.leading_triple(ctx.op(eta))
     summary = {
-        "a": a, "eta": eta, "grid": p.get("grid", "default"),
+        "a": a, "eta": eta, "grid": p["grid"],
         "grid_size": grid.size,
         "lambda": tri.value,
         "gap": tri.gap,  # |lambda2| / lambda1
@@ -309,7 +313,7 @@ def cmd_spectrum(cfg: dict):
     defect = transfer.symmetry_defect(ctx)
     summary["symmetry_defect"] = defect["defect"]
     summary["symmetry_control_quarter"] = defect["control_quarter"]
-    if p.get("dump_matrix"):
+    if p["dump_matrix"]:
         ops = ctx.op(eta)
         rows = ([i] + row.tolist() for i, row in enumerate(ops.kernel_values()))
         _write_csv(Path(p["dump_matrix"]), ["row"] + [f"c{j}" for j in range(grid.size)],
@@ -321,14 +325,14 @@ def cmd_spectrum(cfg: dict):
 
 def cmd_chain_stats(cfg: dict):
     p = cfg["params"]
-    a = p.get("a", 1.0)
+    a = p["a"]
     n, j, i = p["n"], p["j"], p["i"]
-    grid = transfer.build_grid(_grid_params(p.get("grid", "default")), a=a)
+    grid = transfer.build_grid(_grid_params(p["grid"]), a=a)
     ctx = transfer.TransferContext(grid, a)
-    op_val = transfer.chain_expectation(ctx, n, j, i, tag=p.get("tag", "gamma"))
+    op_val = transfer.chain_expectation(ctx, n, j, i, tag=p["tag"])
     summary = {"n": n, "j": j, "i": i, "a": a, "operator_value": op_val}
     ok = True
-    m = p.get("mcmc_samples", 0)
+    m = p["mcmc_samples"]
     if m:
         batch = mcmc.sample_chain(mcmc.McmcConfig(
             n=n, a=a, deform_j=j, burn_in=max(2000, m // 10),
@@ -351,13 +355,13 @@ def cmd_resistance(cfg: dict):
     n = p["n"]
     rows = []
     ok = True
-    count = p.get("random_weights", 0)
+    count = p["random_weights"]
     if count:
         gen = RngSpec(cfg["seed"], 3).generator()
         weight_sets = [EdgeWeights(np.exp(gen.uniform(-2.5, 2.5, size=3 * n + 1)))
                        for _ in range(count)]
     else:
-        weight_sets = [_load_weights(p.get("weights"), n)]
+        weight_sets = [_load_weights(p["weights"], n)]
     for idx, x in enumerate(weight_sets):
         res = network.effective_resistance(x, n)
         shorted = network.shorted_resistance(x, n)
@@ -371,10 +375,10 @@ def cmd_resistance(cfg: dict):
 
 def cmd_returns(cfg: dict):
     p = cfg["params"]
-    levels = p.get("n_list", [4, 8, 16])
-    ks = p.get("k_list", [1, 2, 4])
+    levels = p["n_list"]
+    ks = p["k_list"]
     counts, undecided = walk.returns_before_far_end_detailed(
-        levels, p.get("a", 1.0), max(ks), RngSpec(cfg["seed"]), p["replicas"])
+        levels, p["a"], max(ks), RngSpec(cfg["seed"]), p["replicas"])
     rows = []
     table = {}
     ok = True
@@ -398,103 +402,85 @@ def cmd_returns(cfg: dict):
 # argument parsing and dispatch
 
 
-_DEFAULTS = {"seed": 0, "workers": None, "out": None, "format": "json"}
-
-_PARAM_SPECS = {
-    "simulate": {"n": 4, "a": 1.0, "steps": 10_000, "replicas": 1, "mode": "errw",
-                 "weights": None, "start": (0, 2)},
-    "profile": {"n": 16, "a": 1.0, "steps": 1_000_000, "replicas": 200,
-                "representative": "rung", "fit_lo": 2, "fit_hi": 12},
-    "sample-env": {"n": 8, "a": 1.0, "deform_j": 0, "burn_in": 2000, "thinning": 2,
-                   "samples": 10_000},
-    "verify": {"suite": "all", "samples": 10_000},
-    "spectrum": {"a": 1.0, "eta": 0.0, "grid": "default", "dump_matrix": None},
-    "chain-stats": {"n": 8, "j": 6, "i": 3, "a": 1.0, "tag": "gamma", "grid": "default",
-                    "mcmc_samples": 0},
-    "resistance": {"n": 2, "weights": None, "random_weights": 0},
-    "returns": {"a": 1.0, "replicas": 2000, "n_list": [4, 8, 16], "k_list": [1, 2, 4]},
+# Each subcommand's handler and the default of every parameter it defines;
+# None means unset.  Types and bounds live in the schema only.
+SUBCOMMANDS = {
+    "simulate": (cmd_simulate, {"n": 4, "a": 1.0, "steps": 10_000, "replicas": 1,
+                                "mode": "errw", "weights": None, "start": [0, 2]}),
+    "profile": (cmd_profile, {"n": 16, "a": 1.0, "steps": 1_000_000, "replicas": 200,
+                              "representative": "rung", "fit_lo": 2, "fit_hi": 12}),
+    "sample-env": (cmd_sample_env, {"n": 8, "a": 1.0, "deform_j": 0, "burn_in": 2000,
+                                    "thinning": 2, "samples": 10_000}),
+    "verify": (cmd_verify, {"suite": "all", "samples": 10_000}),
+    "spectrum": (cmd_spectrum, {"a": 1.0, "eta": 0.0, "grid": "default", "dump_matrix": None}),
+    "chain-stats": (cmd_chain_stats, {"n": 8, "j": 6, "i": 3, "a": 1.0, "tag": "gamma",
+                                      "grid": "default", "mcmc_samples": 0}),
+    "resistance": (cmd_resistance, {"n": 2, "weights": None, "random_weights": 0}),
+    "returns": (cmd_returns, {"a": 1.0, "replicas": 2000, "n_list": [4, 8, 16],
+                              "k_list": [1, 2, 4]}),
 }
 
-_HANDLERS = {
-    "simulate": cmd_simulate,
-    "profile": cmd_profile,
-    "sample-env": cmd_sample_env,
-    "verify": cmd_verify,
-    "spectrum": cmd_spectrum,
-    "chain-stats": cmd_chain_stats,
-    "resistance": cmd_resistance,
-    "returns": cmd_returns,
-}
+_DEFAULTS = {"seed": 0, "workers": 1, "out": None, "format": "json"}
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+_FLAG_TYPES = {"integer": int, "number": float, "string": str, "array": _int_list}
+
+
+def _add_flag(parser, key: str, schema: dict, default) -> None:
+    shown = ",".join(map(str, default)) if isinstance(default, list) else default
+    parser.add_argument("--" + key.replace("_", "-"), type=_FLAG_TYPES[schema["type"]],
+                        choices=schema.get("enum"), default=None,
+                        help=None if default is None else f"default: {shown}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    schema = load_schema()["properties"]
     parser = argparse.ArgumentParser(prog="ladderlab",
                                      description="reinforced-walk ladder laboratory")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name, (_, defaults) in SUBCOMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None, help="JSON config file")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--workers", type=int, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--format", type=str, default=None, choices=["csv", "json"])
-        for key, default in _PARAM_SPECS[name].items():
-            flag = "--" + key.replace("_", "-")
-            if isinstance(default, bool):
-                sp.add_argument(flag, type=int, default=None)
-            elif isinstance(default, int) and default is not None:
-                sp.add_argument(flag, type=int, default=None)
-            elif isinstance(default, float):
-                sp.add_argument(flag, type=float, default=None)
-            elif isinstance(default, (list, tuple)):
-                sp.add_argument(flag, type=str, default=None,
-                                help="comma separated integers")
-            else:
-                sp.add_argument(flag, type=str, default=None)
+        for key, default in _DEFAULTS.items():
+            _add_flag(sp, key, schema[key], default)
+        for key, default in defaults.items():
+            _add_flag(sp, key, schema["params"]["properties"][key], default)
     return parser
+
+
+def _require_valid(doc: dict) -> None:
+    errors = validate_config(doc)
+    if errors:
+        raise ConfigError("; ".join(errors))
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
     name = args.subcommand
-    cfg = {"subcommand": name, **_DEFAULTS, "params": dict(_PARAM_SPECS[name])}
+    cfg = {"subcommand": name, **_DEFAULTS, "params": dict(SUBCOMMANDS[name][1])}
     if args.config:
         try:
             doc = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config file: {err}") from err
-        errors = validate_config(doc)
-        if errors:
-            raise ConfigError("; ".join(errors))
-        if doc.get("subcommand", name) != name:
+        _require_valid(doc)
+        if doc["subcommand"] != name:
             raise ConfigError(f"config is for {doc['subcommand']!r}, not {name!r}")
-        unknown = sorted(set(doc.get("params", {})) - set(_PARAM_SPECS[name]))
-        if unknown:
-            raise ConfigError(f"params not defined for {name!r}: {', '.join(unknown)}")
-        for key in ("seed", "workers", "out", "format"):
-            if key in doc:
-                cfg[key] = doc[key]
+        cfg.update((key, doc[key]) for key in _DEFAULTS if key in doc)
         cfg["params"].update(doc.get("params", {}))
-    for key in ("seed", "workers", "out", "format"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    for key, default in _PARAM_SPECS[name].items():
-        val = getattr(args, key, None)
-        if val is not None:
-            if isinstance(default, (list, tuple)) and isinstance(val, str):
-                val = [int(v) for v in val.split(",")]
-            cfg["params"][key] = val
-    if cfg["workers"] is None:
-        cfg["workers"] = int(os.environ.get("LADDERLAB_WORKERS", "1"))
-    validation_doc = {
-        k: v for k, v in cfg.items()
-        if k in ("subcommand", "seed", "workers", "out", "format") and v is not None
-    }
-    validation_doc["params"] = {k: (list(v) if isinstance(v, tuple) else v)
-                                for k, v in cfg["params"].items() if v is not None}
-    errors = validate_config(validation_doc)
-    if errors:
-        raise ConfigError("; ".join(errors))
+    for key in _DEFAULTS:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    for key in cfg["params"]:
+        if getattr(args, key) is not None:
+            cfg["params"][key] = getattr(args, key)
     return cfg
 
 
@@ -506,6 +492,8 @@ def run(argv=None) -> int:
         return 2 if err.code not in (0, None) else 0
     try:
         cfg = _effective_config(args)
+        config = _public_config(cfg)
+        _require_valid(config if cfg["out"] is None else {**config, "out": cfg["out"]})
     except ConfigError as err:
         sys.stderr.write(f"config error: {err}\n")
         return 2
@@ -513,16 +501,16 @@ def run(argv=None) -> int:
     # in CSV mode the JSON document goes next to the CSV, never over it
     summary_out = out.with_suffix(out.suffix + ".summary.json") if out is not None else None
     try:
-        ok, report = _HANDLERS[cfg["subcommand"]](cfg)
+        ok, report = SUBCOMMANDS[cfg["subcommand"]][0](cfg)
     except LadderError as err:
         _write_json(summary_out if cfg["format"] == "csv" else out,
-                    {"config": _public_config(cfg), "status": "check-failure", "error": str(err)})
+                    {"config": config, "status": "check-failure", "error": str(err)})
         return 1
-    doc = {"config": _public_config(cfg), "status": "ok" if ok else "check-failure"}
+    doc = {"config": config, "status": "ok" if ok else "check-failure"}
     if "summary" in report:
         doc["summary"] = report["summary"]
     if cfg["format"] == "csv" and "rows" in report:
-        _write_csv(out, report["header"], report["rows"], _public_config(cfg))
+        _write_csv(out, report["header"], report["rows"], config)
         if "summary" in report and out is not None:
             _write_json(summary_out, doc)
     else:
@@ -539,8 +527,7 @@ def _public_config(cfg: dict) -> dict:
         "seed": cfg["seed"],
         "workers": cfg["workers"],
         "format": cfg["format"],
-        "params": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in cfg["params"].items() if v is not None},
+        "params": {k: v for k, v in cfg["params"].items() if v is not None},
     }
 
 

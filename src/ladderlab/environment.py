@@ -394,7 +394,8 @@ def h_middle(cyc: CycleSpin, rung: RungSpin, cyc2: CycleSpin, params: Hamiltonia
 
 
 def h_middle_parts(cyc: CycleSpin, rung: RungSpin, cyc2: CycleSpin, params: HamiltonianParams) -> MiddleParts:
-    """All named pieces of the coupling energy (used by the bound checks)."""
+    """All named pieces of the coupling energy; the tests check the minorant
+    and the bound constants against these pieces."""
     return middle_parts(
         cyc.xlo, cyc.xhi, cyc.sigma, T_TO_INT[cyc.t],
         rung.z, rung.gamma,

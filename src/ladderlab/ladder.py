@@ -82,6 +82,9 @@ class LadderGraph:
         return 3 * (i - 1) + 2
 
     def vertex(self, i: int, level: int) -> int:
+        if not 0 <= i <= self.n or level not in (1, 2):
+            raise LadderError(f"vertex ({i}, {level}) not on the ladder: "
+                              f"need level 0..{self.n} and rail 1 or 2")
         return vertex_index(i, level)
 
     def degree(self, v: int) -> int:

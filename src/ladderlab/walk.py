@@ -395,10 +395,21 @@ def profile_experiment(n: int, a: float, steps: int, replicas: int, rng: RngSpec
     origin-anchored envelope rate through the ``envelope_quantile`` of the
     log ratios on ``envelope_levels``; reports per level the fraction of
     replicas whose ratio sits below the envelope.  Replicas that never
-    cross the left rung enter with infinite ratios.
+    cross the left rung enter with infinite ratios.  Raises ``LadderError``
+    before any walk runs unless the fit range, clipped to ``n``, holds two or
+    more levels of 1..n and the clipped envelope range one or more.
     """
     if representative not in ("rung", "lower", "upper"):
         raise LadderError(f"unknown representative edge kind {representative!r}")
+    lo, hi = fit_levels[0], min(fit_levels[1], n)
+    if not 1 <= lo < hi:
+        raise LadderError(f"fit range {lo}..{hi} (clipped to n={n}) "
+                          f"is not two or more levels in 1..{n}")
+    elo, ehi = envelope_levels[0], min(envelope_levels[1], n)
+    if not 1 <= elo <= ehi:
+        raise LadderError(f"envelope range {elo}..{ehi} (clipped to n={n}) "
+                          f"is not one or more levels in 1..{n}")
+    env_levels = np.arange(elo, ehi + 1)
     jobs = [(n, a, steps, rng.seed, rng.stream + r, representative) for r in range(replicas)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -409,15 +420,11 @@ def profile_experiment(n: int, a: float, steps: int, replicas: int, rng: RngSpec
     with np.errstate(divide="ignore"):
         log_ratios = np.log(ratios)
     median = np.median(log_ratios, axis=0)
-    lo, hi = fit_levels
-    hi = min(hi, n)
     levels = np.arange(lo, hi + 1)
     med_fit = median[lo - 1:hi]
     if not np.all(np.isfinite(med_fit)):
         raise LadderError("median log ratio not finite on the fit range; run longer")
     slope, intercept, r2 = linear_fit(levels, med_fit)
-    elo, ehi = envelope_levels
-    env_levels = np.arange(elo, min(ehi, n) + 1)
     with np.errstate(invalid="ignore"):  # quantile interpolation near inf entries
         env_q = np.quantile(log_ratios[:, env_levels - 1], envelope_quantile, axis=0)
     if not np.all(np.isfinite(env_q)):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ladderlab.cli import load_schema, run, validate_config
+from ladderlab.cli import SUBCOMMANDS, load_schema, run, validate_config
 
 
 def read_json(path):
@@ -19,6 +19,29 @@ def test_schema_loads_and_validates():
     assert validate_config({"seed": 1}) != []  # missing subcommand
     assert validate_config({"subcommand": "nope"}) != []
     assert validate_config({"subcommand": "verify", "params": {"a": -1.0}}) != []
+    assert validate_config({"subcommand": "verify", "params": {"n": 3}}) != []  # not a verify param
+
+
+def test_schema_subcommands_are_the_table():
+    assert load_schema()["properties"]["subcommand"]["enum"] == list(SUBCOMMANDS)
+
+
+def test_help_lists_table_defaults(capsys):
+    assert run(["returns", "--help"]) == 0
+    text = capsys.readouterr().out
+    assert "default: 4,8,16" in text and "default: 2000" in text
+
+
+@pytest.mark.parametrize("args, message", [
+    (["returns", "--n-list", "4,x"], "expected comma-separated integers"),
+    (["simulate", "--start", "0,1,2"], "more than 2 items"),
+    (["simulate", "--start", "0"], "fewer than 2 items"),
+])
+def test_malformed_list_flags_are_config_errors(tmp_path, capsys, args, message):
+    out = tmp_path / "out.json"
+    assert run(args + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_flag_is_config_error(capsys):
@@ -206,7 +229,7 @@ def test_profile_rows_keep_infinite_ratios(tmp_path):
             assert log_ratio == pytest.approx(math.log(ratio), rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("args", [
+STRICT_CASES = [
     PROFILE_UNCROSSED,
     ["sample-env", "--n", "1", "--samples", "50", "--burn-in", "50", "--seed", "1"],
     ["sample-env", "--n", "3", "--samples", "50", "--burn-in", "50", "--seed", "1"],
@@ -220,7 +243,10 @@ def test_profile_rows_keep_infinite_ratios(tmp_path):
     ["verify", "--suite", "gamma-derivatives", "--samples", "400"],
     ["verify", "--suite", "minorant"],
     ["verify", "--suite", "gibbs-identity", "--samples", "900"],
-])
+]
+
+
+@pytest.mark.parametrize("args", STRICT_CASES)
 def test_json_output_is_strict(tmp_path, args):
     out = tmp_path / "out.json"
     run(args + ["--out", str(out)])
@@ -258,6 +284,28 @@ def test_json_output_is_strict(tmp_path, args):
         assert details["samples"] == 900 and details["max_residual"] < 1e-9
 
 
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--n", "4", "--start", "0,3", "--steps", "10"], "not on the ladder"),
+    (["simulate", "--n", "4", "--start", "5,1", "--steps", "10"], "not on the ladder"),
+    (["profile", "--n", "4", "--steps", "2000", "--replicas", "4", "--fit-lo", "3", "--fit-hi", "3"],
+     "not two or more levels"),
+    (["profile", "--n", "4", "--steps", "2000", "--replicas", "4", "--fit-lo", "6", "--fit-hi", "9"],
+     "not two or more levels"),
+])
+def test_out_of_range_values_write_a_failure_report(tmp_path, args, message):
+    out = tmp_path / "out.json"
+    assert run(args + ["--out", str(out)]) == 1
+    doc = read_strict_json(out)
+    assert doc["status"] == "check-failure" and message in doc["error"]
+
+
+def test_workers_environment_variable_is_ignored(tmp_path, monkeypatch):
+    monkeypatch.setenv("LADDERLAB_WORKERS", "2")
+    out = tmp_path / "out.json"
+    assert run(["verify", "--suite", "minorant", "--out", str(out)]) == 0
+    assert read_strict_json(out)["config"]["workers"] == 1
+
+
 def test_csv_failure_report_goes_next_to_the_csv(tmp_path):
     # two replicas of 50 steps never reach level 12: the profile check raises
     args = ["profile", "--n", "12", "--steps", "50", "--replicas", "2", "--seed", "1"]
@@ -270,3 +318,100 @@ def test_csv_failure_report_goes_next_to_the_csv(tmp_path):
     out_json = tmp_path / "e.json"
     assert run(args + ["--out", str(out_json)]) == 1
     assert read_strict_json(out_json)["status"] == "check-failure"
+
+
+# CLI goldens: every strict-JSON case above, CSV runs of the subcommands with
+# rows, and one config file with a flag overriding it.  Most outputs must match
+# byte for byte.  Floats that pass through BLAS/LAPACK or NumPy reductions may
+# differ in the last bits between builds, so they compare to 1e-12 relative
+# (the sampler ESS is left out of tests/mcmc_golden.json for the same reason);
+# the eigen residuals and the symmetry defect sit at the rounding floor and
+# carry no reproducible digits, hence the 1e-12 absolute floor.
+CLI_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+CSV_CASES = [
+    ["simulate", "--n", "3", "--steps", "2000", "--replicas", "2", "--seed", "9"],
+    ["simulate", "--n", "3", "--steps", "500", "--replicas", "1", "--start", "2,1", "--seed", "5"],
+    ["profile", "--n", "5", "--steps", "20000", "--replicas", "12", "--seed", "3",
+     "--fit-lo", "1", "--fit-hi", "4"],
+    ["returns", "--n-list", "2,4", "--k-list", "1,2", "--replicas", "100", "--seed", "7"],
+    ["resistance", "--n", "4", "--random-weights", "5", "--seed", "2"],
+    ["sample-env", "--n", "3", "--samples", "60", "--burn-in", "60", "--seed", "11"],
+]
+
+CONFIG_CASE = {"subcommand": "simulate", "seed": 4, "format": "csv",
+               "params": {"n": 2, "mode": "rwre", "steps": 300, "replicas": 2, "start": [1, 1]}}
+CONFIG_OVERRIDE = ["--steps", "400"]
+
+LOOSE_FLOATS = {
+    "spectrum": lambda path: path[0] == "summary",
+    "chain-stats": lambda path: path[0] == "summary",
+    "resistance": lambda path: path[0] == "rows",
+    "sample-env": lambda path: path[:2] in (("summary", "ess"), ("summary", "mean_Gamma")),
+}
+
+
+def cli_outputs(tmp_path, args) -> dict:
+    """Exit code and text of every file one CLI run writes next to ``out``."""
+    code = run(args + ["--out", str(tmp_path / "out")])
+    files = {p.name: p.read_text() for p in sorted(tmp_path.glob("out*"))}
+    return {"code": code, "files": files}
+
+
+def _parsed(text):
+    if not text.startswith("# ladderlab csv"):
+        return json.loads(text)
+    lines = text.splitlines()
+    return {"head": lines[:3], "rows": [[_cell(v) for v in line.split(",")] for line in lines[3:]]}
+
+
+def _cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def assert_close(got, want, loose, path=()):
+    if isinstance(want, float) and isinstance(got, float) and loose(path):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), path
+        return
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            assert_close(got[key], want[key], loose, path + (key,))
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for idx, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, loose, path + (idx,))
+    else:
+        assert got == want, path
+
+
+def assert_matches_golden(key, subcommand, got):
+    want = CLI_GOLDEN[key]
+    assert got["code"] == want["code"]
+    assert sorted(got["files"]) == sorted(want["files"])
+    for name, text in want["files"].items():
+        if subcommand in LOOSE_FLOATS:
+            assert_close(_parsed(got["files"][name]), _parsed(text), LOOSE_FLOATS[subcommand])
+        else:
+            assert got["files"][name] == text, name
+
+
+GOLDEN_CASES = STRICT_CASES + [args + ["--format", "csv"] for args in CSV_CASES]
+
+
+@pytest.mark.parametrize("args", GOLDEN_CASES, ids=" ".join)
+def test_cli_golden(tmp_path, args):
+    assert_matches_golden(" ".join(args), args[0], cli_outputs(tmp_path, args))
+
+
+def test_cli_golden_config_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CONFIG_CASE))
+    got = cli_outputs(tmp_path, ["simulate", "--config", str(cfg)] + CONFIG_OVERRIDE)
+    assert_matches_golden("config-file", "simulate", got)

@@ -40,6 +40,14 @@ def test_build_rejects_empty_ladder():
         build(0)
 
 
+def test_vertex_rejects_points_off_the_ladder():
+    g = build(2)
+    assert [g.vertex(i, level) for i in (0, 2) for level in (1, 2)] == [0, 1, 4, 5]
+    for i, level in [(-1, 1), (3, 1), (0, 0), (0, 3), (1, -1)]:
+        with pytest.raises(LadderError):
+            g.vertex(i, level)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_build_degrees(n):
     g = build(n)

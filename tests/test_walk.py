@@ -219,6 +219,18 @@ def test_profile_experiment_smoke():
     assert res.envelope_fraction[:4].min() >= 0.5
 
 
+@pytest.mark.parametrize("ranges", [
+    dict(fit_levels=(3, 3)),
+    dict(fit_levels=(6, 9)),  # clipped to 6..4
+    dict(fit_levels=(0, 3)),
+    dict(fit_levels=(1, 3), envelope_levels=(5, 8)),
+    dict(fit_levels=(1, 3), envelope_levels=(0, 3)),
+])
+def test_profile_experiment_rejects_short_ranges(ranges):
+    with pytest.raises(LadderError, match="range"):
+        profile_experiment(4, 1.0, 2000, 4, RngSpec(47), **ranges)
+
+
 def test_profile_experiment_worker_invariance():
     kwargs = dict(fit_levels=(1, 3))
     r1 = profile_experiment(4, 1.0, 5000, 8, RngSpec(47), workers=1, **kwargs)

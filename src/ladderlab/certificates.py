@@ -5,17 +5,27 @@ checked in exact rational arithmetic (coefficient-by-coefficient, all
 denominators small), while the linear-growth bounds for the coupling and
 boundary energies are checked numerically on random samples and a coarse
 structured grid.
+
+The energies come from ``environment``: the boundary margins from
+``boundary_core_vec``, the coupling margins from the tree steps of
+``_tree_ops`` (the letter rule of ``tree_letter`` written as a sum of cell
+terms).  The exact identity folds the same tree steps over rational linear
+forms, so it certifies exactly the arithmetic the float scan runs.  Both
+bound checks share one scan driver, ``_scan``: uniform points, then the
+grid, then any extra points, in cache-sized blocks, each block reduced to
+one margin per point by the check's own minimum over its letters.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from ladderlab.environment import CycleSpin, RungSpin, T_TO_INT, middle_energy
+from ladderlab.environment import CycleSpin, RungSpin, T_TO_INT, boundary_core_vec, middle_energy
 from ladderlab.ladder import LadderError
 from ladderlab.rng import RngSpec
 
@@ -137,7 +147,8 @@ def _linear_identity_residuals(c: MinorantCertificate) -> dict[str, Fraction]:
     LHS is the convex minorant of the log-sum terms plus linear and tree
     pieces minus a quarter separation, at half initial weight; RHS is the
     kappa-weighted combination of the four cell fields.  The rung variable
-    w is eliminated via w = gamma + u' - u.
+    w is eliminated via w = gamma + u' - u.  The tree piece folds the steps
+    of ``_TREE_OPS`` over the linear forms of the cell terms.
     """
     half = Fraction(1, 2)
     quarter = Fraction(1, 4)
@@ -164,24 +175,12 @@ def _linear_identity_residuals(c: MinorantCertificate) -> dict[str, Fraction]:
     lhs = add(lhs, form(z=1), Fraction(5, 4) * c.gamma_hi)
     # linear piece at a = 1/2: -(u + u' + z)
     lhs = add(lhs, add(add(u, u2), form(z=1)), Fraction(-1))
-    # tree piece
-    t, t2 = c.t, c.t2
-    if t == "C":
-        lhs = add(lhs, form(xlo=half))
-    elif t == "D":
-        lhs = add(lhs, form(xhi=half))
-    if t2 == "C":
-        lhs = add(lhs, form(xlo2=half))
-    elif t2 == "D":
-        lhs = add(lhs, form(xhi2=half))
-    if t == "A":
-        lhs = add(lhs, add(add(form(z=1), w, -half), u, -half))
-    elif t == "B":
-        lhs = add(lhs, u, half)
-    if t2 == "A":
-        lhs = add(lhs, u2, half)
-    elif t2 == "B":
-        lhs = add(lhs, add(add(form(z=1), w, half), u2, -half))
+    # tree piece: the float scan's steps over the forms of its cell terms
+    terms = {"lo": form(xlo=half), "hi": form(xhi=half), "lo2": form(xlo2=half),
+             "hi2": form(xhi2=half), "z": form(z=1), "hw": add(form(), w, half),
+             "hu": add(form(), u, half), "hu2": add(form(), u2, half)}
+    for op, name in _TREE_OPS[c.t + c.t2]:
+        lhs = add(lhs, terms[name], Fraction(1 if op is np.add else -1))
     # minus a quarter separation
     lhs = add(lhs, form(gamma=1), -quarter)
     # RHS
@@ -237,13 +236,7 @@ def perturbed_minorant_residual(t: str, t2: str, variable: str, delta: Fraction)
     """Negative control: shift kappa_lo by ``delta`` and report the residual
     it induces on the given variable."""
     c = minorant_certificate(t, t2)
-    bumped = MinorantCertificate(
-        t=c.t, t2=c.t2,
-        alpha_lo=c.alpha_lo, beta_lo=c.beta_lo, gamma_lo=c.gamma_lo,
-        alpha_hi=c.alpha_hi, beta_hi=c.beta_hi, gamma_hi=c.gamma_hi,
-        kappa_lo=c.kappa_lo + delta, kappa_hi=c.kappa_hi,
-        kappa_lo2=c.kappa_lo2, kappa_hi2=c.kappa_hi2,
-    )
+    bumped = dataclasses.replace(c, kappa_lo=c.kappa_lo + delta)
     return _linear_identity_residuals(bumped)[variable]
 
 
@@ -301,7 +294,9 @@ def _cell_terms(points) -> dict:
 def _tree_ops(t: str, t2: str) -> list:
     """The tree piece of a letter pair as (np.add or np.subtract, term)
     steps from zero: the C/D halves of both cells first, then the A/B terms
-    of the left and of the right cell."""
+    of the left and of the right cell (``tree_letter`` with the rung terms
+    z - w/2 and z + w/2).  The float scan and the exact identity
+    (``_linear_identity_residuals``) both run these steps."""
     add, sub = np.add, np.subtract
     ops = []
     if t in "CD":
@@ -355,6 +350,45 @@ def middle_no_exp2_vec(xlo, xhi, z, gamma, xlo2, xhi2, t: str, t2: str, a: float
     return _middle_base_vec(points, terms, a, eta, 0.0) + _tree_piece_vec(terms, t, t2)
 
 
+def _scan(name: str, details: dict, block_min, per_point: int, dims: int,
+          samples: int, rng: RngSpec | None, radius: float, grid_radius: float,
+          grid_step: float, extra_points: np.ndarray | None = None) -> BoundReport:
+    """Scan a bound's margin over ``samples`` uniform points of the radius
+    box in ``dims`` coordinates, the step grid of ``grid_radius`` (none when
+    ``grid_step`` is 0) and ``extra_points``, in that order and in blocks of
+    at most ``_BLOCK`` points.
+
+    ``block_min(points)`` returns the block's margins, minimized over the
+    check's ``per_point`` letters (or letter pairs), and ``label(k)``, the
+    worst-point entry naming the first letter that attains the minimum at
+    point k.  Ties go to the first point in scan order.  ``samples`` in the
+    report counts point-letter evaluations.  A margin below -1e-6 raises;
+    the check passes when the minimum stays above -1e-9 (floating-point
+    slack)."""
+    gen = (rng or RngSpec(0)).generator()
+    uniform = [gen.uniform(-radius, radius, size=samples) for _ in range(dims)]
+    sources = [("uniform", _point_blocks(uniform))]
+    if grid_step > 0:
+        sources.append(("grid", _grid_blocks(grid_radius, grid_step, dims)))
+    if extra_points is not None:
+        sources.append(("extra", _point_blocks([np.asarray(p, dtype=float) for p in extra_points])))
+    min_margin = math.inf
+    worst = {}
+    total = 0
+    for origin, blocks in sources:
+        for points in blocks:
+            margins, label = block_min(points)
+            total += per_point * margins.size
+            k = int(np.argmin(margins))
+            if margins[k] < min_margin:
+                min_margin = float(margins[k])
+                worst = {**label(k), "point": [float(p[k]) for p in points], "origin": origin}
+    if min_margin < -1e-6:
+        raise LadderError(f"{name} violated: margin {min_margin} at {worst}")
+    return BoundReport(name=name, samples=total, min_margin=min_margin, worst_point=worst,
+                       passed=min_margin >= -1e-9, details=details)
+
+
 def check_middle_bound(
     samples: int,
     a: float,
@@ -368,92 +402,35 @@ def check_middle_bound(
     """Sampled verification that the coupling energy (sign term removed)
     grows at least linearly with the closed-form rate.
 
-    The margin (energy minus rate times the l1 norm) is scanned over
-    ``samples`` uniform points in the radius box, the step grid of
-    ``grid_radius`` (none when ``grid_step`` is 0) and ``extra_points``, in
-    that order, for all 15 letter pairs.  The scan runs in cache-sized blocks
-    and the grid is generated block by block.  Per block the tree-free part
-    and the cell terms are computed once, the 15 tree pieces are folded into
-    one array by an elementwise minimum, and the part is added once: rounding
-    is monotone, so this is the minimum over the pairs of the per-pair
-    margins, bit for bit.  ``samples`` in the report counts point-pair
-    evaluations.  Ties go to the first point in scan order that attains the
-    minimum, and at that point to the first pair in ``PAIRS`` order.
-
-    Violations below -1e-6 raise; the report records the minimum margin,
-    which must stay above -1e-9 (floating-point slack).
+    The margin (energy minus rate times the l1 norm) is scanned by ``_scan``
+    for all 15 letter pairs.  Per block the tree-free part and the cell
+    terms are computed once, the 15 tree pieces are folded into one array by
+    an elementwise minimum, and the part is added once: rounding is
+    monotone, so this is the minimum over the pairs of the per-pair margins,
+    bit for bit.  At the worst point, ties go to the first pair in ``PAIRS``
+    order.  The report records the minimum margin; below -1e-6 raises.
     """
     if not -0.25 <= eta <= 0.25:
         raise LadderError(f"eta={eta} outside [-1/4, 1/4]")
     rate = middle_growth_rate(a)
-    gen = (rng or RngSpec(0)).generator()
-    min_margin = math.inf
-    worst = {}
-    total = 0
 
-    def scan(blocks, origin):
-        nonlocal min_margin, worst, total
-        for part in blocks:
-            terms = _cell_terms(part)
-            base = _middle_base_vec(part, terms, a, eta, rate)
-            tree = _tree_piece_vec(terms, *PAIRS[0])
-            piece = np.empty_like(tree)
-            for t, t2 in PAIRS[1:]:
-                np.minimum(tree, _tree_piece_vec(terms, t, t2, out=piece), out=tree)
-            margins = np.add(base, tree, out=tree)
-            total += len(PAIRS) * margins.size
-            k = int(np.argmin(margins))
-            if margins[k] < min_margin:
-                min_margin = float(margins[k])
-                at_k = {name: v[k:k + 1] for name, v in terms.items()}
-                pair = next(t + t2 for t, t2 in PAIRS
-                            if base[k] + _tree_piece_vec(at_k, t, t2)[0] == margins[k])
-                worst = {"pair": pair, "point": [float(p[k]) for p in part], "origin": origin}
+    def block_min(points):
+        terms = _cell_terms(points)
+        base = _middle_base_vec(points, terms, a, eta, rate)
+        tree = _tree_piece_vec(terms, *PAIRS[0])
+        piece = np.empty_like(tree)
+        for t, t2 in PAIRS[1:]:
+            np.minimum(tree, _tree_piece_vec(terms, t, t2, out=piece), out=tree)
+        margins = np.add(base, tree, out=tree)
 
-    uniform = [gen.uniform(-radius, radius, size=samples) for _ in range(6)]
-    scan(_point_blocks(uniform), "uniform")
-    if grid_step > 0:
-        scan(_grid_blocks(grid_radius, grid_step, 6), "grid")
-    if extra_points is not None:
-        scan(_point_blocks([np.asarray(p, dtype=float) for p in extra_points]), "extra")
+        def label(k):
+            at_k = {name: v[k:k + 1] for name, v in terms.items()}
+            return {"pair": next(t + t2 for t, t2 in PAIRS
+                                 if base[k] + _tree_piece_vec(at_k, t, t2)[0] == margins[k])}
+        return margins, label
 
-    passed = min_margin >= -1e-9
-    report = BoundReport(
-        name=f"middle-bound a={a} eta={eta}",
-        samples=total,
-        min_margin=min_margin,
-        worst_point=worst,
-        passed=passed,
-        details={"rate": rate},
-    )
-    if min_margin < -1e-6:
-        raise LadderError(f"coupling bound violated: margin {min_margin} at {worst}")
-    return report
-
-
-def _boundary_core_vec(xlo, xhi, z, t: str, a: float, side: str):
-    """Boundary energy without its exponential part (log-sum, tree, slopes)."""
-    u = 0.5 * (xlo + xhi)
-    if side == "left":
-        h_ln = a * np.logaddexp(xhi, z) + (a + 0.5) * (np.logaddexp(xlo, z) - u - z)
-        sign_u = 0.25
-        tree_a = 0.5 * u
-        tree_b = z - 0.5 * u
-    else:
-        h_ln = (a + 0.5) * (np.logaddexp(xlo, z) + np.logaddexp(xhi, z) - u - z)
-        sign_u = -0.25
-        tree_a = z - 0.5 * u
-        tree_b = 0.5 * u
-    h_tree = np.zeros_like(h_ln)
-    if t == "A":
-        h_tree = h_tree + tree_a
-    elif t == "B":
-        h_tree = h_tree + tree_b
-    elif t == "C":
-        h_tree = h_tree + 0.5 * xlo
-    else:
-        h_tree = h_tree + 0.5 * xhi
-    return h_ln + h_tree + sign_u * u
+    return _scan(f"middle-bound a={a} eta={eta}", {"rate": rate}, block_min,
+                 len(PAIRS), 6, samples, rng, radius, grid_radius, grid_step, extra_points)
 
 
 def check_boundary_bound(
@@ -470,8 +447,9 @@ def check_boundary_bound(
     At ``a = 3/4`` the quarter-slope bound (energy minus its exponential
     part at least z/4) is checked; for larger ``a`` the linear-growth bound
     with the closed-form rate.  The uniform points and the grid are scanned
-    in the blocks of ``check_middle_bound``, each block over the four
-    letters.
+    by ``_scan``; per block the exponential part and the l1 term are
+    computed once and the four letter margins folded by an elementwise
+    minimum.  At the worst point, ties go to the first letter.
     """
     if side not in ("left", "right"):
         raise LadderError(f"side must be left or right, got {side!r}")
@@ -479,48 +457,27 @@ def check_boundary_bound(
         raise LadderError(f"boundary bounds need a >= 3/4, got {a}")
     at_critical = a == 0.75
     rate = None if at_critical else boundary_growth_rate(a)
-    gen = (rng or RngSpec(0)).generator()
-    min_margin = math.inf
-    worst = {}
-    total = 0
 
-    def scan(blocks, origin):
-        nonlocal min_margin, worst, total
-        for points in blocks:
-            xlo, xhi, z = points
-            for t in STATES:
-                core = _boundary_core_vec(xlo, xhi, z, t, a, side)
-                if at_critical:
-                    # the exponential part cancels exactly; no overflow possible
-                    margins = core - 0.25 * z
-                else:
-                    with np.errstate(over="ignore"):
-                        h_exp = 0.25 * (np.exp(-xlo) + np.exp(-xhi)) + 0.5 * np.exp(-z)
-                    margins = core + h_exp - rate * (np.abs(xlo) + np.abs(xhi) + np.abs(z))
-                total += xlo.size
-                k = int(np.argmin(margins))
-                if margins[k] < min_margin:
-                    min_margin = float(margins[k])
-                    worst = {"state": t, "point": [float(p[k]) for p in points],
-                             "origin": origin}
+    def block_min(points):
+        xlo, xhi, z = points
+        cores = [boundary_core_vec(xlo, xhi, z, t, a, side) for t in range(len(STATES))]
+        if at_critical:
+            # the exponential part cancels exactly; no overflow possible
+            margins = [core - 0.25 * z for core in cores]
+        else:
+            with np.errstate(over="ignore"):
+                h_exp = 0.25 * (np.exp(-xlo) + np.exp(-xhi)) + 0.5 * np.exp(-z)
+            l1 = rate * (np.abs(xlo) + np.abs(xhi) + np.abs(z))
+            margins = [core + h_exp - l1 for core in cores]
+        folded = np.minimum.reduce(margins)
 
-    uniform = [gen.uniform(-radius, radius, size=samples) for _ in range(3)]
-    scan(_point_blocks(uniform), "uniform")
-    if grid_step > 0:
-        scan(_grid_blocks(grid_radius, grid_step, 3), "grid")
+        def label(k):
+            return {"state": next(t for t, m in zip(STATES, margins) if m[k] == folded[k])}
+        return folded, label
 
-    passed = min_margin >= -1e-9
-    report = BoundReport(
-        name=f"boundary-bound a={a} side={side}",
-        samples=total,
-        min_margin=min_margin,
-        worst_point=worst,
-        passed=passed,
-        details={"rate": rate if rate is not None else "z/4 at a=3/4"},
-    )
-    if min_margin < -1e-6:
-        raise LadderError(f"boundary bound violated: margin {min_margin} at {worst}")
-    return report
+    return _scan(f"boundary-bound a={a} side={side}",
+                 {"rate": rate if rate is not None else "z/4 at a=3/4"}, block_min,
+                 len(STATES), 3, samples, rng, radius, grid_radius, grid_step)
 
 
 # ---------------------------------------------------------------------------

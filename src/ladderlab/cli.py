@@ -168,23 +168,32 @@ def _grid_params(name: str) -> transfer.GridParams:
 
 
 def _load_weights(spec: str | None, n: int) -> EdgeWeights:
+    """Unit weights, or the ``x`` list of a JSON weights file; an unreadable
+    file or one that does not hold positive weights for ``n`` cells is a
+    config error."""
     if spec is None or spec == "unit":
         return EdgeWeights(np.ones(3 * n + 1))
-    doc = json.loads(Path(spec).read_text())
-    return EdgeWeights(np.asarray(doc["x"], dtype=float))
+    try:
+        x = EdgeWeights(np.asarray(json.loads(Path(spec).read_text())["x"], dtype=float))
+    except (OSError, ValueError, KeyError, TypeError, LadderError) as err:
+        raise ConfigError(f"cannot read weights file {spec!r}: {type(err).__name__}: {err}") from err
+    if x.n != n:
+        raise ConfigError(f"weights file {spec!r} holds a ladder with n={x.n}, not n={n}")
+    return x
 
 
 def cmd_simulate(cfg: dict):
     p = cfg["params"]
     graph = ladder.build(p["n"])
     start = graph.vertex(*p["start"])
+    weights = _load_weights(p["weights"], p["n"]) if p["mode"] == "rwre" else None
     rows = []
     for r in range(p["replicas"]):
         rng = RngSpec(cfg["seed"], r)
-        if p["mode"] == "errw":
+        if weights is None:
             trace = walk.errw_run(graph, p["a"], p["steps"], start, rng)
         else:
-            trace = walk.rwre_run(graph, _load_weights(p["weights"], p["n"]), p["steps"], start, rng)
+            trace = walk.rwre_run(graph, weights, p["steps"], start, rng)
         rows.append([r, trace.position, trace.returns] + trace.local_times.tolist())
     header = ["replica", "last_vertex", "returns"] + [f"k_edge_{e}" for e in range(graph.num_edges)]
     report = {"rows": rows, "header": header}
@@ -462,6 +471,17 @@ def _require_valid(doc: dict) -> None:
         raise ConfigError("; ".join(errors))
 
 
+def _require_used(cfg: dict) -> None:
+    """Refuse a weights file that the effective config would ignore."""
+    p = cfg["params"]
+    if p.get("weights") is None:
+        return
+    if cfg["subcommand"] == "simulate" and p["mode"] != "rwre":
+        raise ConfigError(f"weights is read only with mode 'rwre', not mode {p['mode']!r}")
+    if cfg["subcommand"] == "resistance" and p["random_weights"]:
+        raise ConfigError("weights and a non-zero random_weights exclude each other")
+
+
 def _effective_config(args: argparse.Namespace) -> dict:
     name = args.subcommand
     cfg = {"subcommand": name, **_DEFAULTS, "params": dict(SUBCOMMANDS[name][1])}
@@ -494,14 +514,14 @@ def run(argv=None) -> int:
         cfg = _effective_config(args)
         config = _public_config(cfg)
         _require_valid(config if cfg["out"] is None else {**config, "out": cfg["out"]})
+        _require_used(cfg)
+        out = Path(cfg["out"]) if cfg["out"] else None
+        # in CSV mode the JSON document goes next to the CSV, never over it
+        summary_out = out.with_suffix(out.suffix + ".summary.json") if out is not None else None
+        ok, report = SUBCOMMANDS[cfg["subcommand"]][0](cfg)
     except ConfigError as err:
         sys.stderr.write(f"config error: {err}\n")
         return 2
-    out = Path(cfg["out"]) if cfg["out"] else None
-    # in CSV mode the JSON document goes next to the CSV, never over it
-    summary_out = out.with_suffix(out.suffix + ".summary.json") if out is not None else None
-    try:
-        ok, report = SUBCOMMANDS[cfg["subcommand"]][0](cfg)
     except LadderError as err:
         _write_json(summary_out if cfg["format"] == "csv" else out,
                     {"config": config, "status": "check-failure", "error": str(err)})

@@ -54,6 +54,8 @@ __all__ = [
     "middle_energy_no_exp2",
     "left_energy",
     "right_energy",
+    "tree_letter",
+    "boundary_core_vec",
 ]
 
 
@@ -102,10 +104,13 @@ def h_linear(u: float, u2: float, z: float, a: float) -> float:
     return -(a + 0.5) * (u + u2 + z)
 
 
-def _tree_letter(t: int, xlo: float, xhi: float, u: float, r: float, joined: int) -> float:
+def tree_letter(t: int, xlo, xhi, u, r, joined: int):
     """Tree-letter energy of one cell beside a rung with rung term ``r``: C and D
     weigh half the lower or upper field, the letter ``joined`` (A left of the
-    rung, B right of it) weighs ``r - u/2`` and the other of A and B ``u/2``."""
+    rung, B right of it) weighs ``r - u/2`` and the other of A and B ``u/2``.
+
+    The letter rule of every energy: the fields may be floats (the sampler)
+    or broadcasting NumPy arrays (bound scans and transfer kernels)."""
     if t == 2:
         return 0.5 * xlo
     if t == 3:
@@ -115,7 +120,7 @@ def _tree_letter(t: int, xlo: float, xhi: float, u: float, r: float, joined: int
 
 def h_tree(t: int, xlo: float, xhi: float, u: float, z: float, w: float,
            t2: int, xlo2: float, xhi2: float, u2: float) -> float:
-    return _tree_letter(t, xlo, xhi, u, z - 0.5 * w, 0) + _tree_letter(t2, xlo2, xhi2, u2, z + 0.5 * w, 1)
+    return tree_letter(t, xlo, xhi, u, z - 0.5 * w, 0) + tree_letter(t2, xlo2, xhi2, u2, z + 0.5 * w, 1)
 
 
 def h_exp1(elo: float, ehi: float, elo2: float, ehi2: float) -> float:
@@ -212,7 +217,7 @@ def left_energy(z0: float, xlo: float, xhi: float, t: int, a: float) -> float:
     u = 0.5 * (xlo + xhi)
     h_ln = a * _lse2(xhi, z0) + (a + 0.5) * (_lse2(xlo, z0) - u - z0)
     h_exp = 0.25 * (_exp(-xlo) + _exp(-xhi)) + 0.5 * _exp(-z0)
-    return h_ln + _tree_letter(t, xlo, xhi, u, z0, 1) + h_exp + 0.25 * u
+    return h_ln + tree_letter(t, xlo, xhi, u, z0, 1) + h_exp + 0.25 * u
 
 
 def right_energy(xlo: float, xhi: float, t: int, zn: float, a: float) -> float:
@@ -220,7 +225,20 @@ def right_energy(xlo: float, xhi: float, t: int, zn: float, a: float) -> float:
     u = 0.5 * (xlo + xhi)
     h_ln = (a + 0.5) * (_lse2(xlo, zn) + _lse2(xhi, zn) - u - zn)
     h_exp = 0.25 * (_exp(-xlo) + _exp(-xhi)) + 0.5 * _exp(-zn)
-    return h_ln + _tree_letter(t, xlo, xhi, u, zn, 0) + h_exp - 0.25 * u
+    return h_ln + tree_letter(t, xlo, xhi, u, zn, 0) + h_exp - 0.25 * u
+
+
+def boundary_core_vec(xlo, xhi, z, t: int, a: float, side: str):
+    """Boundary energy of ``left_energy`` (``side='left'``, ``z`` the left
+    rung field) or ``right_energy`` (``side='right'``) without its
+    exponential part, for broadcasting arrays: the log-sum part, the tree
+    letter ``t`` and the quarter slope in u, summed in that order."""
+    u = 0.5 * (xlo + xhi)
+    if side == "left":
+        h_ln = a * np.logaddexp(xhi, z) + (a + 0.5) * (np.logaddexp(xlo, z) - u - z)
+        return h_ln + tree_letter(t, xlo, xhi, u, z, 1) + 0.25 * u
+    h_ln = (a + 0.5) * (np.logaddexp(xlo, z) + np.logaddexp(xhi, z) - u - z)
+    return h_ln + tree_letter(t, xlo, xhi, u, z, 0) - 0.25 * u
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ letter on each side, about an eighth of the dense bytes.  A product groups
 the input by the A (resp. B) flag and the sign, so it costs twelve core
 products, one per non-zero core and sign row, against 64 dense blocks.
 
+No energy is written out here: the side profiles take the tree letter from
+``environment.tree_letter`` with a zero rung term (the cores carry the rung
+term of the letters A and B), and the boundary vectors integrate
+``environment.boundary_core_vec`` plus its exponential part over the
+boundary rung field.
+
 The cores are weighted Gram sums over the rung nodes of one cell-pair
 table.  The shift rule is symmetric bit for bit, so the nodes come in
 mirror pairs (z, w), (z, -w): the row at -w adds to the core with letter
@@ -59,6 +65,7 @@ from functools import cached_property
 import numpy as np
 
 from ladderlab.certificates import middle_growth_rate
+from ladderlab.environment import boundary_core_vec, tree_letter
 from ladderlab.ladder import LadderError
 
 __all__ = [
@@ -378,19 +385,9 @@ def _side_profiles(grid: TransferGrid, a: float, eta: float, primed: bool) -> np
     u = 0.5 * (xlo + xhi)
     base = (a + 0.5) * u - 0.25 * (np.exp(-xlo) + np.exp(-xhi))
     base = base + (-1.0 if primed else 1.0) * eta * u
-    out = np.empty((4, grid.nx * grid.nx))
-    for t in range(4):
-        expo = base.copy()
-        if t == 2:
-            expo = expo - 0.5 * xlo
-        elif t == 3:
-            expo = expo - 0.5 * xhi
-        if t == 0:
-            expo = expo + (0.5 if not primed else -0.5) * u
-        elif t == 1:
-            expo = expo + (-0.5 if not primed else 0.5) * u
-        out[t] = np.exp(expo).reshape(-1)
-    return out
+    # the letter energy with a zero rung term; the cores carry the rung term
+    return np.stack([np.exp(base - tree_letter(t, xlo, xhi, u, 0.0, int(primed))).reshape(-1)
+                     for t in range(4)])
 
 
 def _rung_nodes(grid: TransferGrid):
@@ -692,33 +689,31 @@ def boundary_vector(grid: TransferGrid, a: float, side: str) -> np.ndarray:
     xlo = x[:, None, None]
     xhi = x[None, :, None]
     zb = grid.zb_nodes[None, None, :]
-    u = 0.5 * (xlo + xhi)
     h_exp = 0.25 * (np.exp(-xlo) + np.exp(-xhi)) + 0.5 * np.exp(-zb)
-    if side == "left":
-        h_ln = a * np.logaddexp(xhi, zb) + (a + 0.5) * (np.logaddexp(xlo, zb) - u - zb)
-        sign_u = 0.25
-    else:
-        h_ln = (a + 0.5) * (np.logaddexp(xlo, zb) + np.logaddexp(xhi, zb) - u - zb)
-        sign_u = -0.25
-    base = h_ln + h_exp + sign_u * u
-    out = np.empty(grid.size)
-    nxx = grid.nx * grid.nx
-    for t, letter in enumerate("ABCD"):
-        h = base.copy()
-        if letter == "C":
-            h = h + 0.5 * xlo
-        elif letter == "D":
-            h = h + 0.5 * xhi
-        elif (letter == "A") == (side == "left"):
-            h = h + 0.5 * u  # the letter pointing away from this boundary
-        else:
-            h = h + zb - 0.5 * u  # the letter leaning on this boundary's rung
-        vals = (np.exp(-h) @ grid.zb_weights).reshape(-1)
-        out[t * 2 * nxx:(t * 2 + 1) * nxx] = vals
-        out[(t * 2 + 1) * nxx:(t * 2 + 2) * nxx] = vals
+    out = np.empty((4, 2, grid.nx * grid.nx))  # letter, sign, cell
+    for t in range(4):
+        out[t] = (np.exp(-(boundary_core_vec(xlo, xhi, zb, t, a, side) + h_exp))
+                  @ grid.zb_weights).reshape(-1)
+    out = out.reshape(-1)
     if np.any(out <= 0):
         raise LadderError("boundary vector must be strictly positive")
     return out
+
+
+def _scaled_images(v: np.ndarray, products) -> tuple[list[np.ndarray], list[float]]:
+    """``v`` and its images under the successive ``products``, each image
+    divided by its max norm, with the cumulative log scales (0.0 for ``v``).
+    A vanishing image raises."""
+    vecs, logs = [v], [0.0]
+    for product in products:
+        u = product(vecs[-1])
+        scale = float(np.max(np.abs(u)))
+        if scale == 0.0:
+            raise LadderError("vanishing bracket: grid pathology")
+        u /= scale
+        vecs.append(u)
+        logs.append(logs[-1] + math.log(scale))
+    return vecs, logs
 
 
 class TransferContext:
@@ -746,19 +741,11 @@ class TransferContext:
 
     def bracket(self, ops: list[OperatorMatrix]) -> tuple[float, float]:
         """(sign, log magnitude) of the boundary-to-boundary contraction."""
-        u = self.gl_u.copy()
-        logs = 0.0
-        for op in ops:
-            u = op.vecmat(u)
-            scale = float(np.max(np.abs(u)))
-            if scale == 0.0:
-                raise LadderError("vanishing bracket: grid pathology")
-            u /= scale
-            logs += math.log(scale)
-        val = float(u @ self.gr_u)
+        vecs, logs = _scaled_images(self.gl_u, [op.vecmat for op in ops])
+        val = float(vecs[-1] @ self.gr_u)
         if val == 0.0:
             raise LadderError("vanishing bracket: grid pathology")
-        return math.copysign(1.0, val), logs + math.log(abs(val))
+        return math.copysign(1.0, val), logs[-1] + math.log(abs(val))
 
 
 def chain_expectation(ctx: TransferContext, n: int, j: int, i: int,
@@ -796,22 +783,8 @@ def sigma_moment(ctx: TransferContext, n: int, j: int) -> float:
 
 def sigma_moment_profile(ctx: TransferContext, n: int) -> np.ndarray:
     """log separation moment for every j in 0..n-1, in one pass."""
-    k0 = ctx.op(0.0)
-    k14 = ctx.op(0.25)
-    pre_vecs = [ctx.gl_u.copy()]
-    pre_logs = [0.0]
-    for _ in range(n - 1):
-        u = k0.vecmat(pre_vecs[-1])
-        s = float(np.max(np.abs(u)))
-        pre_vecs.append(u / s)
-        pre_logs.append(pre_logs[-1] + math.log(s))
-    suf_vecs = [ctx.gr_u.copy()]
-    suf_logs = [0.0]
-    for _ in range(n - 1):
-        u = k14.matvec(suf_vecs[-1])
-        s = float(np.max(np.abs(u)))
-        suf_vecs.append(u / s)
-        suf_logs.append(suf_logs[-1] + math.log(s))
+    pre_vecs, pre_logs = _scaled_images(ctx.gl_u, [ctx.op(0.0).vecmat] * (n - 1))
+    suf_vecs, suf_logs = _scaled_images(ctx.gr_u, [ctx.op(0.25).matvec] * (n - 1))
     out = np.empty(n)
     for j in range(n):
         val = float(pre_vecs[j] @ suf_vecs[n - 1 - j])
@@ -824,19 +797,16 @@ def symmetry_defect(ctx: TransferContext, seed: int = 0) -> dict:
     eigenfunctions; zero in the continuum at zero coupling, so the grid
     value measures solver plus discretization error.  The quarter-coupling
     analogue is reported as a nonzero control."""
-    triple0 = leading_triple(ctx.op(0.0), seed=seed)
     sw = ctx.grid.sqrt_w
-    u_left = triple0.left * sw
-    u_right = triple0.right * sw
-    kg0 = ctx.op(0.0, "gamma")
-    raw0 = float(kg0.vecmat(u_left) @ u_right)
-    defect = abs(raw0) / (np.linalg.norm(u_left) * kg0.hs_norm() * np.linalg.norm(u_right))
-    triple14 = leading_triple(ctx.op(0.25), seed=seed)
-    ul14 = triple14.left * sw
-    ur14 = triple14.right * sw
-    kg14 = ctx.op(0.25, "gamma")
-    raw14 = float(kg14.vecmat(ul14) @ ur14)
-    control = abs(raw14) / (np.linalg.norm(ul14) * kg14.hs_norm() * np.linalg.norm(ur14))
+    pairings = []  # (triple, raw pairing, normalized pairing) at eta = 0, 1/4
+    for eta in (0.0, 0.25):
+        triple = leading_triple(ctx.op(eta), seed=seed)
+        u_left, u_right = triple.left * sw, triple.right * sw
+        kg = ctx.op(eta, "gamma")
+        raw = float(kg.vecmat(u_left) @ u_right)
+        pairings.append((triple, raw, abs(raw) / (np.linalg.norm(u_left) * kg.hs_norm()
+                                                  * np.linalg.norm(u_right))))
+    (triple0, raw0, defect), (_, _, control) = pairings
     return {
         "defect": float(defect),
         "raw_pairing": raw0,

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ladderlab import certificates
 from ladderlab.certificates import (
     _BLOCK,
     PAIRS,
@@ -92,6 +93,24 @@ def test_minorant_negative_control():
     assert res == -delta
 
 
+def test_minorant_identity_certifies_the_scan_tree_steps(monkeypatch):
+    # the exact identity reads the float scan's tree steps: every single-step
+    # sign flip of an admissible pair breaks it
+    flips = 0
+    for t, t2 in PAIRS:
+        steps = certificates._TREE_OPS[t + t2]
+        for k, (op, name) in enumerate(steps):
+            flipped = list(steps)
+            flipped[k] = (np.subtract if op is np.add else np.add, name)
+            with monkeypatch.context() as patch:
+                patch.setitem(certificates._TREE_OPS, t + t2, flipped)
+                with pytest.raises(LadderError, match=rf"pair \({t}, {t2}\)"):
+                    verify_linear_minorant()
+            flips += 1
+    assert flips == 42
+    assert verify_linear_minorant().passed
+
+
 def test_minorant_numeric_spot_check():
     # direct inequality at half initial weight on random 6-tuples
     rng = np.random.default_rng(2)
@@ -148,6 +167,13 @@ def test_boundary_bound_zero_point():
     # margin of the left bound at the zero point with T = C and a = 1
     report = check_boundary_bound(100, 1.0, "left", rng=RngSpec(5), radius=1e-12, grid_step=0)
     assert report.min_margin == pytest.approx(2.5 * math.log(2.0) + 1.0, abs=1e-6)
+
+
+def test_bound_violation_raises(monkeypatch):
+    core = certificates.boundary_core_vec
+    monkeypatch.setattr(certificates, "boundary_core_vec", lambda *args: core(*args) - 1e3)
+    with pytest.raises(LadderError, match=r"boundary-bound a=1.0 side=left violated"):
+        check_boundary_bound(100, 1.0, "left", rng=RngSpec(5), grid_step=0)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -402,3 +428,65 @@ def test_grid_blocks_are_the_grid_in_c_order(radius, step, dims):
     assert all(len(b) == dims and b[0].size <= _BLOCK for b in blocks)
     for coord, want in zip(zip(*blocks), _oracle_grid(radius, step, dims)):
         assert np.array_equal(np.concatenate(coord), want)
+
+
+# ---------------------------------------------------------------------------
+# the per-letter boundary scan that the shared scan driver replaced, kept as
+# the oracle: the boundary energy written out per side and letter, whole
+# sources, and per source one margin array per letter
+
+
+def _oracle_boundary_core(xlo, xhi, z, t, a, side):
+    u = 0.5 * (xlo + xhi)
+    if side == "left":
+        h_ln = a * np.logaddexp(xhi, z) + (a + 0.5) * (np.logaddexp(xlo, z) - u - z)
+        sign_u, tree_a, tree_b = 0.25, 0.5 * u, z - 0.5 * u
+    else:
+        h_ln = (a + 0.5) * (np.logaddexp(xlo, z) + np.logaddexp(xhi, z) - u - z)
+        sign_u, tree_a, tree_b = -0.25, z - 0.5 * u, 0.5 * u
+    h_tree = np.zeros_like(h_ln) + {"A": tree_a, "B": tree_b, "C": 0.5 * xlo, "D": 0.5 * xhi}[t]
+    return h_ln + h_tree + sign_u * u
+
+
+def _oracle_boundary_margins(points, t, a, side):
+    xlo, xhi, z = points
+    core = _oracle_boundary_core(xlo, xhi, z, t, a, side)
+    if a == 0.75:
+        return core - 0.25 * z
+    with np.errstate(over="ignore"):
+        h_exp = 0.25 * (np.exp(-xlo) + np.exp(-xhi)) + 0.5 * np.exp(-z)
+    return core + h_exp - boundary_growth_rate(a) * (np.abs(xlo) + np.abs(xhi) + np.abs(z))
+
+
+def oracle_boundary_scan(samples, a, side, rng, radius=50.0, grid_radius=30.0, grid_step=5.0):
+    """(min_margin, samples) of the per-letter scan, same draws."""
+    gen = rng.generator()
+    sources = [[gen.uniform(-radius, radius, size=samples) for _ in range(3)]]
+    if grid_step > 0:
+        sources.append(_oracle_grid(grid_radius, grid_step, 3))
+    min_margin = math.inf
+    total = 0
+    for points in sources:
+        for t in STATES:
+            margins = _oracle_boundary_margins(points, t, a, side)
+            total += margins.size
+            min_margin = min(min_margin, float(np.min(margins)))
+    return min_margin, total
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_boundary_scan_matches_per_letter_oracle(side):
+    gen = np.random.default_rng(700 if side == "left" else 701)
+    for a in [0.75, 1.0] + [float(v) for v in gen.uniform(0.76, 4.0, size=2)]:
+        seed = int(gen.integers(1 << 30))
+        # 40000 uniform points span two blocks; the grids hold xlo == xhi
+        # points, where the letters C and D tie exactly
+        for grid_step in (0.0, 5.0, 7.5):
+            report = check_boundary_bound(40_000, a, side, rng=RngSpec(seed), grid_step=grid_step)
+            margin, samples = oracle_boundary_scan(40_000, a, side, RngSpec(seed),
+                                                   grid_step=grid_step)
+            assert (report.min_margin, report.samples, report.passed) == (margin, samples,
+                                                                         margin >= -1e-9)
+            worst = report.worst_point
+            point = tuple(np.array([v]) for v in worst["point"])
+            assert float(_oracle_boundary_margins(point, worst["state"], a, side)[0]) == margin

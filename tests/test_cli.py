@@ -152,6 +152,38 @@ def test_simulate_rwre_mode(tmp_path):
     assert sum(counts) == 5000
 
 
+@pytest.mark.parametrize("args,keys", [
+    (["simulate", "--n", "2", "--steps", "100", "--seed", "1"], ("weights", "mode")),
+    (["resistance", "--random-weights", "2"], ("weights", "random_weights")),
+])
+def test_ignored_weights_file_is_a_config_error(tmp_path, capsys, args, keys):
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"x": [1.0, 0.5, 2.0, 1.0, 0.5, 2.0, 1.0]}))
+    out = tmp_path / "o.json"
+    assert run(args + ["--weights", str(weights), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and all(key in err for key in keys)
+    assert not out.exists()
+    # the same combination from a config file, checked on the effective config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": args[0], "params": {"weights": str(weights)}}))
+    assert run(args + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", [["simulate", "--mode", "rwre"], ["resistance"]])
+@pytest.mark.parametrize("content", [None, "not json", '{"y": [1]}', '{"x": [1, 2]}',
+                                     '{"x": [1, -1, 1, 1, 1, 1, 1]}', '{"x": [1, 1, 1, 1]}'])
+def test_bad_weights_file_is_a_config_error(tmp_path, capsys, subcommand, content):
+    weights = tmp_path / "w.json"
+    if content is not None:  # None: the file is missing
+        weights.write_text(content)
+    out = tmp_path / "o.json"
+    assert run(subcommand + ["--n", "2", "--weights", str(weights), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not out.exists()
+
+
 def test_resistance_unit(tmp_path):
     out = tmp_path / "res.json"
     code = run(["resistance", "--n", "2", "--format", "json", "--out", str(out)])

@@ -14,18 +14,21 @@ from ladderlab.environment import (
     LadderError,
     RungSpin,
     SpinConfig,
+    boundary_core_vec,
     gibbs_identity_residual,
     h_left,
     h_middle,
     h_middle_parts,
     h_right,
     h_total,
+    left_energy,
     log_jacobian,
     log_phi,
     middle_energy_no_exp2,
     normalize_weights,
     psi_forward,
     psi_inverse,
+    right_energy,
     sigma_j,
 )
 from ladderlab.ladder import EdgeWeights, SpanningTreeCode
@@ -242,6 +245,23 @@ def test_boundary_energies_finite():
         assert math.isfinite(h_left(v, CycleSpin(v, -v, 1, "A"), 1.0)) or v < -200
         assert not math.isnan(h_left(v, CycleSpin(v, -v, 1, "A"), 1.0))
         assert not math.isnan(h_right(CycleSpin(v, v, -1, "B"), -v, 1.0))
+
+
+@pytest.mark.parametrize("a", [0.75, 1.0, 3.2])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_boundary_core_vec_matches_scalar_energy(side, a):
+    """The array boundary energy plus its exponential part is the scalar
+    ``left_energy`` / ``right_energy``, letter by letter."""
+    rng = np.random.default_rng(31)
+    xlo, xhi, z = rng.normal(scale=4.0, size=(3, 2000))
+    h_exp = 0.25 * (np.exp(-xlo) + np.exp(-xhi)) + 0.5 * np.exp(-z)
+    for t in range(4):
+        vec = boundary_core_vec(xlo, xhi, z, t, a, side) + h_exp
+        if side == "left":
+            want = np.array([left_energy(c, l, h, t, a) for l, h, c in zip(xlo, xhi, z)])
+        else:
+            want = np.array([right_energy(l, h, t, c, a) for l, h, c in zip(xlo, xhi, z)])
+        assert np.max(np.abs(vec - want) / np.abs(want)) < 1e-12, "ABCD"[t]
 
 
 # ---------------------------------------------------------------------------

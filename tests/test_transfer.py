@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ladderlab.environment import middle_energy
+from ladderlab.environment import left_energy, middle_energy, right_energy
 from ladderlab.ladder import LadderError
 from ladderlab.stats import linear_fit
 from ladderlab.transfer import (
@@ -179,6 +179,27 @@ def test_boundary_vector_positive_and_stable(grid):
         grid2 = build_grid(p2, a=A)
         g2 = boundary_vector(grid2, A, side)
         assert np.max(np.abs(g2 - g) / np.abs(g)) < 1e-4
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_boundary_vector_matches_scalar_energy_on_grid_nodes(small_grid, side):
+    """Entries equal the quadrature of the scalar boundary energy over the
+    grid's own boundary rung nodes, for every letter and both signs."""
+    g = boundary_vector(small_grid, A, side)
+    nx = small_grid.nx
+    rng = np.random.default_rng(2)
+    for t in range(4):
+        for _ in range(6):
+            i, k = (int(v) for v in rng.integers(0, nx, size=2))
+            xlo, xhi = small_grid.x_nodes[i], small_grid.x_nodes[k]
+            if side == "left":
+                vals = [left_energy(zb, xlo, xhi, t, A) for zb in small_grid.zb_nodes]
+            else:
+                vals = [right_energy(xlo, xhi, t, zb, A) for zb in small_grid.zb_nodes]
+            want = float(small_grid.zb_weights @ np.exp(-np.array(vals)))
+            for s in (0, 1):
+                got = g[((t * 2 + s) * nx + i) * nx + k]
+                assert got == pytest.approx(want, rel=1e-12), (t, s, i, k)
 
 
 def test_boundary_vector_decay_envelope(grid):

@@ -13,6 +13,7 @@ fixed float formatting.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -132,18 +133,18 @@ def _write_json(path: Path | None, doc: dict) -> None:
 
 
 def _write_csv(path: Path | None, header: list[str], rows, config: dict) -> None:
-    lines = [
+    """Write the CSV one line at a time: ``rows`` may be a generator too
+    large to hold as text."""
+    head = [
         f"# ladderlab csv schema v{CSV_SCHEMA_VERSION}",
         "# config: " + json.dumps(_strict(config), sort_keys=True, allow_nan=False),
         ",".join(header),
     ]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text)
+    with contextlib.nullcontext(sys.stdout) if path is None else path.open("w") as fh:
+        for line in head:
+            fh.write(line + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _fmt(v) -> str:
@@ -323,8 +324,9 @@ def cmd_spectrum(cfg: dict):
     summary["symmetry_defect"] = defect["defect"]
     summary["symmetry_control_quarter"] = defect["control_quarter"]
     if p["dump_matrix"]:
-        ops = ctx.op(eta)
-        rows = ([i] + row.tolist() for i, row in enumerate(ops.kernel_values()))
+        # one state block of rows (nx² × size) at a time, never the dense matrix
+        blocks = ctx.op(eta).kernel_rows()
+        rows = ([i] + row.tolist() for i, row in enumerate(r for block in blocks for r in block))
         _write_csv(Path(p["dump_matrix"]), ["row"] + [f"c{j}" for j in range(grid.size)],
                    rows, {"a": a, "eta": eta, "grid_size": grid.size})
     ok = (tri.value > 0 and tri.residual_left < 1e-10 and tri.residual_right < 1e-10
@@ -354,7 +356,8 @@ def cmd_chain_stats(cfg: dict):
         err = batch_means_error(col)
         summary["mcmc_value"] = est
         summary["mcmc_stderr"] = err
-        summary["agree_3sigma"] = bool(abs(est - op_val) < 3 * err)
+        # too few samples for batch means give an infinite error, which agrees with anything
+        summary["agree_3sigma"] = bool(math.isfinite(err) and abs(est - op_val) < 3 * err)
         ok = summary["agree_3sigma"]
     return ok, {"summary": summary}
 
@@ -472,8 +475,12 @@ def _require_valid(doc: dict) -> None:
 
 
 def _require_used(cfg: dict) -> None:
-    """Refuse a weights file that the effective config would ignore."""
+    """Refuse a weights file that the effective config would ignore, and
+    MCMC samples that it could not compare with the operator."""
     p = cfg["params"]
+    if cfg["subcommand"] == "chain-stats" and p["tag"] == "one" and p["mcmc_samples"] > 0:
+        raise ConfigError("mcmc_samples > 0 needs tag 'gamma': with tag 'one' the operator "
+                          "value is the normalization 1, not a mean the chain estimates")
     if p.get("weights") is None:
         return
     if cfg["subcommand"] == "simulate" and p["mode"] != "rwre":

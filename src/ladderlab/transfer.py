@@ -11,9 +11,19 @@ are plain matrix products.
 S is never stored dense.  Its block between tree letters t, t2 and signs
 s, s2 is diag(left[t]) C[t == A, t2 == B, s == s2] diag(right[t2]): eight
 nx²×nx² cores C (the two A->B cores vanish) and one side profile per
-letter on each side, about an eighth of the dense bytes.  A product groups
-the input by the A (resp. B) flag and the sign, so it costs twelve core
-products, one per non-zero core and sign row, against 64 dense blocks.
+letter on each side.  A product groups the input by the A (resp. B) flag
+and the sign, so it costs twelve core products, one per non-zero core and
+sign row, against 64 dense blocks.
+
+Swapping the lower and upper rails of both cells leaves every core
+unchanged, C[(i, k), (j, l)] = C[(k, i), (l, j)]: the cores are Gram sums
+of one cell-pair table per rail, and only the side profiles (letters C and
+D) tell the rails apart.  So each core keeps its rows (i, k) with i <= k
+only, nx(nx+1)/2 of the nx² rows (``_half_rows``), about a sixteenth of
+the dense bytes in all; the row (k, i) is the row (i, k) with the columns
+(j, l) -> (l, j) swapped.  Assembly gathers those rows out of each slab's
+Gram product, and the products multiply the stored rows once for the
+direct and once for the mirrored half of the state space.
 
 No energy is written out here: the side profiles take the tree letter from
 ``environment.tree_letter`` with a zero rung term (the cores carry the rung
@@ -60,7 +70,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,22 +300,56 @@ _CORES = tuple((is_a, is_b, same) for is_a in (0, 1) for is_b in (0, 1) for same
 _RUNG_CHUNK = 1024  # rows per slab of the cell-pair table during assembly
 
 
+class _HalfRows(NamedTuple):
+    """Index arrays of the half-row core layout on an nx-node cell axis.
+
+    Stored row r is the cell (lower[r], upper[r]) with lower <= upper, in
+    ``np.triu_indices(nx)`` order; ``up[r]`` is its flat cell index and
+    ``mirror[r]`` that of the swapped cell (upper[r], lower[r]), equal on
+    the diagonal, where ``off`` is 0 (1 elsewhere).  ``swap`` permutes all
+    nx² cells (i, k) -> (k, i), so the full core row ``mirror[r]`` is
+    ``core[r, swap]``."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    up: np.ndarray
+    mirror: np.ndarray
+    off: np.ndarray
+    swap: np.ndarray
+
+
+@cache
+def _half_rows(nx: int) -> _HalfRows:
+    lower, upper = np.triu_indices(nx)
+    half = _HalfRows(lower=lower, upper=upper, up=lower * nx + upper, mirror=upper * nx + lower,
+                     off=(lower != upper).astype(float),
+                     swap=np.arange(nx * nx).reshape(nx, nx).T.reshape(-1))
+    for arr in half:  # shared by every caller
+        arr.flags.writeable = False
+    return half
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Discretized coupling operator in square-root-weighted, factorized form.
 
     Block (t, s; t2, s2) of the weighted matrix S is
-    ``diag(left[t]) @ sym[t == A, t2 == B, s == s2] @ diag(right[t2])``:
-    eight ``nx²×nx²`` cores, of which the two A->B cores are zero, and one
-    side profile per tree letter on each side.  ``vecmat`` and ``matvec``
-    are the only products; ``dense()`` materializes S for tests and dumps.
+    ``diag(left[t]) @ C[t == A, t2 == B, s == s2] @ diag(right[t2])``:
+    eight ``nx²×nx²`` cores C, of which the two A->B cores are zero, and one
+    side profile per tree letter on each side.  ``sym`` holds the rows
+    (i, k), i <= k, of each core (see ``_half_rows``): the other rows are
+    the same with the column cells swapped, so the cores take about a
+    sixteenth of the bytes of the dense S.  ``vecmat`` and ``matvec`` are
+    the only products; ``block_row`` (and ``dense()`` and the kernel values
+    built on it) materializes S one state block of rows at a time, for
+    tests and dumps.
     """
 
     grid: TransferGrid
     a: float
     eta: float
     tag: str  # "one" for the plain kernel, "gamma" for the shift-weighted one
-    sym: np.ndarray  # cores, shape (2, 2, 2, nx², nx²), square-root weighted
+    sym: np.ndarray  # half-row cores, shape (2, 2, 2, nx(nx+1)/2, nx²), square-root weighted
     left: np.ndarray  # side profiles of the row letter, shape (4, nx²)
     right: np.ndarray  # side profiles of the column letter, shape (4, nx²)
 
@@ -314,36 +359,71 @@ class OperatorMatrix:
 
     def vecmat(self, v: np.ndarray) -> np.ndarray:
         """``v @ S`` for weighted vectors of shape (size,) or (m, size)."""
-        return _block_product(v, self.sym, self.left, _A, self.right, _B)
+        return _block_product(v, self.sym, self.left, _A, self.right, _B, adjoint=False)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``S @ v`` (the adjoint product, ``v @ S.T``), same shapes."""
-        return _block_product(v, self.sym.transpose(1, 0, 2, 4, 3), self.right, _B, self.left, _A)
+        return _block_product(v, self.sym, self.right, _B, self.left, _A, adjoint=True)
+
+    def full_core(self, is_a: int, is_b: int, same: int) -> np.ndarray:
+        """Core ``C[is_a, is_b, same]`` with all nx² rows."""
+        half = _half_rows(self.grid.nx)
+        core = self.sym[is_a, is_b, same]
+        full = np.empty((core.shape[1], core.shape[1]))
+        full[half.mirror] = core[:, half.swap]
+        full[half.up] = core
+        return full
+
+    def block_row(self, block: int) -> np.ndarray:
+        """Rows of S for the state block ``block = 2 t + s`` (tree letter t,
+        sign slot s), shape (nx², size)."""
+        t, s = divmod(block, 2)
+        nxx = self.left.shape[1]
+        cores = {(is_b, same): self.full_core(int(t == _A), is_b, same)
+                 for is_b in (0, 1) for same in (0, 1)}
+        rows = np.empty((nxx, self.size))
+        for col in range(_STATE_BLOCKS):
+            t2, s2 = divmod(col, 2)
+            np.multiply(cores[int(t2 == _B), int(s == s2)], self.right[t2],
+                        out=rows[:, col * nxx:(col + 1) * nxx])
+        rows *= self.left[t][:, None]
+        return rows
 
     def dense(self) -> np.ndarray:
         """The weighted matrix S, shape (size, size)."""
-        t = np.repeat(np.arange(4), 2)  # letter and sign of each block, in state order
-        s = np.tile(np.arange(2), 4)
-        blocks = self.sym[(t == _A).astype(int)[:, None], (t == _B).astype(int)[None, :],
-                          (s[:, None] == s[None, :]).astype(int)]
-        blocks = self.left[t][:, None, :, None] * blocks * self.right[t][None, :, None, :]
-        return blocks.transpose(0, 2, 1, 3).reshape(self.size, self.size)
+        return np.concatenate([self.block_row(b) for b in range(_STATE_BLOCKS)])
 
     def hs_norm(self) -> float:
         """Discrete Hilbert-Schmidt norm (exact in the weighted form), summed
         core by core: each core meets every letter pair of its group and two
-        sign pairs."""
+        sign pairs, and its mirrored rows count with their own row profiles
+        against the swapped column profiles."""
+        half = _half_rows(self.grid.nx)
         left2, right2 = self.left**2, self.right**2
         rows = (left2[_OTHERS[_A]].sum(axis=0), left2[_A])
         cols = (right2[_OTHERS[_B]].sum(axis=0), right2[_B])
-        total = sum(2.0 * float(rows[is_a] @ self.sym[is_a, is_b, same]**2 @ cols[is_b])
-                    for is_a, is_b, same in _CORES)
+        total = 0.0
+        for is_a, is_b, same in _CORES:
+            r, c = rows[is_a], cols[is_b]
+            sq = self.sym[is_a, is_b, same]**2
+            weighted = np.stack([r[half.up], r[half.mirror] * half.off]) @ sq
+            total += 2.0 * float((weighted * np.stack([c, c[half.swap]])).sum())
         return math.sqrt(total)
 
-    def kernel_values(self) -> np.ndarray:
-        """Raw kernel values k(state, state')."""
+    def kernel_rows(self):
+        """Raw kernel values k(state, state'), one state block of rows
+        (shape (nx², size)) at a time."""
         sw = self.grid.sqrt_w
-        return self.dense() / np.outer(sw, sw)
+        nxx = self.left.shape[1]
+        for b in range(_STATE_BLOCKS):
+            rows = self.block_row(b)
+            rows /= sw[b * nxx:(b + 1) * nxx, None]
+            rows /= sw
+            yield rows
+
+    def kernel_values(self) -> np.ndarray:
+        """Raw kernel values k(state, state'), shape (size, size)."""
+        return np.concatenate(list(self.kernel_rows()))
 
     def apply_right(self, f: np.ndarray) -> np.ndarray:
         """Function values of (f K), the operator acting from the right."""
@@ -356,25 +436,47 @@ class OperatorMatrix:
         return self.matvec(g * sw) / sw
 
 
-def _block_product(v: np.ndarray, cores: np.ndarray, p_in: np.ndarray, key_in: int,
-                   p_out: np.ndarray, key_out: int) -> np.ndarray:
-    """``v @ S`` for S with blocks ``diag(p_in[t]) cores[t == key_in, t2 == key_out,
-    s == s2] diag(p_out[t2])``.
+def _block_product(v: np.ndarray, sym: np.ndarray, p_in: np.ndarray, key_in: int,
+                   p_out: np.ndarray, key_out: int, adjoint: bool) -> np.ndarray:
+    """``v @ S`` (``S @ v`` if ``adjoint``) for S with blocks ``diag(p_in[t])
+    C[t == key_in, t2 == key_out, s == s2] diag(p_out[t2])`` (the roles of
+    the two letter flags and of the core's rows and columns trade places if
+    ``adjoint``), from the half-row cores ``sym``.
 
     The input is scaled by its profiles and summed over the letters other
-    than ``key_in``; each non-zero core then multiplies both sign rows at
-    once, and the result is scaled by the output profiles."""
+    than ``key_in``.  Its direct and mirrored halves are stacked once, so
+    each non-zero core multiplies both halves and both sign rows at once:
+    for ``v @ S`` the stored rows take the input at the cells ``up`` and the
+    mirrored rows (diagonal left out) the input at ``mirror``, and the
+    mirrored half of the result comes out with its cells swapped; for
+    ``S @ v`` the stored rows meet the input and the swapped input, and the
+    two halves of the result land on the cells ``up`` and ``mirror``.  The
+    result is scaled by the output profiles."""
     nxx = p_in.shape[1]
+    half = _half_rows(math.isqrt(nxx))
     x = v.reshape(-1, 4, 2, nxx) * p_in[:, None, :]
     m = x.shape[0]
     groups = (x[:, _OTHERS[key_in]].sum(axis=1).reshape(2 * m, nxx),
               x[:, key_in].reshape(2 * m, nxx))
-    out = np.zeros((m, 2, 2, nxx))  # (vector, output letter is key_out, sign, cell)
-    for f_in, f_out, same in _CORES:
-        prod = (groups[f_in] @ cores[f_in, f_out, same]).reshape(m, 2, nxx)
-        out[:, f_out] += prod if same else prod[:, ::-1]
+    if adjoint:
+        stacks = [np.concatenate([g, g[:, half.swap]]) for g in groups]
+    else:
+        stacks = [np.concatenate([g[:, half.up], g[:, half.mirror] * half.off]) for g in groups]
+    # (direct or mirrored half, vector, output letter is key_out, sign, cell)
+    out = np.zeros((2, m, 2, 2, half.up.size if adjoint else nxx))
+    for is_a, is_b, same in _CORES:
+        f_in, f_out = (is_b, is_a) if adjoint else (is_a, is_b)
+        core = sym[is_a, is_b, same]
+        prod = (stacks[f_in] @ (core.T if adjoint else core)).reshape(2, m, 2, -1)
+        out[:, :, f_out] += prod if same else prod[:, :, ::-1]
+    if adjoint:
+        y = np.empty((m, 2, 2, nxx))
+        y[..., half.mirror] = out[1]
+        y[..., half.up] = out[0]
+    else:
+        y = out[0] + out[1][..., half.swap]
     letter = [int(t == key_out) for t in range(4)]
-    return (out[:, letter] * p_out[:, None, :]).reshape(v.shape)
+    return (y[:, letter] * p_out[:, None, :]).reshape(v.shape)
 
 
 def _side_profiles(grid: TransferGrid, a: float, eta: float, primed: bool) -> np.ndarray:
@@ -413,11 +515,6 @@ def _sign_factors(z: np.ndarray, w: np.ndarray):
     return agree, differ
 
 
-def _log_sum3(x1, x2, x3):
-    m = np.maximum(np.maximum(x1, x2), x3)
-    return m + np.log(np.exp(x1 - m) + np.exp(x2 - m) + np.exp(x3 - m))
-
-
 def _mirror_pairs(grid: TransferGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rung-node indices (as in ``_rung_nodes``) of the mirror pairs: the
     nodes at (z, w > 0), their partners at (z, -w), and the nodes without a
@@ -436,39 +533,54 @@ def _mirror_pairs(grid: TransferGrid) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _cell_pair_table(x: np.ndarray, z: np.ndarray, w: np.ndarray, a: float) -> np.ndarray:
     """Cell-pair factor of the rung integrand per rung node, shape
     (len(z), nx²): row n holds ``exp(-(3a+1)/2 lse(x_i + w/2, x_j - w/2, z))``
-    at cell pair (i, j).  The row at -w is the row at w with i and j swapped."""
-    lse = _log_sum3(
-        x[None, :, None] + 0.5 * w[:, None, None],
-        x[None, None, :] - 0.5 * w[:, None, None],
-        np.broadcast_to(z[:, None, None], (z.size, x.size, x.size)),
-    )
-    return np.exp(-0.5 * (3 * a + 1) * lse).reshape(z.size, -1)
+    at cell pair (i, j).  The row at -w is the row at w with i and j swapped.
+
+    It is evaluated as ``(e^(x_i + w/2) + e^(x_j - w/2) + e^z)^(-(3a+1)/2)``
+    from per-node exponentials, one power per entry.  The sum is not shifted
+    by its largest exponent: its exponents stay below x_hi + w_half/2, far
+    from overflow, whereas the shifted sum raised to the power overflows
+    once (3a+1)/2 (x_hi - x_lo) passes about 709 (a near 16 on the preset
+    boxes)."""
+    table = (np.exp(x[None, :, None] + 0.5 * w[:, None, None])
+             + np.exp(x[None, None, :] - 0.5 * w[:, None, None]))
+    table += np.exp(z)[:, None, None]
+    table **= -0.5 * (3 * a + 1)
+    return table.reshape(z.size, -1)
 
 
-def _gram_add(out: np.ndarray, f: np.ndarray, coef: np.ndarray) -> None:
-    """Add ``f.T @ diag(coef) @ f`` to ``out`` as Gram products ``g.T @ g``
-    of the rows scaled by sqrt|coef|, which BLAS evaluates as a symmetric
-    rank-k update.  Rows of negative weight are subtracted; rows of weight
-    exactly 0 change no sum and are left out."""
+def _gram_add(out: np.ndarray, f: np.ndarray, coef: np.ndarray, half: _HalfRows) -> None:
+    """Add the half rows of the core ``f.T @ diag(coef) @ f`` to ``out``.
+
+    The table ``f`` is indexed by the cell pair (i, j) of one rail, so the
+    core row (i, k), column (j, l) is the Gram entry [(i, j), (k, l)]; the
+    stored rows i <= k are the upper block triangle of the Gram product.
+    The products ``g.T @ g`` of the rows scaled by sqrt|coef| are what BLAS
+    evaluates as a symmetric rank-k update.  Rows of negative weight are
+    subtracted; rows of weight exactly 0 change no sum and are left out."""
+    nx = math.isqrt(half.swap.size)
     for combine, rows in ((np.add, coef > 0), (np.subtract, coef < 0)):
         if rows.any():
             g = f[rows]
             g *= np.sqrt(np.abs(coef[rows]))[:, None]
-            combine(out, g.T @ g, out=out)
+            gram = (g.T @ g).reshape(nx, nx, nx, nx)
+            combine(out, gram[half.lower, :, half.upper, :].reshape(out.shape), out=out)
 
 
-def _fold_mirrors(out: np.ndarray, sign: float, nx: int) -> None:
+def _fold_mirrors(out: np.ndarray, sign: float, half: _HalfRows) -> None:
     """Add the share of the mirrored rung nodes at eta = 0, given the sums
-    over their partners in ``out`` (cores before the cell-pair transpose).
+    over their partners in ``out`` (half-row cores before the cell weights).
 
-    The node at (z, -w) adds to core (is_a, is_b, same) what its partner
-    at (z, w) adds to core (is_b, is_a, same), with the cell pair
-    (i, j) -> (j, i) swapped on both sides, times ``sign`` (the parity of
-    the weight in w)."""
+    The node at (z, -w) adds to core (is_a, is_b, same) the transpose of
+    what its partner at (z, w) adds to core (is_b, is_a, same), times
+    ``sign`` (the parity of the weight in w).  The half rows of a transpose
+    T of a core with half rows R follow from the swap symmetry of both:
+    ``T[:, up] = R[:, up].T`` and ``T[:, mirror] = R[:, mirror].T``."""
     def mirrored(core):
-        swapped = core.reshape(nx, nx, nx, nx).transpose(1, 0, 3, 2).reshape(core.shape)
-        swapped *= sign
-        return swapped
+        flipped = np.empty_like(core)
+        flipped[:, half.mirror] = core[:, half.mirror].T
+        flipped[:, half.up] = core[:, half.up].T
+        flipped *= sign
+        return flipped
 
     for same in (0, 1):
         out[0, 0, same] += mirrored(out[0, 0, same])
@@ -487,7 +599,9 @@ def _core_sums(grid: TransferGrid, a: float, eta: float,
     fields share a node set), per-node sign and tree factors and the side
     profiles; per rung node the cores are weighted Gram sums of the table.
     The table is built one slab of rung nodes at a time, so the doubled
-    grid never holds it whole.
+    grid never holds it whole, and each slab's Gram products go straight
+    into half-row accumulators (``_gram_add``): no full nx²×nx² core is
+    kept.
 
     Rung nodes come in mirror pairs (z, w), (z, -w), and the table is built
     for the w > 0 partner only: the row at -w is the row at w with the cell
@@ -496,13 +610,12 @@ def _core_sums(grid: TransferGrid, a: float, eta: float,
     partner in the core with the letter flags swapped, so the Gram sums run
     over the w > 0 nodes alone and ``_fold_mirrors`` adds the mirrored half
     at the end; otherwise the mirrored rows (the column-permuted table, no
-    exp or log) join each slab's Gram products with their own coefficients.
+    exp or power) join each slab's Gram products with their own coefficients.
     Nodes without an exact mirror are summed directly.  Rows of weight
     exactly 0 are left out of every Gram product: ``differ`` underflows for
     z below about -6, which drops about 40% of the rows of the three
     sign-mismatch cores."""
     nx = grid.nx
-    nxx = nx * nx
     z, w, qw = _rung_nodes(grid)
     rho = qw * np.exp((a + 0.5) * z + eta * w)
     c_a = np.exp(-(z - 0.5 * w))  # extra factor when the left letter is A
@@ -510,8 +623,8 @@ def _core_sums(grid: TransferGrid, a: float, eta: float,
     agree, differ = _sign_factors(z, w)
     coefs = {(is_a, is_b, same): rho * (c_a if is_a else 1.0) * (c_b if is_b else 1.0)
              * (agree if same else differ) for is_a, is_b, same in _CORES}
-    sums = [np.zeros((2, 2, 2, nxx, nxx)) for _ in powers]
-    swap = np.arange(nxx).reshape(nx, nx).T.reshape(-1)  # cell pair (i, j) -> (j, i)
+    half = _half_rows(nx)
+    sums = [np.zeros((2, 2, 2, half.up.size, nx * nx)) for _ in powers]
 
     def add_rows(rows, mirrors):
         step = _RUNG_CHUNK if mirrors is None else _RUNG_CHUNK // 2
@@ -521,25 +634,23 @@ def _core_sums(grid: TransferGrid, a: float, eta: float,
             table = _cell_pair_table(grid.x_nodes, z[nodes], w[nodes], a)
             if mirrors is not None:
                 nodes = np.concatenate([nodes, mirrors[part]])
-                table = np.concatenate([table, table[:, swap]])
+                table = np.concatenate([table, table[:, half.swap]])
             for key, coef in coefs.items():
                 for out, k in zip(sums, powers):
-                    _gram_add(out[key], table, coef[nodes] * w[nodes] ** k)
+                    _gram_add(out[key], table, coef[nodes] * w[nodes] ** k, half)
 
     pos, neg, single = _mirror_pairs(grid)
     fold = eta == 0.0
     add_rows(pos, None if fold else neg)
     if fold:
         for out, k in zip(sums, powers):
-            _fold_mirrors(out, (-1.0) ** k, nx)
+            _fold_mirrors(out, (-1.0) ** k, half)
     add_rows(single, None)
     cell_w = np.sqrt(np.outer(grid.x_weights, grid.x_weights)).reshape(-1)
     for out in sums:
-        for key in _CORES:  # [(i,j), (k,l)] -> [(i,k), (j,l)], then weight
-            core = out[key]
-            core[...] = core.reshape(nx, nx, nx, nx).transpose(0, 2, 1, 3).reshape(nxx, nxx)
-            core *= cell_w[:, None]
-            core *= cell_w[None, :]
+        for key in _CORES:  # the A->B cores stay untouched zero pages
+            out[key] *= cell_w[half.up][:, None]
+            out[key] *= cell_w[None, :]
     return sums
 
 
@@ -569,8 +680,9 @@ def assemble_kernel(grid: TransferGrid, a: float, eta: float, tag: str = "one",
     if tag == "gamma":
         x = grid.x_nodes
         u = 0.5 * (x[:, None] + x[None, :]).reshape(-1)  # mean cell field
+        rows = u[_half_rows(grid.nx).up][:, None]
         for key in _CORES:  # diagonal profiles commute with diag(u)
-            sym[key] += u[:, None] * base[key] - base[key] * u[None, :]
+            sym[key] += rows * base[key] - base[key] * u[None, :]
     return OperatorMatrix(grid=grid, a=a, eta=eta, tag=tag, sym=sym,
                           left=_side_profiles(grid, a, eta, primed=False),
                           right=_side_profiles(grid, a, eta, primed=True))

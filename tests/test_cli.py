@@ -232,6 +232,56 @@ def test_chain_stats_operator_only(tmp_path):
     assert "operator_value" in doc["summary"]
 
 
+CHAIN_SMALL = ["chain-stats", "--n", "4", "--j", "2", "--i", "1", "--grid", "small", "--seed", "1"]
+
+
+def test_chain_stats_tag_one_refuses_mcmc_samples(tmp_path, capsys):
+    # with tag 'one' the operator value is the normalization 1, which the
+    # sampled Gamma mean does not estimate
+    out = tmp_path / "chain.json"
+    assert run(CHAIN_SMALL + ["--tag", "one", "--mcmc-samples", "2000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "tag" in err and "mcmc_samples" in err
+    assert not out.exists()
+    # the same combination split between a config file and a flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "chain-stats", "params": {"tag": "one"}}))
+    assert run(CHAIN_SMALL + ["--config", str(cfg), "--mcmc-samples", "50",
+                              "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_chain_stats_without_finite_stderr_fails(tmp_path):
+    # three samples are too few for batch means: the standard error is
+    # infinite, and an infinite error bar agrees with nothing
+    out = tmp_path / "chain.json"
+    assert run(CHAIN_SMALL + ["--mcmc-samples", "3", "--out", str(out)]) == 1
+    doc = read_strict_json(out)
+    assert doc["status"] == "check-failure"
+    assert doc["summary"]["mcmc_stderr"] == "inf" and doc["summary"]["agree_3sigma"] is False
+
+
+def test_dump_matrix_rows_are_the_kernel_values(tmp_path):
+    from ladderlab import transfer
+    from ladderlab.cli import _grid_params
+
+    dump = tmp_path / "k.csv"
+    assert run(["spectrum", "--grid", "small", "--dump-matrix", str(dump),
+                "--out", str(tmp_path / "spec.json")]) == 0
+    grid = transfer.build_grid(_grid_params("small"), a=1.0)
+    want = transfer.assemble_kernel(grid, 1.0, 0.0).kernel_values()
+    lines = dump.read_text().splitlines()
+    assert lines[0].startswith("# ladderlab csv schema v") and lines[1].startswith("# config: ")
+    assert lines[2].split(",") == ["row"] + [f"c{j}" for j in range(grid.size)]
+    assert len(lines) == 3 + grid.size
+    for idx, line in enumerate(lines[3:]):
+        fields = line.split(",")
+        assert fields[0] == str(idx) and len(fields) == 1 + grid.size
+        row = [float(v) for v in fields[1:]]
+        assert all(math.isfinite(v) for v in row)
+        assert row == want[idx].tolist(), idx
+
+
 def read_strict_json(path):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")

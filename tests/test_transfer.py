@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -33,11 +34,17 @@ def ctx(grid):
     return TransferContext(grid, A)
 
 
+SMALL = GridParams(nx_core=8, nx_tail=4, nz_core=24, nz_tail=8, nv=24, nzb=48)
+
+
 @pytest.fixture(scope="module")
 def small_grid():
-    return build_grid(
-        GridParams(nx_core=8, nx_tail=4, nz_core=24, nz_tail=8, nv=24, nzb=48), a=A
-    )
+    return build_grid(SMALL, a=A)
+
+
+@pytest.fixture(scope="module")
+def odd_grid():
+    return build_grid(GridParams(nx_core=7, nx_tail=4, nz_core=24, nz_tail=8, nv=24, nzb=48), a=A)
 
 
 def test_build_grid_reports_conservative_radius(grid):
@@ -303,19 +310,26 @@ def test_apply_right_matches_matrix(ctx, grid):
 
 @pytest.mark.parametrize("tag", ["one", "gamma"])
 @pytest.mark.parametrize("eta", [-0.25, 0.0, 0.25])
-def test_factorized_products_match_dense(small_grid, tag, eta):
-    op = assemble_kernel(small_grid, A, eta, tag)
-    dense = op.dense()
-    sw = small_grid.sqrt_w
-    f = np.random.default_rng(11).standard_normal(small_grid.size)
-
+def test_factorized_products_match_dense(small_grid, odd_grid, tag, eta):
     def rel(got, want):
         return np.linalg.norm(got - want) / np.linalg.norm(want)
 
-    assert rel(op.apply_right(f), ((f * sw) @ dense) / sw) < 1e-13
-    assert rel(op.apply_left(f), (dense @ (f * sw)) / sw) < 1e-13
-    assert op.hs_norm() == pytest.approx(np.linalg.norm(dense), rel=1e-13)
-    assert rel(op.kernel_values() * np.outer(sw, sw), dense) < 1e-13
+    for grid in (small_grid, odd_grid):  # nx = 12 and 11
+        op = assemble_kernel(grid, A, eta, tag)
+        dense = op.dense()
+        sw = grid.sqrt_w
+        gen = np.random.default_rng(11)
+        f = gen.standard_normal(grid.size)
+        many = gen.standard_normal((3, grid.size))
+        assert rel(op.apply_right(f), ((f * sw) @ dense) / sw) < 1e-13
+        assert rel(op.apply_left(f), (dense @ (f * sw)) / sw) < 1e-13
+        assert op.vecmat(many).shape == op.matvec(many).shape == many.shape
+        for got, want in zip(op.vecmat(many), many @ dense):
+            assert rel(got, want) < 1e-13
+        for got, want in zip(op.matvec(many), many @ dense.T):
+            assert rel(got, want) < 1e-13
+        assert op.hs_norm() == pytest.approx(np.linalg.norm(dense), rel=1e-13)
+        assert rel(op.kernel_values() * np.outer(sw, sw), dense) < 1e-13
 
 
 def test_gamma_kernel_reuses_plain_cores(small_grid):
@@ -399,6 +413,54 @@ def test_cores_match_direct_sum(kind, tag, eta):
     pos, neg, single = _mirror_pairs(g)
     assert sorted(np.concatenate([pos, neg, single])) == list(range(g.z_nodes.size * vn.size))
     assert (pos.size > 0) == (kind != "asymmetric") and (single.size > 0) == (kind != "even")
-    got = assemble_kernel(g, A, eta, tag).sym
+    op = assemble_kernel(g, A, eta, tag)
+    got = np.array([[[op.full_core(is_a, is_b, same) for same in (0, 1)] for is_b in (0, 1)]
+                    for is_a in (0, 1)])
     want = _direct_cores(g, eta, tag)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the rail swap (i, k), (j, l) -> (k, i), (l, j) leaves every core as it is,
+    # which is what lets the operator store half the rows
+    nx = g.nx
+    swapped = want.reshape(2, 2, 2, nx, nx, nx, nx).transpose(0, 1, 2, 4, 3, 6, 5)
+    assert np.max(np.abs(swapped.reshape(want.shape) - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def _lse_table(x, z, w, a):
+    """Oracle of the cell-pair table: exp(-(3a+1)/2 lse(x_i + w/2, x_j - w/2, z))
+    per rung node and cell pair, the log-sum-exp taken in 40-digit decimal
+    arithmetic."""
+    out = np.empty((z.size, x.size, x.size))
+    with decimal.localcontext() as dc:
+        dc.prec = 40
+        dec = decimal.Decimal
+        power = -dec(3 * a + 1) / 2
+        for n, (zn, wn) in enumerate(zip(z, w)):
+            lo = [(dec(v) + dec(wn) / 2).exp() for v in x]
+            hi = [(dec(v) - dec(wn) / 2).exp() for v in x]
+            ez = dec(zn).exp()
+            for i in range(x.size):
+                for j in range(x.size):
+                    out[n, i, j] = float((power * (lo[i] + hi[j] + ez).ln()).exp())
+    return out.reshape(z.size, -1)
+
+
+@pytest.mark.parametrize("params, a", [(SMALL, A), (GridParams(), A), (GridParams().doubled(), A),
+                                       (SMALL, 28.0)],
+                         ids=["small", "default", "doubled", "small-a28"])
+def test_cell_pair_table_matches_log_sum_exp(params, a):
+    from ladderlab.transfer import _cell_pair_table, _rung_nodes
+
+    g = build_grid(params, a=a)
+    z, w, _ = _rung_nodes(g)
+    rows = np.linspace(0, z.size - 1, 6).astype(int)  # both ends of z and of w
+    got = _cell_pair_table(g.x_nodes, z[rows], w[rows], a)
+    want = _lse_table(g.x_nodes, z[rows], w[rows], a)
+    normal = want >= np.finfo(float).tiny  # at a=28 part of the table underflows
+    assert normal.mean() > 0.5 and np.all(got[~normal] < np.finfo(float).tiny)
+    # the power (3a+1)/2 amplifies the rounding of the exponents x +- w/2
+    err = np.abs(got[normal] - want[normal]) / want[normal]
+    assert np.max(err) <= 1e-14 * max(1.0, (3 * a + 1) / 4)
+    if params == SMALL:  # the row at -w is the row at w with the cell pair swapped
+        nx = g.nx
+        pair = _cell_pair_table(g.x_nodes, z[rows], -w[rows], a)
+        assert np.array_equal(pair, got.reshape(-1, nx, nx).transpose(0, 2, 1).reshape(got.shape))

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ladderlab.environment import CycleSpin, RungSpin, T_TO_INT, boundary_core_vec, middle_energy
+from ladderlab.environment import boundary_core_vec, middle_energy
 from ladderlab.ladder import LadderError
 from ladderlab.rng import RngSpec
 
@@ -198,16 +198,6 @@ class BoundReport:
     worst_point: dict = field(default_factory=dict)
     passed: bool = True
     details: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "min_margin": self.min_margin,
-            "worst_point": self.worst_point,
-            "passed": self.passed,
-            "details": self.details,
-        }
 
 
 def verify_linear_minorant() -> BoundReport:
@@ -485,26 +475,27 @@ def check_boundary_bound(
 
 
 def gamma_derivatives(
-    cyc: CycleSpin, rung: RungSpin, cyc2: CycleSpin, a: float, gamma_shift: float
+    xlo: float, xhi: float, ss: int, t: int,
+    z: float, gamma: float,
+    xlo2: float, xhi2: float, ss2: int, t2: int,
+    a: float, gamma_shift: float,
 ) -> tuple[float, float]:
     """First and second derivative of the zero-coupling energy along the
-    shift that moves the separation only when the signs disagree."""
+    shift that moves the separation only when the signs disagree; the
+    fields as in ``middle_energy``, without its ``eta``."""
     if not -1.0 <= gamma_shift <= 1.0:
         raise LadderError(f"shift {gamma_shift} outside [-1, 1]")
-    if cyc.sigma == cyc2.sigma:
+    if ss == ss2:
         return 0.0, 0.0
-    t, t2 = T_TO_INT[cyc.t], T_TO_INT[cyc2.t]
     if t == 0 and t2 == 1:
         return 0.0, 0.0  # infinite plateau: constant in the shift
-    g = rung.gamma + gamma_shift
-    u = 0.5 * (cyc.xlo + cyc.xhi)
-    u2 = 0.5 * (cyc2.xlo + cyc2.xhi)
-    w = g + u2 - u
-    z = rung.z
+    u = 0.5 * (xlo + xhi)
+    u2 = 0.5 * (xlo2 + xhi2)
+    w = gamma + gamma_shift + u2 - u
     coef = 0.5 * (3.0 * a + 1.0)
     d1 = 0.0
     d2 = 0.0
-    for lo, lo2 in ((cyc.xlo, cyc2.xlo), (cyc.xhi, cyc2.xhi)):
+    for lo, lo2 in ((xlo, xlo2), (xhi, xhi2)):
         arr = np.array([lo + 0.5 * w, lo2 - 0.5 * w, z])
         m = arr.max()
         p = np.exp(arr - m)
@@ -539,17 +530,14 @@ def gamma_derivative_fd_errors(gen: np.random.Generator, count: int,
     h = 1e-4
     worst1 = worst2 = 0.0
     for _ in range(count):
-        t, t2 = PAIRS[gen.integers(len(PAIRS))]
-        c1 = CycleSpin(gen.normal(scale=2), gen.normal(scale=2), -1, t)
-        c2 = CycleSpin(gen.normal(scale=2), gen.normal(scale=2), 1, t2)
-        r = RungSpin(gen.normal(scale=2), gen.normal(scale=2))
+        t, t2 = (STATES.index(c) for c in PAIRS[gen.integers(len(PAIRS))])
+        xlo, xhi, xlo2, xhi2, z, gamma = (gen.normal(scale=2) for _ in range(6))
         g = float(gen.uniform(-1, 1))
         a = 1.0 if a_range is None else float(gen.uniform(*a_range))
-        d1, d2 = gamma_derivatives(c1, r, c2, a, g)
+        d1, d2 = gamma_derivatives(xlo, xhi, -1, t, z, gamma, xlo2, xhi2, 1, t2, a, g)
 
         def f(shift):
-            return middle_energy(c1.xlo, c1.xhi, c1.sigma, T_TO_INT[c1.t], r.z, r.gamma + shift,
-                                 c2.xlo, c2.xhi, c2.sigma, T_TO_INT[c2.t], a, 0.0)
+            return middle_energy(xlo, xhi, -1, t, z, gamma + shift, xlo2, xhi2, 1, t2, a, 0.0)
 
         fd1 = (f(g + h) - f(g - h)) / (2 * h)
         fd2 = (f(g + h) - 2 * f(g) + f(g - h)) / (h * h)

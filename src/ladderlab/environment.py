@@ -34,16 +34,9 @@ INT_TO_T = "ABCD"
 __all__ = [
     "SpinConfig",
     "EnvironmentPoint",
-    "HamiltonianParams",
-    "CycleSpin",
-    "RungSpin",
     "log_phi",
     "scaling_law_residual",
     "normalize_weights",
-    "h_middle",
-    "h_middle_parts",
-    "h_left",
-    "h_right",
     "h_total",
     "psi_forward",
     "psi_inverse",
@@ -51,7 +44,6 @@ __all__ = [
     "gibbs_identity_residual",
     "gibbs_identity_sweep",
     "middle_energy",
-    "middle_energy_no_exp2",
     "left_energy",
     "right_energy",
     "tree_letter",
@@ -163,11 +155,6 @@ class MiddleParts(NamedTuple):
     def total(self) -> float:
         return INF if self.constrained else coupling_total(*self[:6])
 
-    @property
-    def total_no_exp2(self) -> float:
-        # adding -0.0 leaves every float bit-unchanged: the sum without the sign term
-        return INF if self.constrained else coupling_total(*self[:4], -0.0, self.eta_term)
-
 
 def middle_parts(
     xlo: float, xhi: float, ss: int, t: int,
@@ -201,17 +188,6 @@ def middle_energy(
     return middle_parts(xlo, xhi, ss, t, z, gamma, xlo2, xhi2, ss2, t2, a, eta).total
 
 
-def middle_energy_no_exp2(
-    xlo: float, xhi: float, t: int,
-    z: float, gamma: float,
-    xlo2: float, xhi2: float, t2: int,
-    a: float, eta: float,
-) -> float:
-    """Coupling energy with the sign-interaction term removed; it does not
-    depend on the sign variables at all."""
-    return middle_parts(xlo, xhi, 1, t, z, gamma, xlo2, xhi2, 1, t2, a, eta).total_no_exp2
-
-
 def left_energy(z0: float, xlo: float, xhi: float, t: int, a: float) -> float:
     """Boundary energy binding the left rung to the first cell."""
     u = 0.5 * (xlo + xhi)
@@ -242,33 +218,7 @@ def boundary_core_vec(xlo, xhi, z, t: int, a: float, side: str):
 
 
 # ---------------------------------------------------------------------------
-# typed interface
-
-
-class CycleSpin(NamedTuple):
-    xlo: float
-    xhi: float
-    sigma: int
-    t: str
-
-
-class RungSpin(NamedTuple):
-    z: float
-    gamma: float
-
-
-@dataclass(frozen=True)
-class HamiltonianParams:
-    """Initial weight ``a > 0`` and the coupling ``eta`` of the separation term."""
-
-    a: float
-    eta: float = 0.25
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise LadderError(f"initial weight must be positive, got a={self.a}")
-        if not -0.25 <= self.eta <= 0.25:
-            raise LadderError(f"eta={self.eta} outside [-1/4, 1/4]")
+# configurations and the total energy
 
 
 @dataclass(frozen=True)
@@ -315,14 +265,6 @@ class SpinConfig:
     def n(self) -> int:
         return self.xlo.size
 
-    def cycle(self, i: int) -> CycleSpin:
-        """Cell fields at position ``i`` (1-based)."""
-        return CycleSpin(float(self.xlo[i - 1]), float(self.xhi[i - 1]), int(self.sigma[i - 1]), self.t[i - 1])
-
-    def rung(self, i: int) -> RungSpin:
-        """Inner-rung fields between cells ``i`` and ``i+1`` (1-based)."""
-        return RungSpin(float(self.z[i - 1]), float(self.gamma[i - 1]))
-
     def admissible(self) -> bool:
         return "AB" not in self.t
 
@@ -340,31 +282,6 @@ class SpinConfig:
         if self.n > 1:
             out[1:] = -self.z0 - np.cumsum(self.w())
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "Z0": self.z0,
-            "Xlo": self.xlo.tolist(),
-            "Xhi": self.xhi.tolist(),
-            "sigma": self.sigma.tolist(),
-            "T": self.t,
-            "Z": self.z.tolist(),
-            "Gamma": self.gamma.tolist(),
-            "Zn": self.zn,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SpinConfig":
-        return cls(
-            z0=float(doc["Z0"]),
-            xlo=np.asarray(doc["Xlo"], dtype=float),
-            xhi=np.asarray(doc["Xhi"], dtype=float),
-            sigma=np.asarray(doc["sigma"], dtype=np.int8),
-            t="".join(doc["T"]),
-            z=np.asarray(doc["Z"], dtype=float),
-            gamma=np.asarray(doc["Gamma"], dtype=float),
-            zn=float(doc["Zn"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -390,45 +307,6 @@ class EnvironmentPoint:
     def n(self) -> int:
         return self.x.n
 
-    def to_json(self) -> dict:
-        return {"x": self.x.values.tolist(), "y": self.y.tolist(), "code": self.code.states}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "EnvironmentPoint":
-        return cls(
-            x=EdgeWeights(np.asarray(doc["x"], dtype=float), normalization="rung-zero-unit"),
-            y=np.asarray(doc["y"], dtype=float),
-            code=SpanningTreeCode(doc["code"]),
-        )
-
-
-def h_middle(cyc: CycleSpin, rung: RungSpin, cyc2: CycleSpin, params: HamiltonianParams) -> float:
-    return middle_energy(
-        cyc.xlo, cyc.xhi, cyc.sigma, T_TO_INT[cyc.t],
-        rung.z, rung.gamma,
-        cyc2.xlo, cyc2.xhi, cyc2.sigma, T_TO_INT[cyc2.t],
-        params.a, params.eta,
-    )
-
-
-def h_middle_parts(cyc: CycleSpin, rung: RungSpin, cyc2: CycleSpin, params: HamiltonianParams) -> MiddleParts:
-    """All named pieces of the coupling energy; the tests check the minorant
-    and the bound constants against these pieces."""
-    return middle_parts(
-        cyc.xlo, cyc.xhi, cyc.sigma, T_TO_INT[cyc.t],
-        rung.z, rung.gamma,
-        cyc2.xlo, cyc2.xhi, cyc2.sigma, T_TO_INT[cyc2.t],
-        params.a, params.eta,
-    )
-
-
-def h_left(z0: float, cyc: CycleSpin, a: float) -> float:
-    return left_energy(z0, cyc.xlo, cyc.xhi, T_TO_INT[cyc.t], a)
-
-
-def h_right(cyc: CycleSpin, zn: float, a: float) -> float:
-    return right_energy(cyc.xlo, cyc.xhi, T_TO_INT[cyc.t], zn, a)
-
 
 def h_total(omega: SpinConfig, a: float, deform_j: int = 0) -> float:
     """Total chain energy; the first ``deform_j`` couplings lose the
@@ -449,13 +327,6 @@ def h_total(omega: SpinConfig, a: float, deform_j: int = 0) -> float:
             return INF
     total += right_energy(float(omega.xlo[n - 1]), float(omega.xhi[n - 1]), T_TO_INT[omega.t[n - 1]], omega.zn, a)
     return total
-
-
-def sigma_j(omega: SpinConfig, j: int) -> float:
-    """Accumulated separation over the first ``j`` rungs (quarter sum)."""
-    if not 0 <= j <= omega.n - 1:
-        raise LadderError(f"j={j} outside 0..{omega.n - 1}")
-    return 0.25 * float(np.sum(omega.gamma[:j]))
 
 
 # ---------------------------------------------------------------------------

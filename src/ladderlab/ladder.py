@@ -96,15 +96,6 @@ class LadderGraph:
                 return e
         raise LadderError(f"vertices {u} and {v} are not adjacent")
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "edges": [
-                {"index": e, "kind": kind, "u": list(divmod(u, 2))[::-1], "v": list(divmod(v, 2))[::-1]}
-                for e, (kind, u, v) in enumerate(self.edges)
-            ],
-        }
-
 
 def build(n: int) -> LadderGraph:
     """Construct the ladder with ``n`` cells (``n >= 1``)."""

@@ -74,7 +74,6 @@ class McmcConfig:
     thinning: int = 2
     samples: int = 10_000
     rng: RngSpec = RngSpec(0)
-    tune: bool = True
     init: SpinConfig | None = None
     debug_log_moves: int = 0
 
@@ -337,11 +336,11 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
         for c in _CLASSES:
             propose[c] += per_sweep[c]
 
-    # burn-in with optional scale tuning toward 0.4 acceptance
+    # burn-in with scale tuning toward 0.4 acceptance
     window = 50
     for b in range(cfg.burn_in):
         sweep()
-        if cfg.tune and (b + 1) % window == 0:
+        if (b + 1) % window == 0:
             for c in _SCALED:
                 if propose[c]:
                     rate = accept[c] / propose[c]
@@ -445,18 +444,6 @@ class TailCurve:
     intercept: float | None
     censored: list
     degenerate: bool
-
-    def to_json(self) -> dict:
-        return {
-            "thresholds": self.thresholds.tolist(),
-            "counts": self.counts.tolist(),
-            "log_freq": self.log_freq.tolist(),
-            "err": self.err.tolist(),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "censored": self.censored,
-            "degenerate": self.degenerate,
-        }
 
 
 def tail_estimate(batch: SampleBatch, name: str, thresholds: Sequence[float],

@@ -26,14 +26,6 @@ class ResistanceResult:
     potentials: np.ndarray  # one entry per reduced node, far end last (grounded)
     harmonic_defect: float  # worst violation of current balance at interior nodes
 
-    def to_json(self) -> dict:
-        return {
-            "R": self.resistance,
-            "C": self.conductance,
-            "potentials": self.potentials.tolist(),
-            "harmonic_defect": self.harmonic_defect,
-        }
-
 
 def _as_weights(x, n: int) -> EdgeWeights:
     if not isinstance(x, EdgeWeights):

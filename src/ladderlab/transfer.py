@@ -5,8 +5,8 @@ discretized with composite Gauss-Legendre panels on a truncated box; the
 coupling kernel integrates the middle energy over the rung fields with its
 own quadrature.  Matrices are stored in the quadrature-weighted
 ("square-root") form S = diag(sqrt(w)) k diag(sqrt(w)), so inner products
-of weighted vectors are plain dot products and left/right operator actions
-are plain matrix products.
+of weighted vectors are plain dot products and the operator and its adjoint
+act by plain matrix products (``vecmat``, ``matvec``).
 
 S is never stored dense.  Its block between tree letters t, t2 and signs
 s, s2 is diag(left[t]) C[t == A, t2 == B, s == s2] diag(right[t2]): eight
@@ -216,17 +216,6 @@ class TransferGrid:
         cell = np.sqrt(np.outer(self.x_weights, self.x_weights)).reshape(-1)
         return np.tile(cell, _STATE_BLOCKS)
 
-    def reflect_permutation(self) -> np.ndarray:
-        """State permutation of the letter swap A <-> B (fields, sign fixed)."""
-        perm = np.arange(self.size)
-        nxx = self.nx * self.nx
-        for t, t2 in ((0, 1), (1, 0), (2, 2), (3, 3)):
-            for s in (0, 1):
-                src = (t * 2 + s) * nxx
-                dst = (t2 * 2 + s) * nxx
-                perm[src:src + nxx] = np.arange(dst, dst + nxx)
-        return perm
-
 
 def build_grid(params: GridParams | None = None, a: float = 1.0,
                eta_max: float = 0.25) -> TransferGrid:
@@ -340,9 +329,10 @@ class OperatorMatrix:
     (i, k), i <= k, of each core (see ``_half_rows``): the other rows are
     the same with the column cells swapped, so the cores take about a
     sixteenth of the bytes of the dense S.  ``vecmat`` and ``matvec`` are
-    the only products; ``block_row`` (and ``dense()`` and the kernel values
-    built on it) materializes S one state block of rows at a time, for
-    tests and dumps.
+    the only products (``apply_right`` is ``vecmat`` on function values);
+    ``block_row`` materializes S one state block of rows at a time, for
+    ``dense()`` in tests and for the raw kernel rows of ``kernel_rows``.
+    Raw kernel values are S divided by ``grid.sqrt_w`` on both sides.
     """
 
     grid: TransferGrid
@@ -421,19 +411,10 @@ class OperatorMatrix:
             rows /= sw
             yield rows
 
-    def kernel_values(self) -> np.ndarray:
-        """Raw kernel values k(state, state'), shape (size, size)."""
-        return np.concatenate(list(self.kernel_rows()))
-
     def apply_right(self, f: np.ndarray) -> np.ndarray:
         """Function values of (f K), the operator acting from the right."""
         sw = self.grid.sqrt_w
         return self.vecmat(f * sw) / sw
-
-    def apply_left(self, g: np.ndarray) -> np.ndarray:
-        """Function values of (K g), the adjoint action."""
-        sw = self.grid.sqrt_w
-        return self.matvec(g * sw) / sw
 
 
 def _block_product(v: np.ndarray, sym: np.ndarray, p_in: np.ndarray, key_in: int,
@@ -692,6 +673,14 @@ def assemble_kernel(grid: TransferGrid, a: float, eta: float, tag: str = "one",
 class EigenTriple:
     """Leading eigenvalue with left/right eigenfunction values on the grid.
 
+    ``left`` and ``right`` are the weighted eigenvectors divided by
+    ``grid.sqrt_w``, i.e. function values: a pairing of the two, or of
+    either with a weighted vector, must multiply them by ``sqrt_w`` again.
+    With ``l = left * sqrt_w`` and ``r = right * sqrt_w``, ``l @ r == 1``
+    and ``<l, K_gamma r> / (value * <l, r>)`` is the bulk mean of gamma (on
+    the default grid at a = 1, eta = 1/4: 0.7235; the same pairing of the
+    unweighted ``left``/``right`` reads 0.605).
+
     ``gap`` is the modulus ratio |λ2|/λ1 (the convergence factor of the
     power iteration), not a difference of eigenvalues; ``gap_residual`` is
     the relative eigen-residual of the λ2 estimate and ``gap_iterations``
@@ -708,51 +697,37 @@ class EigenTriple:
     gap_residual: float
     gap_iterations: int
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "residual_left": self.residual_left,
-            "residual_right": self.residual_right,
-            "gap": self.gap,  # |lambda2| / lambda1, a ratio
-            "gap_residual": self.gap_residual,
-            "gap_iterations": self.gap_iterations,
-            "iterations": self.iterations,
-        }
 
-
+_TOL, _MAX_ITER = 1e-13, 20_000  # stop rule of the leading power iterations
 _GAP_TOL, _GAP_MAX_ITER = 1e-10, 2_000  # stop rule of the second-eigenvalue iteration
 
 
-def _power_iteration(product, u: np.ndarray, tol: float,
-                     max_iter: int) -> tuple[np.ndarray, float, float, int]:
-    """Power iteration from ``u``; stops once ||u S - λ u|| / λ < tol for
-    the unit iterate u and λ = ||u S||."""
+def _power_iteration(product, u: np.ndarray) -> tuple[np.ndarray, float, float, int]:
+    """Power iteration from ``u``; stops once ||u S - λ u|| / λ < ``_TOL``
+    for the unit iterate u and λ = ||u S|| (at most ``_MAX_ITER`` products)."""
     u = u / np.linalg.norm(u)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         v = product(u)
         lam = float(np.linalg.norm(v))
         resid = float(np.linalg.norm(v - lam * u)) / lam
-        if resid < tol:
+        if resid < _TOL:
             break
         u = v / lam
     return u, lam, resid, it
 
 
-def leading_triple(op: OperatorMatrix, tol: float = 1e-13, max_iter: int = 20_000,
-                   seed: int = 0) -> EigenTriple:
+def leading_triple(op: OperatorMatrix, seed: int = 0) -> EigenTriple:
     """Leading eigen-triple by power iteration on the operator and its
-    adjoint, then the second eigenvalue by power iteration on the operator
-    with the leading pair projected out, stopped once the Rayleigh
-    quotient's eigen-residual falls below ``_GAP_TOL`` (at most
-    ``_GAP_MAX_ITER`` products)."""
+    adjoint (stopped by ``_TOL``), then the second eigenvalue by power
+    iteration on the operator with the leading pair projected out, stopped
+    once the Rayleigh quotient's eigen-residual falls below ``_GAP_TOL`` (at
+    most ``_GAP_MAX_ITER`` products)."""
     if op.tag != "one":
         raise LadderError("eigen-triples are defined for the plain kernel only")
     gen = np.random.default_rng(seed)
-    u_left, lam_l, res_l, it_l = _power_iteration(
-        op.vecmat, gen.uniform(0.5, 1.5, size=op.size), tol, max_iter)
-    u_right, lam_r, res_r, it_r = _power_iteration(
-        op.matvec, gen.uniform(0.5, 1.5, size=op.size), tol, max_iter)
-    if res_l > tol * 100 or res_r > tol * 100:
+    u_left, lam_l, res_l, it_l = _power_iteration(op.vecmat, gen.uniform(0.5, 1.5, size=op.size))
+    u_right, lam_r, res_r, it_r = _power_iteration(op.matvec, gen.uniform(0.5, 1.5, size=op.size))
+    if res_l > _TOL * 100 or res_r > _TOL * 100:
         raise LadderError(
             f"power iteration stalled: residuals {res_l:.2e}/{res_r:.2e} after "
             f"{it_l}/{it_r} iterations"

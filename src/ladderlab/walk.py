@@ -296,12 +296,6 @@ class ReturnStatistics:
     ci_low: float
     ci_high: float
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n, "k": self.k, "replicas": self.replicas,
-            "fraction": self.fraction, "ci": [self.ci_low, self.ci_high],
-        }
-
 
 def return_statistics(graph: LadderGraph, a: float, k: int, rng: RngSpec,
                       replicas: int) -> ReturnStatistics:

@@ -11,7 +11,6 @@ from ladderlab.certificates import (
     _BLOCK,
     PAIRS,
     STATES,
-    BoundReport,
     check_boundary_bound,
     check_middle_bound,
     gamma_derivative_fd_errors,
@@ -28,13 +27,7 @@ from ladderlab.certificates import (
     verify_linear_minorant,
 )
 from ladderlab.cli import run
-from ladderlab.environment import (
-    CycleSpin,
-    HamiltonianParams,
-    RungSpin,
-    h_middle_parts,
-    middle_energy_no_exp2,
-)
+from ladderlab.environment import middle_parts
 from ladderlab.ladder import LadderError
 from ladderlab.rng import RngSpec
 
@@ -114,14 +107,11 @@ def test_minorant_identity_certifies_the_scan_tree_steps(monkeypatch):
 def test_minorant_numeric_spot_check():
     # direct inequality at half initial weight on random 6-tuples
     rng = np.random.default_rng(2)
-    params = HamiltonianParams(a=0.5001, eta=0.25)  # eta plays no role below
     for _ in range(1000):
         xlo, xhi, z, gamma, xlo2, xhi2 = rng.uniform(-20, 20, size=6)
         t, t2 = PAIRS[rng.integers(len(PAIRS))]
-        parts = h_middle_parts(
-            CycleSpin(xlo, xhi, 1, t), RungSpin(z, gamma), CycleSpin(xlo2, xhi2, 1, t2),
-            HamiltonianParams(a=0.5, eta=0.25),
-        )
+        parts = middle_parts(xlo, xhi, 1, STATES.index(t), z, gamma,
+                             xlo2, xhi2, 1, STATES.index(t2), 0.5, 0.25)
         lhs = parts.h_ln + parts.h_linear + parts.h_tree - 0.25 * gamma
         c = minorant_certificate(t, t2)
         rhs = (
@@ -145,9 +135,9 @@ def test_middle_no_exp2_vec_matches_scalar():
         a = rng.uniform(0.6, 4)
         eta = rng.uniform(-0.25, 0.25)
         vec = middle_no_exp2_vec(*(np.array([v]) for v in pt), t=t, t2=t2, a=a, eta=eta)
-        ti = "ABCD".index(t)
-        t2i = "ABCD".index(t2)
-        scal = middle_energy_no_exp2(pt[0], pt[1], ti, pt[2], pt[3], pt[4], pt[5], t2i, a, eta)
+        p = middle_parts(pt[0], pt[1], 1, STATES.index(t), pt[2], pt[3],
+                         pt[4], pt[5], 1, STATES.index(t2), a, eta)
+        scal = p.h_ln + p.h_linear + p.h_tree + p.h_exp1 + p.eta_term  # all parts but h_exp2
         assert vec[0] == pytest.approx(scal, rel=1e-12, abs=1e-12)
 
 
@@ -190,9 +180,7 @@ def test_boundary_bound_unit_weight(side):
 
 
 def test_gamma_derivatives_zero_when_signs_agree():
-    c1 = CycleSpin(0.5, -1.0, 1, "C")
-    c2 = CycleSpin(0.2, 0.7, 1, "D")
-    assert gamma_derivatives(c1, RungSpin(0.3, -0.2), c2, 1.0, 0.5) == (0.0, 0.0)
+    assert gamma_derivatives(0.5, -1.0, 1, 2, 0.3, -0.2, 0.2, 0.7, 1, 3, 1.0, 0.5) == (0.0, 0.0)
 
 
 def test_gamma_derivatives_match_finite_differences():
@@ -206,13 +194,12 @@ def _derivative_excess(rng, a, count):
     """max over samples of |derivative| - sign-interaction energy."""
     out = -math.inf
     for _ in range(count):
-        t, t2 = PAIRS[rng.integers(len(PAIRS))]
-        c1 = CycleSpin(rng.normal(scale=3), rng.normal(scale=3), -1, t)
-        c2 = CycleSpin(rng.normal(scale=3), rng.normal(scale=3), 1, t2)
-        r = RungSpin(rng.normal(scale=3), rng.normal(scale=3))
-        parts = h_middle_parts(c1, r, c2, HamiltonianParams(a, 0.0))
+        t, t2 = (STATES.index(c) for c in PAIRS[rng.integers(len(PAIRS))])
+        xlo, xhi, xlo2, xhi2, z, gamma = (rng.normal(scale=3) for _ in range(6))
+        fields = (xlo, xhi, -1, t, z, gamma, xlo2, xhi2, 1, t2, a)
+        parts = middle_parts(*fields, 0.0)
         for g in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            d1, d2 = gamma_derivatives(c1, r, c2, a, g)
+            d1, d2 = gamma_derivatives(*fields, g)
             out = max(out, abs(d1) - parts.h_exp2, abs(d2) - parts.h_exp2)
     return out
 
@@ -225,12 +212,6 @@ def test_gamma_derivative_bound_calibrates_and_validates():
     for seed in range(10):
         fresh = _derivative_excess(np.random.default_rng(200 + seed), a, 500)
         assert fresh <= c8_hat + 1e-9
-
-
-def test_bound_report_json():
-    report = BoundReport(name="x", samples=3, min_margin=0.5)
-    doc = report.to_json()
-    assert doc["name"] == "x" and doc["samples"] == 3
 
 
 # ---------------------------------------------------------------------------

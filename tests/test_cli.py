@@ -90,6 +90,17 @@ def test_verify_scaling_suite(tmp_path):
     assert doc["summary"]["checks"][0]["details"]["max_relative_residual"] < 1e-12
 
 
+@pytest.mark.parametrize("suite, samples", [("gibbs-identity", 5), ("gamma-derivatives", 19)])
+def test_verify_fails_a_check_that_ran_no_samples(tmp_path, suite, samples):
+    # samples // 9 and samples // 20 are 0: nothing was checked, so nothing passed
+    out = tmp_path / "empty.json"
+    assert run(["verify", "--suite", suite, "--samples", str(samples), "--out", str(out)]) == 1
+    doc = read_json(out)
+    assert doc["status"] == "check-failure" and not doc["summary"]["passed"]
+    (check,) = doc["summary"]["checks"]
+    assert check["details"]["samples"] == 0 and not check["passed"]
+
+
 def test_simulate_csv_deterministic(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -269,7 +280,8 @@ def test_dump_matrix_rows_are_the_kernel_values(tmp_path):
     assert run(["spectrum", "--grid", "small", "--dump-matrix", str(dump),
                 "--out", str(tmp_path / "spec.json")]) == 0
     grid = transfer.build_grid(_grid_params("small"), a=1.0)
-    want = transfer.assemble_kernel(grid, 1.0, 0.0).kernel_values()
+    sw = grid.sqrt_w  # raw kernel values: S divided by sqrt_w on both sides
+    want = transfer.assemble_kernel(grid, 1.0, 0.0).dense() / sw[:, None] / sw
     lines = dump.read_text().splitlines()
     assert lines[0].startswith("# ladderlab csv schema v") and lines[1].startswith("# config: ")
     assert lines[2].split(",") == ["row"] + [f"c{j}" for j in range(grid.size)]

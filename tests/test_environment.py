@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,29 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladderlab.environment import (
-    CycleSpin,
-    EnvironmentPoint,
-    HamiltonianParams,
     T_TO_INT,
+    EnvironmentPoint,
     LadderError,
-    RungSpin,
     SpinConfig,
     boundary_core_vec,
     gibbs_identity_residual,
-    h_left,
-    h_middle,
-    h_middle_parts,
-    h_right,
     h_total,
     left_energy,
     log_jacobian,
     log_phi,
-    middle_energy_no_exp2,
+    middle_energy,
+    middle_parts,
     normalize_weights,
     psi_forward,
     psi_inverse,
     right_energy,
-    sigma_j,
 )
 from ladderlab.ladder import EdgeWeights, SpanningTreeCode
 
@@ -156,19 +148,14 @@ def test_normalize_weights():
 
 
 def test_middle_energy_infinite_on_forbidden_pair():
-    params = HamiltonianParams(a=1.0, eta=0.25)
-    c1 = CycleSpin(0.3, -0.2, 1, "A")
-    c2 = CycleSpin(1.0, 0.5, -1, "B")
-    assert h_middle(c1, RungSpin(0.1, -0.4), c2, params) == math.inf
+    assert middle_energy(0.3, -0.2, 1, 0, 0.1, -0.4, 1.0, 0.5, -1, 1, 1.0, 0.25) == math.inf
 
 
 def test_middle_energy_zero_point():
-    params = HamiltonianParams(a=1.0, eta=0.25)
-    c = CycleSpin(0.0, 0.0, 1, "C")
-    val = h_middle(c, RungSpin(0.0, 0.0), c, params)
+    val = middle_energy(0.0, 0.0, 1, 2, 0.0, 0.0, 0.0, 0.0, 1, 2, 1.0, 0.25)
     assert val == pytest.approx(4.0 * math.log(3.0) + 1.0, rel=1e-14)
     for eta in (-0.25, 0.0, 0.1):
-        alt = h_middle(c, RungSpin(0.0, 0.0), c, HamiltonianParams(1.0, eta))
+        alt = middle_energy(0.0, 0.0, 1, 2, 0.0, 0.0, 0.0, 0.0, 1, 2, 1.0, eta)
         assert alt == pytest.approx(val, rel=1e-14)
 
 
@@ -176,18 +163,13 @@ def test_middle_energy_zero_point():
 @settings(max_examples=120, deadline=None)
 def test_middle_energy_reflection_symmetry(seed, eta, a):
     rng = np.random.default_rng(seed)
-    flip = {"A": "B", "B": "A", "C": "C", "D": "D"}
-    t1, t2 = rng.choice(list("ABCD")), rng.choice(list("ABCD"))
-    c1 = CycleSpin(rng.normal(scale=3), rng.normal(scale=3), int(rng.choice([-1, 1])), t1)
-    c2 = CycleSpin(rng.normal(scale=3), rng.normal(scale=3), int(rng.choice([-1, 1])), t2)
-    r = RungSpin(rng.normal(scale=3), rng.normal(scale=3))
-    lhs = h_middle(c1, r, c2, HamiltonianParams(a, eta))
-    rhs = h_middle(
-        CycleSpin(c2.xlo, c2.xhi, c2.sigma, flip[t2]),
-        RungSpin(r.z, -r.gamma),
-        CycleSpin(c1.xlo, c1.xhi, c1.sigma, flip[t1]),
-        HamiltonianParams(a, -eta),
-    )
+    flip = (1, 0, 2, 3)  # A <-> B
+    t1, t2 = (T_TO_INT[rng.choice(list("ABCD"))] for _ in range(2))
+    xlo, xhi, s1 = rng.normal(scale=3), rng.normal(scale=3), int(rng.choice([-1, 1]))
+    xlo2, xhi2, s2 = rng.normal(scale=3), rng.normal(scale=3), int(rng.choice([-1, 1]))
+    z, gamma = rng.normal(scale=3), rng.normal(scale=3)
+    lhs = middle_energy(xlo, xhi, s1, t1, z, gamma, xlo2, xhi2, s2, t2, a, eta)
+    rhs = middle_energy(xlo2, xhi2, s2, flip[t2], z, -gamma, xlo, xhi, s1, flip[t1], a, -eta)
     if math.isinf(lhs):
         assert math.isinf(rhs)
     else:
@@ -195,38 +177,43 @@ def test_middle_energy_reflection_symmetry(seed, eta, a):
 
 
 def test_middle_parts_and_no_exp2():
+    # points in middle_energy's argument order, without a and eta
     rng = np.random.default_rng(3)
-    params = HamiltonianParams(1.0, 0.25)
+
+    def cell():
+        return (rng.normal(scale=4), rng.normal(scale=4), int(rng.choice([-1, 1])),
+                T_TO_INT[rng.choice(list("ABCD"))])
+
     points = []
     for _ in range(50):
-        c1 = CycleSpin(rng.normal(scale=4), rng.normal(scale=4), int(rng.choice([-1, 1])), rng.choice(list("ABCD")))
-        c2 = CycleSpin(rng.normal(scale=4), rng.normal(scale=4), int(rng.choice([-1, 1])), rng.choice(list("ABCD")))
-        points.append((c1, RungSpin(rng.normal(scale=4), rng.normal(scale=4)), c2))
+        c1, c2 = cell(), cell()
+        points.append((*c1, rng.normal(scale=4), rng.normal(scale=4), *c2))
     # saturated exponentials (|x| > 700), a saturated sign term and the AB pair
     points += [
-        (CycleSpin(-720.0, 3.0, 1, "C"), RungSpin(0.5, -1.0), CycleSpin(1.0, 2.0, -1, "D")),
-        (CycleSpin(2.0, 750.0, -1, "A"), RungSpin(-1.0, 0.3), CycleSpin(-705.0, 0.0, -1, "A")),
-        (CycleSpin(0.2, -0.1, 1, "B"), RungSpin(-710.0, 2.0), CycleSpin(0.4, 0.3, -1, "C")),
-        (CycleSpin(0.2, -0.1, 1, "A"), RungSpin(0.1, -0.4), CycleSpin(0.4, 0.3, -1, "B")),
+        (-720.0, 3.0, 1, 2, 0.5, -1.0, 1.0, 2.0, -1, 3),
+        (2.0, 750.0, -1, 0, -1.0, 0.3, -705.0, 0.0, -1, 0),
+        (0.2, -0.1, 1, 1, -710.0, 2.0, 0.4, 0.3, -1, 2),
+        (0.2, -0.1, 1, 0, 0.1, -0.4, 0.4, 0.3, -1, 1),
     ]
-    for c1, r, c2 in points:
-        parts = h_middle_parts(c1, r, c2, params)
-        total = h_middle(c1, r, c2, params)
-        no_exp2 = middle_energy_no_exp2(c1.xlo, c1.xhi, T_TO_INT[c1.t], r.z, r.gamma,
-                                        c2.xlo, c2.xhi, T_TO_INT[c2.t], params.a, params.eta)
+    for pt in points:
+        parts = middle_parts(*pt, 1.0, 0.25)
+        total = middle_energy(*pt, 1.0, 0.25)
         assert parts.total == total
-        assert parts.total_no_exp2 == no_exp2
         if parts.constrained:
-            assert total == no_exp2 == math.inf
+            assert total == math.inf
             continue
         assert parts.h_exp2 >= 0.0
+        no_exp2 = parts.h_ln + parts.h_linear + parts.h_tree + parts.h_exp1 + parts.eta_term
+        # the sign term is the only part that reads the signs
+        flipped = middle_parts(*pt[:2], -pt[2], *pt[3:], 1.0, 0.25)
+        assert flipped[:4] + flipped[5:] == parts[:4] + parts[5:]
         if math.isfinite(total):
-            assert parts.total_no_exp2 == pytest.approx(total - parts.h_exp2, rel=1e-10, abs=1e-10)
-    assert h_middle_parts(*points[-1], params).constrained
+            assert no_exp2 == pytest.approx(total - parts.h_exp2, rel=1e-10, abs=1e-10)
+    assert middle_parts(*points[-1], 1.0, 0.25).constrained
 
 
 def test_left_energy_zero_point():
-    val = h_left(0.0, CycleSpin(0.0, 0.0, 1, "C"), a=1.0)
+    val = left_energy(0.0, 0.0, 0.0, 2, a=1.0)
     assert val == pytest.approx(2.5 * math.log(2.0) + 1.0, rel=1e-14)
 
 
@@ -235,16 +222,16 @@ def test_right_energy_lower_bound_sample():
     rng = np.random.default_rng(11)
     for _ in range(10_000):
         xlo, xhi, zn = rng.uniform(-40, 40, size=3)
-        t = rng.choice(list("ABCD"))
-        val = h_right(CycleSpin(xlo, xhi, 1, t), zn, a=1.0)
+        t = T_TO_INT[rng.choice(list("ABCD"))]
+        val = right_energy(xlo, xhi, t, zn, a=1.0)
         assert val >= (abs(xlo) + abs(xhi) + abs(zn)) / 12.0 - 1e-9
 
 
 def test_boundary_energies_finite():
     for v in (-300.0, -5.0, 0.0, 5.0, 300.0):
-        assert math.isfinite(h_left(v, CycleSpin(v, -v, 1, "A"), 1.0)) or v < -200
-        assert not math.isnan(h_left(v, CycleSpin(v, -v, 1, "A"), 1.0))
-        assert not math.isnan(h_right(CycleSpin(v, v, -1, "B"), -v, 1.0))
+        assert math.isfinite(left_energy(v, v, -v, 0, 1.0)) or v < -200
+        assert not math.isnan(left_energy(v, v, -v, 0, 1.0))
+        assert not math.isnan(right_energy(v, v, 1, -v, 1.0))
 
 
 @pytest.mark.parametrize("a", [0.75, 1.0, 3.2])
@@ -272,11 +259,12 @@ def test_h_total_is_sum_of_pieces():
     rng = np.random.default_rng(5)
     for n in (1, 2, 4):
         omega = random_spin(rng, n)
-        params = HamiltonianParams(1.3, 0.25)
-        total = h_left(omega.z0, omega.cycle(1), 1.3)
-        for i in range(1, n):
-            total += h_middle(omega.cycle(i), omega.rung(i), omega.cycle(i + 1), params)
-        total += h_right(omega.cycle(n), omega.zn, 1.3)
+        t = [T_TO_INT[c] for c in omega.t]
+        cells = [(omega.xlo[i], omega.xhi[i], omega.sigma[i], t[i]) for i in range(n)]
+        total = left_energy(omega.z0, omega.xlo[0], omega.xhi[0], t[0], 1.3)
+        for i in range(n - 1):
+            total += middle_energy(*cells[i], omega.z[i], omega.gamma[i], *cells[i + 1], 1.3, 0.25)
+        total += right_energy(omega.xlo[-1], omega.xhi[-1], t[-1], omega.zn, 1.3)
         assert h_total(omega, 1.3, 0) == pytest.approx(total, rel=1e-12)
 
 
@@ -284,9 +272,9 @@ def test_h_total_deformation_shift():
     rng = np.random.default_rng(9)
     omega = random_spin(rng, 6)
     for j in range(6):
+        # the first j couplings lose their -gamma/4
         shift = h_total(omega, 1.0, j) - h_total(omega, 1.0, 0)
-        assert shift == pytest.approx(sigma_j(omega, j), rel=1e-10, abs=1e-12)
-    assert sigma_j(omega, 3) == pytest.approx(0.25 * float(np.sum(omega.gamma[:3])))
+        assert shift == pytest.approx(0.25 * float(np.sum(omega.gamma[:j])), rel=1e-10, abs=1e-12)
 
 
 def test_h_total_infinite_on_adjacent_ab():
@@ -486,16 +474,3 @@ def test_gibbs_identity_sign_flip_invariance():
 def test_gibbs_identity_rejects_forbidden():
     with pytest.raises(LadderError):
         gibbs_identity_residual(zero_spin(2, t="AB"), 1.0)
-
-
-def test_spin_config_json_round_trip():
-    rng = np.random.default_rng(41)
-    omega = random_spin(rng, 3)
-    doc = json.loads(json.dumps(omega.to_json()))
-    back = SpinConfig.from_json(doc)
-    assert back.t == omega.t
-    assert np.allclose(back.xlo, omega.xlo)
-    p = psi_forward(omega)
-    pdoc = json.loads(json.dumps(p.to_json()))
-    pback = EnvironmentPoint.from_json(pdoc)
-    assert np.allclose(pback.x.values, p.x.values)

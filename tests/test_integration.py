@@ -1,11 +1,14 @@
 """Cross-module consistency: sampler environments feed the network and walk
 modules, and operator formulas meet Monte Carlo estimates."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import ladderlab
 from ladderlab import mcmc, network, transfer, walk
 from ladderlab.ladder import build
 from ladderlab.rng import RngSpec
@@ -90,3 +93,11 @@ def test_escape_frequency_on_sampled_environment(batch_n8):
     freq = walk.escape_frequency(g, x, RngSpec(61), reps)
     sigma = math.sqrt(max(exact * (1 - exact), 1e-6) / reps)
     assert abs(freq - exact) < 4 * sigma
+
+
+@pytest.mark.parametrize("name", ["ladderlab"] + [f"ladderlab.{m.name}"
+                                                  for m in pkgutil.iter_modules(ladderlab.__path__)])
+def test_every_export_resolves(name):
+    # a deletion must take its name out of __all__ too
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -210,12 +210,3 @@ def test_edge_weights_tags():
     g = build(1)
     assert w.vertex_weight(g, g.vertex(0, 1)) == pytest.approx(3.0)
     assert w.vertex_weight(g, g.vertex(0, 2)) == pytest.approx(4.0)
-
-
-def test_graph_json_dump():
-    g = build(2)
-    doc = g.to_json()
-    assert doc["n"] == 2
-    assert len(doc["edges"]) == 7
-    kinds = {e["kind"] for e in doc["edges"]}
-    assert kinds == {"rung", "lower", "upper"}

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ladderlab.environment import SpinConfig, h_total, sigma_j
+from ladderlab.environment import SpinConfig, h_total
 from ladderlab.ladder import LadderError
 from ladderlab.mcmc import (
     McmcConfig,
@@ -204,7 +204,8 @@ def test_deformed_energy_matches_h_total():
     batch = small_batch(n=5, samples=50, seed=47, deform_j=3)
     omega = batch.spin(10)
     assert math.isfinite(h_total(omega, 1.0, 3))
-    assert h_total(omega, 1.0, 3) - h_total(omega, 1.0, 0) == pytest.approx(sigma_j(omega, 3), abs=1e-10)
+    shift = 0.25 * float(np.sum(omega.gamma[:3]))  # the -gamma/4 of the three relaxed couplings
+    assert h_total(omega, 1.0, 3) - h_total(omega, 1.0, 0) == pytest.approx(shift, abs=1e-10)
 
 
 def test_environment_from_spin():

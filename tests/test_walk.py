@@ -208,6 +208,21 @@ def test_escape_frequency_matches_network():
     assert abs(freq - exact) < 3 * math.sqrt(exact * (1 - exact) / reps)
 
 
+def test_escape_frequency_raises_on_an_undecided_episode():
+    # one step from the corner reaches neither the start nor the far end of n >= 2
+    for n in (2, 3):
+        with pytest.raises(LadderError, match="episode undecided after 1 steps"):
+            escape_frequency(build(n), EdgeWeights(np.ones(3 * n + 1)), RngSpec(41), 5, step_cap=1)
+
+
+def test_returns_count_replicas_undecided_at_the_step_cap():
+    counts, undecided = returns_before_far_end_detailed((4,), 1.0, 3, RngSpec(7), 6, step_cap=1)
+    assert undecided == 6
+    assert counts.shape == (6, 1) and np.all((counts >= 0) & (counts <= 1))
+    _, undecided = returns_before_far_end_detailed((4,), 1.0, 3, RngSpec(7), 6)
+    assert undecided == 0
+
+
 def test_profile_experiment_smoke():
     res = profile_experiment(6, 1.0, 30_000, 24, RngSpec(43), fit_levels=(1, 4))
     assert res.log_ratios.shape == (24, 6)

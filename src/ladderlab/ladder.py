@@ -28,6 +28,7 @@ __all__ = [
     "EdgeWeights",
     "SpanningTreeCode",
     "build",
+    "check_cells",
     "tree_decode",
     "tree_encode",
     "count_codes",
@@ -97,10 +98,17 @@ class LadderGraph:
         raise LadderError(f"vertices {u} and {v} are not adjacent")
 
 
-def build(n: int) -> LadderGraph:
-    """Construct the ladder with ``n`` cells (``n >= 1``)."""
+def check_cells(n: int) -> int:
+    """``n`` as a plain int, or :class:`LadderError` unless it is an integer
+    (not a bool) of at least one cell."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise LadderError(f"ladder needs at least one cell, got n={n!r}")
+    return int(n)
+
+
+def build(n: int) -> LadderGraph:
+    """Construct the ladder with ``n`` cells (``n >= 1``)."""
+    check_cells(n)
     edges: list[tuple[str, int, int]] = [("rung", vertex_index(0, 1), vertex_index(0, 2))]
     for i in range(1, n + 1):
         edges.append(("lower", vertex_index(i - 1, 1), vertex_index(i, 1)))

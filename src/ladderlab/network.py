@@ -3,15 +3,26 @@
 Edges carry conductances; the far end of the ladder is shorted into a
 single node before assembling the Laplacian, so the last rung drops out as
 a self-loop.  Ladders are tiny, so everything is a dense direct solve.
+
+Everything that depends only on the ladder size is computed once per size
+and cached (:func:`_plan`): the graph, the reduced node count, the source
+node and, for each edge that is not the self-loop, in edge order, the four
+flat matrix positions (u,u), (v,v), (u,v), (v,u) with signs +1, +1, -1, -1.
+A solve then builds the reduced Laplacian with one ``np.bincount`` over
+those positions.  ``bincount`` adds its weights in input order, starting
+from 0.0, so every entry receives the same additions in the same order as
+an edge-by-edge loop of ``+= c`` / ``-= c`` would make, and the matrix,
+the potentials and the resistance are bit-identical to that loop's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from ladderlab.ladder import EdgeWeights, LadderError, LadderGraph, build
+from ladderlab.ladder import EdgeWeights, LadderError, LadderGraph, build, check_cells
 
 __all__ = ["ResistanceResult", "effective_resistance", "shorted_resistance", "escape_probability"]
 
@@ -35,57 +46,70 @@ def _as_weights(x, n: int) -> EdgeWeights:
     return x
 
 
-def _reduced_laplacian(graph: LadderGraph, x: EdgeWeights) -> tuple[np.ndarray, dict[int, int]]:
-    """Weighted Laplacian with the far-end pair merged into one node.
+@dataclass(frozen=True)
+class _Plan:
+    """What a solve on the ladder with ``graph.n`` cells needs besides the
+    weights.  Reduced node order: every vertex but the two at level n (in
+    index order), then the merged far node last (the ground)."""
 
-    Node order: all vertices except the two at level n (in index order),
-    then the merged far node last.
-    """
-    n = graph.n
+    graph: LadderGraph
+    size: int  # reduced node count
+    source: int  # reduced index of the top-left corner
+    flat: np.ndarray  # flat positions in the size x size Laplacian, four per edge
+    edge: np.ndarray  # the edge whose weight each position receives
+    sign: np.ndarray  # +1, +1, -1, -1 per edge
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+# walk-return and bound workloads cycle through up to ~20 sizes in one run
+@lru_cache(maxsize=64)
+def _plan(n: int) -> _Plan:
+    graph = build(n)
     far = {graph.vertex(n, 1), graph.vertex(n, 2)}
     nodes = [v for v in range(graph.num_vertices) if v not in far]
     index = {v: k for k, v in enumerate(nodes)}
-    merged = len(nodes)
+    size = len(nodes) + 1
     for v in far:
-        index[v] = merged
-    size = merged + 1
-    lap = np.zeros((size, size))
+        index[v] = size - 1
+    flat, edge = [], []
     for e, (_, u, v) in enumerate(graph.edges):
         iu, iv = index[u], index[v]
         if iu == iv:
             continue  # the last rung becomes a self-loop on the merged node
-        c = x.values[e]
-        lap[iu, iu] += c
-        lap[iv, iv] += c
-        lap[iu, iv] -= c
-        lap[iv, iu] -= c
-    return lap, index
+        flat += [iu * size + iu, iv * size + iv, iu * size + iv, iv * size + iu]
+        edge += [e] * 4
+    return _Plan(graph=graph, size=size, source=index[graph.vertex(0, 2)],
+                 flat=_frozen(flat, np.intp), edge=_frozen(edge, np.intp),
+                 sign=_frozen([1.0, 1.0, -1.0, -1.0] * (len(edge) // 4), float))
 
 
 def effective_resistance(x, n: int) -> ResistanceResult:
     """Resistance between the top-left corner and the shorted far end."""
-    graph = build(n)
+    plan = _plan(check_cells(n))
     x = _as_weights(x, n)
-    lap, index = _reduced_laplacian(graph, x)
-    size = lap.shape[0]
-    source = index[graph.vertex(0, 2)]
-    ground = size - 1
-    keep = [k for k in range(size) if k != ground]
-    rhs = np.zeros(size)
+    size, source = plan.size, plan.source
+    lap = np.bincount(plan.flat, weights=x.values[plan.edge] * plan.sign,
+                      minlength=size * size).reshape(size, size)
+    rhs = np.zeros(size - 1)
     rhs[source] = 1.0
-    try:
-        sol = np.linalg.solve(lap[np.ix_(keep, keep)], rhs[keep])
+    try:  # the ground (far end) is the last node: drop its row and column
+        sol = np.linalg.solve(lap[:-1, :-1], rhs)
     except np.linalg.LinAlgError as err:  # pragma: no cover
         raise LadderError("singular network: weighted ladder should be connected") from err
     potentials = np.zeros(size)
-    potentials[keep] = sol
+    potentials[:-1] = sol
     resistance = float(potentials[source])
     if resistance <= 0:
         raise LadderError(f"nonpositive resistance {resistance}")
     # harmonicity: zero net current at every node but source and ground
     residual = lap @ potentials
     residual[source] -= 1.0
-    residual[ground] = 0.0
+    residual[-1] = 0.0
     defect = float(np.max(np.abs(residual)))
     return ResistanceResult(
         resistance=resistance,
@@ -98,15 +122,16 @@ def effective_resistance(x, n: int) -> ResistanceResult:
 def shorted_resistance(x, n: int) -> float:
     """Resistance after also shorting every intermediate rung: the rungs
     become irrelevant and the levels act as resistors in series."""
-    x = _as_weights(x, n)
-    return float(sum(1.0 / (x.lower(i) + x.upper(i)) for i in range(1, n + 1)))
+    v = _as_weights(x, n).values
+    # builtin sum, left to right over the levels: np.sum's pairwise order differs
+    return float(sum((1.0 / (v[1::3] + v[2::3])).tolist()))
 
 
 def escape_probability(x, n: int) -> float:
     """Chance that the fixed-weight walk started at the top-left corner
     reaches the far end before returning to its start: conductance divided
     by the start vertex weight."""
-    graph = build(n)
+    graph = _plan(check_cells(n)).graph
     x = _as_weights(x, n)
     result = effective_resistance(x, n)
     x_start = x.vertex_weight(graph, graph.vertex(0, 2))

@@ -232,7 +232,9 @@ def _returns_episode(graph: LadderGraph, a: float, levels: list[int], k_cap: int
     flag marking a replica that exhausted the step cap while still
     undecided (reinforcement can trap the walk mid-ladder for a very long
     stretch); its pending levels keep the returns seen so far, the
-    conservative resolution.
+    conservative resolution.  A replica that reached ``k_cap`` returns is
+    decided even on its last allowed step: no later step can change a
+    capped count.
     """
     table, uniforms = _step_table(graph.n), _Uniforms(gen)
     w, k = [float(a)] * graph.num_edges, [0] * graph.num_edges
@@ -249,7 +251,7 @@ def _returns_episode(graph: LadderGraph, a: float, levels: list[int], k_cap: int
             counts[pending.pop(0)] = returns
     for lev in pending:
         counts[lev] = returns
-    decided = not pending or used < step_cap
+    decided = not pending or returns >= k_cap or used < step_cap
     return [counts[lev] for lev in levels], decided
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ladderlab import network
 from ladderlab.ladder import EdgeWeights, LadderError, build
 from ladderlab.network import effective_resistance, escape_probability, shorted_resistance
 
@@ -131,3 +132,84 @@ def test_inequality_chain_unit_start():
 def test_weight_length_mismatch():
     with pytest.raises(LadderError):
         effective_resistance(np.ones(7), 1)
+
+
+def _loop_solve(values, n):
+    """The edge-by-edge Laplacian loop and index-gathered solve that the
+    cached-plan scatter replaced, kept as a bit-exact oracle."""
+    graph = build(n)
+    far = {graph.vertex(n, 1), graph.vertex(n, 2)}
+    nodes = [v for v in range(graph.num_vertices) if v not in far]
+    index = {v: k for k, v in enumerate(nodes)}
+    merged = len(nodes)
+    for v in far:
+        index[v] = merged
+    size = merged + 1
+    lap = np.zeros((size, size))
+    for e, (_, u, v) in enumerate(graph.edges):
+        iu, iv = index[u], index[v]
+        if iu == iv:
+            continue
+        c = values[e]
+        lap[iu, iu] += c
+        lap[iv, iv] += c
+        lap[iu, iv] -= c
+        lap[iv, iu] -= c
+    source = index[graph.vertex(0, 2)]
+    ground = size - 1
+    keep = [k for k in range(size) if k != ground]
+    rhs = np.zeros(size)
+    rhs[source] = 1.0
+    potentials = np.zeros(size)
+    potentials[keep] = np.linalg.solve(lap[np.ix_(keep, keep)], rhs[keep])
+    residual = lap @ potentials
+    residual[source] -= 1.0
+    residual[ground] = 0.0
+    resistance = float(potentials[source])
+    shorted = float(sum(1.0 / (float(values[3 * i - 2]) + float(values[3 * i - 1]))
+                        for i in range(1, n + 1)))
+    x_start = float(sum(values[e] for e, _ in graph.incident[graph.vertex(0, 2)]))
+    escape = float(min(max((1.0 / resistance) / x_start, 0.0), 1.0))
+    return resistance, potentials, float(np.max(np.abs(residual))), shorted, escape
+
+
+def test_plan_scatter_is_bit_identical_to_the_edge_loop():
+    rng = np.random.default_rng(12)
+    # sizes cycle 1..24 in shuffled rounds, so each size is revisited after
+    # others have been solved (cached plans must not leak between sizes)
+    sizes = np.concatenate([rng.permutation(np.arange(1, 25)) for _ in range(25)])
+    for k, n in enumerate(sizes):
+        vals = np.exp(rng.uniform(-6, 6, size=3 * int(n) + 1))
+        n_arg = n if k % 2 else int(n)  # np.int64 and int sizes
+        res = effective_resistance(vals, n_arg)
+        r, pot, defect, shorted, escape = _loop_solve(vals, int(n))
+        assert res.resistance == r
+        assert res.conductance == 1.0 / r
+        assert np.array_equal(res.potentials, pot)
+        assert res.harmonic_defect == defect
+        assert shorted_resistance(vals, n_arg) == shorted
+        assert escape_probability(vals, n_arg) == escape
+
+
+def test_plan_is_cached_per_size_and_read_only():
+    plan = network._plan(5)
+    assert network._plan(5) is plan
+    assert plan.size == 2 * 5 + 1 and plan.graph.n == 5
+    for arr in (plan.flat, plan.edge, plan.sign):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # one np.int64 size shares the int size's plan
+    before = network._plan.cache_info().hits
+    effective_resistance(np.ones(16), np.int64(5))
+    assert network._plan.cache_info().hits == before + 1
+
+
+def test_invalid_sizes_still_rejected():
+    for bad in (0, -1, 2.0, True, "2"):
+        with pytest.raises(LadderError):
+            effective_resistance(np.ones(7), bad)
+        with pytest.raises(LadderError):
+            escape_probability(np.ones(7), bad)
+    with pytest.raises(LadderError, match="weights are for n=2, requested n=3"):
+        escape_probability(np.ones(7), 3)

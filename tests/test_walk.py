@@ -223,6 +223,13 @@ def test_returns_count_replicas_undecided_at_the_step_cap():
     assert undecided == 0
 
 
+def test_returns_capped_on_the_last_allowed_step_are_decided():
+    # with k_cap=1, a replica whose one allowed step is a return has its final count
+    counts, undecided = returns_before_far_end_detailed((4,), 1.0, 1, RngSpec(7), 20, step_cap=1)
+    assert int(np.sum(counts == 1)) == 5
+    assert undecided == 15
+
+
 def test_profile_experiment_smoke():
     res = profile_experiment(6, 1.0, 30_000, 24, RngSpec(43), fit_levels=(1, 4))
     assert res.log_ratios.shape == (24, 6)

@@ -379,7 +379,7 @@ def cmd_resistance(cfg: dict):
     for idx, x in enumerate(weight_sets):
         res = network.effective_resistance(x, n)
         shorted = network.shorted_resistance(x, n)
-        escape = network.escape_probability(x, n)
+        escape = network._escape_from(x, n, res)  # the same solve gives R, C and q
         rows.append([idx, res.resistance, shorted, res.conductance, escape])
         ok = ok and shorted <= res.resistance + 1e-12 and 0 <= escape <= 1
     summary = {"n": n, "count": len(rows), "all_bounds_hold": ok}

@@ -127,15 +127,20 @@ def shorted_resistance(x, n: int) -> float:
     return float(sum((1.0 / (v[1::3] + v[2::3])).tolist()))
 
 
+def _escape_from(x: EdgeWeights, n: int, result: ResistanceResult) -> float:
+    """Escape probability on the weights ``x`` from ``result``, the
+    resistance solve on the same weights."""
+    graph = _plan(n).graph
+    value = result.conductance / x.vertex_weight(graph, graph.vertex(0, 2))
+    if not -1e-10 <= value <= 1.0 + 1e-10:
+        raise LadderError(f"escape probability {value} outside [0, 1]")
+    return float(min(max(value, 0.0), 1.0))
+
+
 def escape_probability(x, n: int) -> float:
     """Chance that the fixed-weight walk started at the top-left corner
     reaches the far end before returning to its start: conductance divided
     by the start vertex weight."""
-    graph = _plan(check_cells(n)).graph
+    n = check_cells(n)
     x = _as_weights(x, n)
-    result = effective_resistance(x, n)
-    x_start = x.vertex_weight(graph, graph.vertex(0, 2))
-    value = result.conductance / x_start
-    if not -1e-10 <= value <= 1.0 + 1e-10:
-        raise LadderError(f"escape probability {value} outside [0, 1]")
-    return float(min(max(value, 0.0), 1.0))
+    return _escape_from(x, n, effective_resistance(x, n))

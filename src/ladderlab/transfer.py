@@ -21,9 +21,12 @@ of one cell-pair table per rail, and only the side profiles (letters C and
 D) tell the rails apart.  So each core keeps its rows (i, k) with i <= k
 only, nx(nx+1)/2 of the nx² rows (``_half_rows``), about a sixteenth of
 the dense bytes in all; the row (k, i) is the row (i, k) with the columns
-(j, l) -> (l, j) swapped.  Assembly gathers those rows out of each slab's
-Gram product, and the products multiply the stored rows once for the
-direct and once for the mirrored half of the state space.
+(j, l) -> (l, j) swapped.  Assembly computes only those rows: per lower
+field i one matrix product of every core's weighted table columns (i, .)
+with the table columns (i.., .), added straight into the stored rows, so
+it holds the cores plus one slab of the table and no nx²×nx² temporary.
+The products multiply the stored rows once for the direct and once for
+the mirrored half of the state space.
 
 No energy is written out here: the side profiles take the tree letter from
 ``environment.tree_letter`` with a zero rung term (the cores carry the rung
@@ -37,10 +40,11 @@ mirror pairs (z, w), (z, -w): the row at -w adds to the core with letter
 flags (p, q, s) what the row at w adds, at coupling -eta, to the core with
 flags (q, p, s), with the cell pair (i, j) -> (j, i) swapped on both
 sides.  The table is built for the w > 0 nodes only; at eta = 0 the
-mirrored half is then a permuted copy of the other core, which halves the
-Gram products as well.  Rows whose weight is exactly 0 (the sign-mismatch
-factor underflows for z below about -6) are left out of the Gram
-products, and nodes without an exact mirror are summed directly.
+mirrored half is then a transposed copy of the other core, folded in
+place at the end, which halves the products as well.  Rows whose weight
+is exactly 0 (the sign-mismatch factor underflows for z below about -6)
+are left out of the products, and nodes without an exact mirror are
+summed directly.
 
 The leading eigen-triple comes from power iteration on S and its adjoint,
 each stopped once its relative eigen-residual falls below 1e-13.  The
@@ -286,7 +290,8 @@ _OTHERS = {key: [t for t in range(4) if t != key] for key in (_A, _B)}
 # not vanish: an A cell is never followed by a B cell
 _CORES = tuple((is_a, is_b, same) for is_a in (0, 1) for is_b in (0, 1) for same in (0, 1)
                if not (is_a and is_b))
-_RUNG_CHUNK = 1024  # rows per slab of the cell-pair table during assembly
+_RUNG_CHUNK = 512  # rows per slab of the cell-pair table during assembly
+_FOLD_TILE = 128  # half rows per tile of the in-place mirror fold
 
 
 class _HalfRows(NamedTuple):
@@ -529,22 +534,55 @@ def _cell_pair_table(x: np.ndarray, z: np.ndarray, w: np.ndarray, a: float) -> n
     return table.reshape(z.size, -1)
 
 
-def _gram_add(out: np.ndarray, f: np.ndarray, coef: np.ndarray, half: _HalfRows) -> None:
-    """Add the half rows of the core ``f.T @ diag(coef) @ f`` to ``out``.
+def _add_products(outs: list[np.ndarray], table: np.ndarray, coefs: np.ndarray) -> None:
+    """Add to ``outs[c]`` the half rows of the core whose Gram form is
+    ``table.T @ diag(coefs[:, c]) @ table``, one core per column of ``coefs``.
 
-    The table ``f`` is indexed by the cell pair (i, j) of one rail, so the
-    core row (i, k), column (j, l) is the Gram entry [(i, j), (k, l)]; the
-    stored rows i <= k are the upper block triangle of the Gram product.
-    The products ``g.T @ g`` of the rows scaled by sqrt|coef| are what BLAS
-    evaluates as a symmetric rank-k update.  Rows of negative weight are
-    subtracted; rows of weight exactly 0 change no sum and are left out."""
-    nx = math.isqrt(half.swap.size)
-    for combine, rows in ((np.add, coef > 0), (np.subtract, coef < 0)):
-        if rows.any():
-            g = f[rows]
-            g *= np.sqrt(np.abs(coef[rows]))[:, None]
-            gram = (g.T @ g).reshape(nx, nx, nx, nx)
-            combine(out, gram[half.lower, :, half.upper, :].reshape(out.shape), out=out)
+    The table is indexed by the cell pair (i, j) of one rail, so the core
+    row (i, k), column (j, l) is the sum over rows n of coef[n] table[n, (i,
+    j)] table[n, (k, l)].  For each lower field i the columns table[:, (i,
+    .)] of every core, scaled by that core's coefficients, are stacked side
+    by side and multiplied once with table[:, (i.., .)]; each core's share
+    of the product holds its stored rows (i, k), k >= i, with the j and k
+    axes swapped, and is added to them in place."""
+    nx = math.isqrt(table.shape[1])
+    cells = table.reshape(-1, nx, nx)
+    start = 0
+    for i in range(nx):
+        width = nx - i
+        stack = (coefs[:, :, None] * cells[:, i, None, :]).reshape(table.shape[0], -1)
+        prod = (stack.T @ table[:, i * nx:]).reshape(len(outs), nx, width, nx)
+        for out, part in zip(outs, prod):
+            block = out[start:start + width].reshape(width, nx, nx)
+            block += part.transpose(1, 0, 2)
+        start += width
+
+
+def _fold_pair(x: np.ndarray, y: np.ndarray | None, sign: float, half: _HalfRows) -> None:
+    """``x += sign * T(y)`` and ``y += sign * T(x)`` on the pre-fold values,
+    in place (``x += sign * T(x)`` if ``y`` is None), where T maps a half-row core
+    to the half rows of its transpose: ``T[:, up] = R[:, up].T`` and
+    ``T[:, mirror] = R[:, mirror].T`` off the diagonal cells, whose columns
+    take the ``up`` value.
+
+    The two column maps run one after the other over pairs of fixed-size
+    tiles of half rows (a, b): the entries (rows a, columns of b) take
+    their update from (rows b, columns of a) and vice versa, so each pair
+    reads all its tiles before it writes any, and no other pair touches
+    them.  The mirror columns go first: their update reads the ``up``
+    columns of the diagonal cells, which the ``up`` pass changes."""
+    nh = half.up.size
+    tiles = [np.arange(lo, min(lo + _FOLD_TILE, nh)) for lo in range(0, nh, _FOLD_TILE)]
+    targets = ((x, x),) if y is None else ((x, y), (y, x))
+    for cols, written in ((half.mirror, half.off > 0), (half.up, np.ones(nh, dtype=bool))):
+        for a, ra in enumerate(tiles):
+            for rb in tiles[a:]:
+                pairs = ((ra, rb),) if rb is ra else ((ra, rb), (rb, ra))
+                blocks = [(r, c[written[c]]) for r, c in pairs]
+                updates = [(dst, r, c, src[np.ix_(c, cols[r])].T)
+                           for dst, src in targets for r, c in blocks]
+                for dst, r, c, add in updates:
+                    dst[r[0]:r[-1] + 1, cols[c]] += sign * add
 
 
 def _fold_mirrors(out: np.ndarray, sign: float, half: _HalfRows) -> None:
@@ -554,20 +592,11 @@ def _fold_mirrors(out: np.ndarray, sign: float, half: _HalfRows) -> None:
     The node at (z, -w) adds to core (is_a, is_b, same) the transpose of
     what its partner at (z, w) adds to core (is_b, is_a, same), times
     ``sign`` (the parity of the weight in w).  The half rows of a transpose
-    T of a core with half rows R follow from the swap symmetry of both:
-    ``T[:, up] = R[:, up].T`` and ``T[:, mirror] = R[:, mirror].T``."""
-    def mirrored(core):
-        flipped = np.empty_like(core)
-        flipped[:, half.mirror] = core[:, half.mirror].T
-        flipped[:, half.up] = core[:, half.up].T
-        flipped *= sign
-        return flipped
-
+    follow from the swap symmetry (``_fold_pair``); the cores with equal
+    letter flags are their own partners."""
     for same in (0, 1):
-        out[0, 0, same] += mirrored(out[0, 0, same])
-        ab, ba = mirrored(out[1, 0, same]), mirrored(out[0, 1, same])
-        out[1, 0, same] += ba
-        out[0, 1, same] += ab
+        _fold_pair(out[0, 0, same], None, sign, half)
+        _fold_pair(out[1, 0, same], out[0, 1, same], sign, half)
 
 
 def _core_sums(grid: TransferGrid, a: float, eta: float,
@@ -580,22 +609,23 @@ def _core_sums(grid: TransferGrid, a: float, eta: float,
     fields share a node set), per-node sign and tree factors and the side
     profiles; per rung node the cores are weighted Gram sums of the table.
     The table is built one slab of rung nodes at a time, so the doubled
-    grid never holds it whole, and each slab's Gram products go straight
-    into half-row accumulators (``_gram_add``): no full nx²×nx² core is
-    kept.
+    grid never holds it whole, and each slab's products go straight into
+    the half-row accumulators (``_add_products``): per lower field one
+    matrix product of all cores' weighted columns with the table, so no
+    nx²×nx² temporary is built.
 
     Rung nodes come in mirror pairs (z, w), (z, -w), and the table is built
     for the w > 0 partner only: the row at -w is the row at w with the cell
     pair swapped, c_a and c_b trade places and the sign factors are even in
     w.  At eta = 0 the coefficients of the row at -w are those of its
-    partner in the core with the letter flags swapped, so the Gram sums run
-    over the w > 0 nodes alone and ``_fold_mirrors`` adds the mirrored half
-    at the end; otherwise the mirrored rows (the column-permuted table, no
-    exp or power) join each slab's Gram products with their own coefficients.
-    Nodes without an exact mirror are summed directly.  Rows of weight
-    exactly 0 are left out of every Gram product: ``differ`` underflows for
-    z below about -6, which drops about 40% of the rows of the three
-    sign-mismatch cores."""
+    partner in the core with the letter flags swapped, so the sums run over
+    the w > 0 nodes alone and ``_fold_mirrors`` adds the mirrored half in
+    place at the end; otherwise the mirrored rows (the column-permuted
+    table, no exp or power) join each slab's products with their own
+    coefficients.  Nodes without an exact mirror are summed directly.
+    Cores whose coefficients vanish on the same rows share one product
+    over the other rows: ``differ`` underflows for z below about -6, which
+    drops about 40% of the rows of the three sign-mismatch cores."""
     nx = grid.nx
     z, w, qw = _rung_nodes(grid)
     rho = qw * np.exp((a + 0.5) * z + eta * w)
@@ -606,19 +636,30 @@ def _core_sums(grid: TransferGrid, a: float, eta: float,
              * (agree if same else differ) for is_a, is_b, same in _CORES}
     half = _half_rows(nx)
     sums = [np.zeros((2, 2, 2, half.up.size, nx * nx)) for _ in powers]
+    groups: dict[bytes, tuple[np.ndarray, list]] = {}  # cores by their non-zero rows
+    for key, coef in coefs.items():
+        live = coef != 0.0
+        group = groups.setdefault(live.tobytes(), (live, []))[1]
+        group += [(out[key], coef * w ** k) for out, k in zip(sums, powers)]
+
+    def add_slab(nodes, mirrors):
+        table = _cell_pair_table(grid.x_nodes, z[nodes], w[nodes], a)
+        if mirrors is not None:
+            nodes = np.concatenate([nodes, mirrors])
+            table = np.concatenate([table, table[:, half.swap]])
+        for live, targets in groups.values():
+            use = np.flatnonzero(live[nodes])
+            if use.size == 0:
+                continue
+            if use[-1] - use[0] + 1 == use.size:  # one run of rows: a view, no copy
+                use = slice(use[0], use[-1] + 1)
+            _add_products([out for out, _ in targets], table[use],
+                          np.stack([coef[nodes[use]] for _, coef in targets], axis=1))
 
     def add_rows(rows, mirrors):
         step = _RUNG_CHUNK if mirrors is None else _RUNG_CHUNK // 2
         for lo in range(0, rows.size, step):
-            part = slice(lo, lo + step)
-            nodes = rows[part]
-            table = _cell_pair_table(grid.x_nodes, z[nodes], w[nodes], a)
-            if mirrors is not None:
-                nodes = np.concatenate([nodes, mirrors[part]])
-                table = np.concatenate([table, table[:, half.swap]])
-            for key, coef in coefs.items():
-                for out, k in zip(sums, powers):
-                    _gram_add(out[key], table, coef[nodes] * w[nodes] ** k, half)
+            add_slab(rows[lo:lo + step], None if mirrors is None else mirrors[lo:lo + step])
 
     pos, neg, single = _mirror_pairs(grid)
     fold = eta == 0.0

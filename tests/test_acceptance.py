@@ -328,8 +328,8 @@ def test_c12_escape_probabilities(batch_n8):
     checked = 0
     for k in range(0, batch_n8.size, step):
         x = mcmc.environment_from_spin(batch_n8.spin(k))
-        q = network.escape_probability(x, 8)
-        c = network.effective_resistance(x, 8).conductance
+        res = network.effective_resistance(x, 8)
+        q, c = network._escape_from(x, 8, res), res.conductance
         inv_short = 1.0 / network.shorted_resistance(x, 8)
         tail = x.lower(8) + x.upper(8)
         checked += 1

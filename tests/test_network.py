@@ -213,3 +213,19 @@ def test_invalid_sizes_still_rejected():
             escape_probability(np.ones(7), bad)
     with pytest.raises(LadderError, match="weights are for n=2, requested n=3"):
         escape_probability(np.ones(7), 3)
+
+
+def test_one_solve_per_escape_and_per_resistance_row(tmp_path, monkeypatch):
+    """``escape_probability`` solves once, and ``ladderlab resistance`` takes
+    R, C and the escape probability of each weighting from one solve."""
+    from ladderlab.cli import run
+
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda lhs, rhs: solves.append(lhs.shape) or solve(lhs, rhs))
+    assert escape_probability(np.ones(7), 2) == pytest.approx(11.0 / 26.0, abs=1e-12)
+    assert len(solves) == 1
+    out = tmp_path / "rr.csv"
+    assert run(["resistance", "--n", "3", "--random-weights", "40", "--format", "csv",
+                "--out", str(out)]) == 0
+    assert len(solves) == 1 + 40

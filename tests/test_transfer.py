@@ -1,5 +1,6 @@
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,8 +406,9 @@ def _shift_rule(kind):
 @pytest.mark.parametrize("kind", ["even", "odd", "asymmetric", "partly-mirrored"])
 @pytest.mark.parametrize("tag", ["one", "gamma"])
 @pytest.mark.parametrize("eta", [-0.25, 0.0, 0.25])
-def test_cores_match_direct_sum(kind, tag, eta):
-    from ladderlab.transfer import _mirror_pairs
+def test_cores_match_direct_sum(kind, tag, eta, monkeypatch):
+    from ladderlab import transfer
+    from ladderlab.transfer import _mirror_pairs, _rung_nodes, _sign_factors
 
     vn, vw = _shift_rule(kind)
     g = build_grid(GridParams(nx_core=5, nx_tail=3, nz_core=6, nz_tail=3, nv=vn.size, nzb=16), a=A)
@@ -415,11 +417,18 @@ def test_cores_match_direct_sum(kind, tag, eta):
     pos, neg, single = _mirror_pairs(g)
     assert sorted(np.concatenate([pos, neg, single])) == list(range(g.z_nodes.size * vn.size))
     assert (pos.size > 0) == (kind != "asymmetric") and (single.size > 0) == (kind != "even")
-    op = assemble_kernel(g, A, eta, tag)
-    got = np.array([[[op.full_core(is_a, is_b, same) for same in (0, 1)] for is_b in (0, 1)]
-                    for is_a in (0, 1)])
     want = _direct_cores(g, eta, tag)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # one slab, then six rows per slab (three pairs when the mirrored rows
+    # join each slab): the first slab of the sign-mismatch cores is all zero
+    z, w, _ = _rung_nodes(g)
+    first = (pos if pos.size else single)[:6]
+    assert np.all(_sign_factors(z[first], w[first])[1] == 0.0)
+    for chunk in (transfer._RUNG_CHUNK, 6):
+        monkeypatch.setattr(transfer, "_RUNG_CHUNK", chunk)
+        op = assemble_kernel(g, A, eta, tag)
+        got = np.array([[[op.full_core(is_a, is_b, same) for same in (0, 1)] for is_b in (0, 1)]
+                        for is_a in (0, 1)])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # the rail swap (i, k), (j, l) -> (k, i), (l, j) leaves every core as it is,
     # which is what lets the operator store half the rows
     nx = g.nx
@@ -466,3 +475,53 @@ def test_cell_pair_table_matches_log_sum_exp(params, a):
         nx = g.nx
         pair = _cell_pair_table(g.x_nodes, z[rows], -w[rows], a)
         assert np.array_equal(pair, got.reshape(-1, nx, nx).transpose(0, 2, 1).reshape(got.shape))
+
+
+def _gathered_fold(out, sign, half):
+    """The mirror fold written with full-core gathers: the oracle of the
+    tiled in-place ``_fold_mirrors``."""
+    def mirrored(core):
+        flipped = np.empty_like(core)
+        flipped[:, half.mirror] = core[:, half.mirror].T
+        flipped[:, half.up] = core[:, half.up].T
+        flipped *= sign
+        return flipped
+
+    for same in (0, 1):
+        out[0, 0, same] += mirrored(out[0, 0, same])
+        ab, ba = mirrored(out[1, 0, same]), mirrored(out[0, 1, same])
+        out[1, 0, same] += ba
+        out[0, 1, same] += ab
+
+
+@pytest.mark.parametrize("nx, tile", [(24, None), (9, 4), (7, 100)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_fold_mirrors_matches_gathered_fold(nx, tile, sign, monkeypatch):
+    """Random half-row cores without any symmetry, over several tiles (the
+    default tile on nx = 24, ragged small tiles, one tile): the in-place fold
+    reads only pre-fold values, keeps the ``up`` value on the diagonal
+    columns and folds the cores with equal letter flags once."""
+    from ladderlab import transfer
+
+    if tile is not None:
+        monkeypatch.setattr(transfer, "_FOLD_TILE", tile)
+    half = transfer._half_rows(nx)
+    assert (half.up.size > transfer._FOLD_TILE) == (tile != 100)  # several tiles, or one
+    cores = np.random.default_rng(nx).standard_normal((2, 2, 2, half.up.size, nx * nx))
+    want = cores.copy()
+    _gathered_fold(want, sign, half)
+    transfer._fold_mirrors(cores, sign, half)
+    assert np.array_equal(cores, want)
+
+
+def test_doubled_assembly_allocates_the_operator_plus_one_slab():
+    """No nx^4 Gram or full-core copy: on the doubled grid the assembly
+    allocates at most 24 MB beyond the cores it returns."""
+    g = build_grid(GridParams().doubled(), a=A)
+    tracemalloc.start()
+    try:
+        op = assemble_kernel(g, A, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= op.sym.nbytes + 24e6, (peak / 1e6, op.sym.nbytes / 1e6)

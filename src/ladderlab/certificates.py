@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ladderlab.environment import boundary_core_vec, middle_energy
+from ladderlab.environment import boundary_core_vec, h_exp1, h_linear, middle_energy
 from ladderlab.ladder import LadderError
 from ladderlab.rng import RngSpec
 
@@ -326,11 +326,10 @@ def _middle_base_vec(points, terms, a: float, eta: float, rate: float):
         np.logaddexp(np.logaddexp(xlo + hw, xlo2 - hw), z)
         + np.logaddexp(np.logaddexp(xhi + hw, xhi2 - hw), z)
     )
-    h_linear = -(a + 0.5) * (u + u2 + z)
     with np.errstate(over="ignore"):
-        h_exp1 = 0.25 * (np.exp(-xlo) + np.exp(-xhi) + np.exp(-xlo2) + np.exp(-xhi2))
+        exp1 = h_exp1(np.exp(-xlo), np.exp(-xhi), np.exp(-xlo2), np.exp(-xhi2))
     rhs = rate * (np.abs(xlo) + np.abs(xhi) + np.abs(z) + np.abs(gamma) + np.abs(xlo2) + np.abs(xhi2))
-    return h_ln + h_linear + h_exp1 - eta * gamma - rhs
+    return h_ln + h_linear(u, u2, z, a) + exp1 - eta * gamma - rhs
 
 
 def middle_no_exp2_vec(xlo, xhi, z, gamma, xlo2, xhi2, t: str, t2: str, a: float, eta: float):

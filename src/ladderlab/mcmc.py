@@ -52,7 +52,6 @@ __all__ = [
     "sign_disagreement_rate",
     "environment_from_spin",
     "observable",
-    "OBSERVABLES",
 ]
 
 _CLASSES = ("z0", "x", "z", "gamma", "zn", "sigma", "tree")
@@ -69,7 +68,6 @@ class McmcConfig:
     n: int
     a: float
     deform_j: int = 0
-    scales: dict = field(default_factory=lambda: {"z0": 1.0, "x": 1.0, "z": 1.0, "gamma": 1.0, "zn": 1.0})
     burn_in: int = 2000
     thinning: int = 2
     samples: int = 10_000
@@ -84,12 +82,6 @@ class McmcConfig:
             raise LadderError(f"deform_j={self.deform_j} outside 0..{self.n - 1}")
         if self.burn_in < 0 or self.thinning < 1 or self.samples < 1:
             raise LadderError("burn_in >= 0, thinning >= 1, samples >= 1 required")
-        missing, unknown = set(_SCALED) - set(self.scales), set(self.scales) - set(_SCALED)
-        if missing or unknown:
-            raise LadderError(f"scales need exactly the keys {', '.join(_SCALED)}: missing "
-                              f"{sorted(missing)}, unknown {sorted(map(str, unknown))}")
-        if any(s <= 0 for s in self.scales.values()):
-            raise LadderError("proposal scales must be positive")
         if not self.a > 0:
             raise LadderError("initial weight a must be positive")
 
@@ -158,7 +150,7 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
     e_right = right_energy(xlo[n1], xhi[n1], t[n1], zn, a)
 
     gen = cfg.rng.generator()
-    scales = dict(cfg.scales)
+    scales = dict.fromkeys(_SCALED, 1.0)  # initial proposal scales, tuned during burn-in
     accept = dict.fromkeys(_CLASSES, 0)
     propose = dict.fromkeys(_CLASSES, 0)
     per_sweep = {"z0": 1, "x": 2 * n, "z": n1, "gamma": n1, "zn": 1, "sigma": n, "tree": n}
@@ -400,9 +392,6 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
 
 # ---------------------------------------------------------------------------
 # observables and estimators
-
-
-OBSERVABLES = ("Z0", "Zn", "Xlo", "Xhi", "Z", "Gamma", "log_y_ratio", "log_z_over_y2")
 
 
 def observable(batch: SampleBatch, name: str, i: int | None = None) -> np.ndarray:

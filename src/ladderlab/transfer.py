@@ -46,6 +46,16 @@ is exactly 0 (the sign-mismatch factor underflows for z below about -6)
 are left out of the products, and nodes without an exact mirror are
 summed directly.
 
+The shift-weighted ("gamma") kernel is built only from the plain kernel at
+the same grid, a and eta: its cores are the w-weighted Gram sums plus the
+commutator of the plain cores with the mean cell field, and its side
+profiles are the plain operator's own arrays.
+
+Chain brackets are one contraction: a prefix from the left boundary by
+``vecmat``, a suffix from the right one by ``matvec``, met at one kernel
+(``chain_expectation``, n products for an n-cell chain).  The
+separation-moment profile pairs every prefix with every suffix.
+
 The leading eigen-triple comes from power iteration on S and its adjoint,
 each stopped once its relative eigen-residual falls below 1e-13.  The
 second eigenvalue comes from power iteration with the leading pair
@@ -94,7 +104,6 @@ __all__ = [
     "leading_triple",
     "boundary_vector",
     "chain_expectation",
-    "sigma_moment",
     "sigma_moment_profile",
     "symmetry_defect",
     "axis_rates",
@@ -599,11 +608,9 @@ def _fold_mirrors(out: np.ndarray, sign: float, half: _HalfRows) -> None:
         _fold_pair(out[1, 0, same], out[0, 1, same], sign, half)
 
 
-def _core_sums(grid: TransferGrid, a: float, eta: float,
-               powers: list[int]) -> list[np.ndarray]:
+def _core_sums(grid: TransferGrid, a: float, eta: float, power: int) -> np.ndarray:
     """Cores of the kernel whose rung integrand carries the extra factor
-    ``w**k`` (one set of cores per power k in ``powers``), square-root
-    weighted.
+    ``w**power``, square-root weighted.
 
     The integrand factorizes into one cell-pair table (lower and upper
     fields share a node set), per-node sign and tree factors and the side
@@ -635,12 +642,11 @@ def _core_sums(grid: TransferGrid, a: float, eta: float,
     coefs = {(is_a, is_b, same): rho * (c_a if is_a else 1.0) * (c_b if is_b else 1.0)
              * (agree if same else differ) for is_a, is_b, same in _CORES}
     half = _half_rows(nx)
-    sums = [np.zeros((2, 2, 2, half.up.size, nx * nx)) for _ in powers]
+    sums = np.zeros((2, 2, 2, half.up.size, nx * nx))
     groups: dict[bytes, tuple[np.ndarray, list]] = {}  # cores by their non-zero rows
     for key, coef in coefs.items():
         live = coef != 0.0
-        group = groups.setdefault(live.tobytes(), (live, []))[1]
-        group += [(out[key], coef * w ** k) for out, k in zip(sums, powers)]
+        groups.setdefault(live.tobytes(), (live, []))[1].append((sums[key], coef * w ** power))
 
     def add_slab(nodes, mirrors):
         table = _cell_pair_table(grid.x_nodes, z[nodes], w[nodes], a)
@@ -665,14 +671,12 @@ def _core_sums(grid: TransferGrid, a: float, eta: float,
     fold = eta == 0.0
     add_rows(pos, None if fold else neg)
     if fold:
-        for out, k in zip(sums, powers):
-            _fold_mirrors(out, (-1.0) ** k, half)
+        _fold_mirrors(sums, (-1.0) ** power, half)
     add_rows(single, None)
     cell_w = np.sqrt(np.outer(grid.x_weights, grid.x_weights)).reshape(-1)
-    for out in sums:
-        for key in _CORES:  # the A->B cores stay untouched zero pages
-            out[key] *= cell_w[half.up][:, None]
-            out[key] *= cell_w[None, :]
+    for key in _CORES:  # the A->B cores stay untouched zero pages
+        sums[key] *= cell_w[half.up][:, None]
+        sums[key] *= cell_w[None, :]
     return sums
 
 
@@ -682,32 +686,28 @@ def assemble_kernel(grid: TransferGrid, a: float, eta: float, tag: str = "one",
 
     ``tag='gamma'`` weights the integrand with the separation variable:
     shift plus mean-field difference, i.e. the shift-weighted kernel plus
-    the commutator with the per-state mean field.  The commutator needs the
-    plain cores; pass the plain operator at the same (grid, a, eta) as
-    ``plain`` to reuse them, otherwise they are summed alongside.
+    the commutator with the per-state mean field.  It is built from the
+    plain operator at the same (grid, a, eta), passed as ``plain``: the
+    commutator reads its cores, and the side profiles are its own.
     """
     if not -0.25 <= eta <= 0.25:
         raise LadderError(f"eta={eta} outside [-1/4, 1/4]")
     if tag not in ("one", "gamma"):
         raise LadderError(f"unknown kernel tag {tag!r}")
     if tag == "one":
-        (sym,) = _core_sums(grid, a, eta, [0])
-    elif plain is None:
-        sym, base = _core_sums(grid, a, eta, [1, 0])
-    else:
-        if (plain.tag, plain.grid, plain.a, plain.eta) != ("one", grid, a, eta):
-            raise LadderError("plain operator does not match the gamma kernel's grid, a, eta")
-        (sym,) = _core_sums(grid, a, eta, [1])
-        base = plain.sym
-    if tag == "gamma":
-        x = grid.x_nodes
-        u = 0.5 * (x[:, None] + x[None, :]).reshape(-1)  # mean cell field
-        rows = u[_half_rows(grid.nx).up][:, None]
-        for key in _CORES:  # diagonal profiles commute with diag(u)
-            sym[key] += rows * base[key] - base[key] * u[None, :]
+        return OperatorMatrix(grid=grid, a=a, eta=eta, tag=tag, sym=_core_sums(grid, a, eta, 0),
+                              left=_side_profiles(grid, a, eta, primed=False),
+                              right=_side_profiles(grid, a, eta, primed=True))
+    if plain is None or (plain.tag, plain.grid, plain.a, plain.eta) != ("one", grid, a, eta):
+        raise LadderError("the gamma kernel needs the plain operator at its grid, a and eta")
+    sym = _core_sums(grid, a, eta, 1)
+    x = grid.x_nodes
+    u = 0.5 * (x[:, None] + x[None, :]).reshape(-1)  # mean cell field
+    rows = u[_half_rows(grid.nx).up][:, None]
+    for key in _CORES:  # diagonal profiles commute with diag(u)
+        sym[key] += rows * plain.sym[key] - plain.sym[key] * u[None, :]
     return OperatorMatrix(grid=grid, a=a, eta=eta, tag=tag, sym=sym,
-                          left=_side_profiles(grid, a, eta, primed=False),
-                          right=_side_profiles(grid, a, eta, primed=True))
+                          left=plain.left, right=plain.right)
 
 
 @dataclass(frozen=True)
@@ -867,50 +867,38 @@ class TransferContext:
     def gr_u(self) -> np.ndarray:
         return boundary_vector(self.grid, self.a, "right") * self.grid.sqrt_w
 
-    def bracket(self, ops: list[OperatorMatrix]) -> tuple[float, float]:
-        """(sign, log magnitude) of the boundary-to-boundary contraction."""
-        vecs, logs = _scaled_images(self.gl_u, [op.vecmat for op in ops])
-        val = float(vecs[-1] @ self.gr_u)
-        if val == 0.0:
-            raise LadderError("vanishing bracket: grid pathology")
-        return math.copysign(1.0, val), logs[-1] + math.log(abs(val))
-
 
 def chain_expectation(ctx: TransferContext, n: int, j: int, i: int,
                       tag: str = "gamma") -> float:
     """Mean of the rung observable at position ``i`` under the chain with
-    ``j`` relaxed couplings, evaluated by operator products."""
+    ``j`` relaxed couplings, evaluated by operator products.
+
+    The chain's n - 1 kernels K_1..K_{n-1} (coupling 0 on the first ``j``,
+    1/4 on the rest) meet the boundary vectors on both sides; the mean is
+    (P K_mid S) / (P K_i S) with the prefix P = gl K_1..K_{i-1}, the suffix
+    S = K_{i+1}..K_{n-1} gr and K_mid the ``tag`` kernel at K_i's coupling:
+    n products in all.  The images are scaled by their max norms on the way,
+    which the ratio cancels; with ``tag='one'`` K_mid is K_i and the ratio is
+    exactly 1."""
     if not (1 <= i <= n - 1 and 0 <= j <= n - 1 and n >= 2):
         raise LadderError(f"need 1 <= i < n and 0 <= j < n, got n={n}, j={j}, i={i}")
-    k0 = ctx.op(0.0)
-    k14 = ctx.op(0.25)
-    if tag == "one":
-        mid0, mid14 = k0, k14
-    else:
-        mid0, mid14 = ctx.op(0.0, "gamma"), ctx.op(0.25, "gamma")
-    if i <= j:
-        num_ops = [k0] * (i - 1) + [mid0] + [k0] * (j - i) + [k14] * (n - j - 1)
-    else:
-        num_ops = [k0] * j + [k14] * (i - j - 1) + [mid14] + [k14] * (n - i - 1)
-    den_ops = [k0] * j + [k14] * (n - j - 1)
-    sign_n, log_n = ctx.bracket(num_ops)
-    sign_d, log_d = ctx.bracket(den_ops)
-    return sign_n * sign_d * math.exp(log_n - log_d)
-
-
-def sigma_moment(ctx: TransferContext, n: int, j: int) -> float:
-    """Mean of the exponential separation weight over the first ``j`` rungs."""
-    if not 0 <= j <= n - 1:
-        raise LadderError(f"need 0 <= j < n, got j={j}, n={n}")
-    k0 = ctx.op(0.0)
-    k14 = ctx.op(0.25)
-    _, log_n = ctx.bracket([k0] * j + [k14] * (n - j - 1))
-    _, log_d = ctx.bracket([k14] * (n - 1))
-    return math.exp(log_n - log_d)
+    ops = [ctx.op(0.0 if m <= j else 0.25) for m in range(1, n)]
+    k_i = ops[i - 1]
+    k_mid = ctx.op(k_i.eta, tag)
+    prefix = _scaled_images(ctx.gl_u, [op.vecmat for op in ops[:i - 1]])[0][-1]
+    suffix = _scaled_images(ctx.gr_u, [op.matvec for op in reversed(ops[i:])])[0][-1]
+    den = float(k_i.vecmat(prefix) @ suffix)
+    if den == 0.0:
+        raise LadderError("vanishing bracket: grid pathology")
+    return float(k_mid.vecmat(prefix) @ suffix) / den
 
 
 def sigma_moment_profile(ctx: TransferContext, n: int) -> np.ndarray:
-    """log separation moment for every j in 0..n-1, in one pass."""
+    """log separation moment for every j in 0..n-1, in one pass: the mean of
+    the exponential separation weight over the first j rungs is
+    exp(profile[j])."""
+    if n < 1:
+        raise LadderError(f"need n >= 1, got n={n}")
     pre_vecs, pre_logs = _scaled_images(ctx.gl_u, [ctx.op(0.0).vecmat] * (n - 1))
     suf_vecs, suf_logs = _scaled_images(ctx.gr_u, [ctx.op(0.25).matvec] * (n - 1))
     out = np.empty(n)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ladderlab.ladder import EdgeWeights, LadderError, LadderGraph, build
 from ladderlab.rng import RngSpec
-from ladderlab.stats import linear_fit, wilson_interval
+from ladderlab.stats import linear_fit
 
 __all__ = [
     "WalkTrace",
@@ -31,12 +31,10 @@ __all__ = [
     "rwre_run",
     "path_probability_errw",
     "local_time_profile",
-    "return_statistics",
-    "returns_before_far_end",
+    "returns_before_far_end_detailed",
     "escape_frequency",
     "profile_experiment",
     "ProfileResult",
-    "ReturnStatistics",
 ]
 
 _BLOCK = 1 << 15
@@ -255,29 +253,18 @@ def _returns_episode(graph: LadderGraph, a: float, levels: list[int], k_cap: int
     return [counts[lev] for lev in levels], decided
 
 
-def returns_before_far_end(levels: Sequence[int], a: float, k_cap: int,
-                           rng: RngSpec, replicas: int,
-                           step_cap: int = 10_000_000) -> np.ndarray:
-    """Return counts before first reaching each level, coupled across levels.
-
-    One trajectory per replica decides every level at once (common random
-    numbers), so the empirical fractions are pathwise monotone in the level.
-    Shape: (replicas, len(levels)); counts are capped at ``k_cap``.  Use
-    :func:`returns_before_far_end_detailed` to also learn how many replicas
-    hit the step cap undecided.
-    """
-    counts, _ = returns_before_far_end_detailed(levels, a, k_cap, rng, replicas, step_cap)
-    return counts
-
-
 def returns_before_far_end_detailed(levels: Sequence[int], a: float, k_cap: int,
                                     rng: RngSpec, replicas: int,
                                     step_cap: int = 10_000_000) -> tuple[np.ndarray, int]:
-    """As :func:`returns_before_far_end`, also reporting how many replicas
-    hit the step cap undecided."""
+    """Return counts before first reaching each level, coupled across levels,
+    and how many replicas hit the step cap undecided.
+
+    One trajectory per replica decides every level at once (common random
+    numbers), so the empirical fractions are pathwise monotone in the level.
+    Counts have shape (replicas, len(levels)) and are capped at ``k_cap``."""
     levels = [int(v) for v in levels]
-    if min(levels) < 1 or k_cap < 1:
-        raise LadderError("levels must be >= 1 and k_cap >= 1")
+    if not levels or min(levels) < 1 or k_cap < 1:
+        raise LadderError("need one or more levels, all >= 1, and k_cap >= 1")
     graph = build(max(levels))
     start = graph.vertex(0, 2)
     out = np.empty((replicas, len(levels)), dtype=np.int64)
@@ -287,27 +274,6 @@ def returns_before_far_end_detailed(levels: Sequence[int], a: float, k_cap: int,
         out[r], ok = _returns_episode(graph, a, levels, k_cap, gen, start, step_cap)
         undecided += not ok
     return out, undecided
-
-
-@dataclass(frozen=True)
-class ReturnStatistics:
-    n: int
-    k: int
-    replicas: int
-    fraction: float
-    ci_low: float
-    ci_high: float
-
-
-def return_statistics(graph: LadderGraph, a: float, k: int, rng: RngSpec,
-                      replicas: int) -> ReturnStatistics:
-    """Fraction of replicas with at least ``k`` returns before the far end."""
-    if k == 0:
-        return ReturnStatistics(graph.n, 0, replicas, 1.0, 1.0, 1.0)
-    counts = returns_before_far_end([graph.n], a, k, rng, replicas)[:, 0]
-    hits = int(np.sum(counts >= k))
-    lo, hi = wilson_interval(hits, replicas)
-    return ReturnStatistics(graph.n, k, replicas, hits / replicas, lo, hi)
 
 
 def escape_frequency(graph: LadderGraph, x: EdgeWeights, rng: RngSpec, replicas: int,
@@ -369,6 +335,11 @@ class ProfileResult:
         }
 
 
+# the envelope rate is calibrated on these levels (clipped to n) through
+# this quantile of the replicas' log ratios
+_ENVELOPE_LEVELS, _ENVELOPE_QUANTILE = (1, 4), 0.8
+
+
 def _profile_replica(args) -> np.ndarray:
     n, a, steps, seed, stream, representative = args
     graph = build(n)
@@ -382,18 +353,16 @@ def _profile_replica(args) -> np.ndarray:
 
 def profile_experiment(n: int, a: float, steps: int, replicas: int, rng: RngSpec,
                        workers: int = 1, representative: str = "rung",
-                       fit_levels: tuple[int, int] = (2, 12),
-                       envelope_levels: tuple[int, int] = (1, 4),
-                       envelope_quantile: float = 0.8) -> ProfileResult:
+                       fit_levels: tuple[int, int] = (2, 12)) -> ProfileResult:
     """Replicated local-time decay profile of the reinforced walk.
 
     Fits a line to the per-level median log ratio on ``fit_levels``, and an
-    origin-anchored envelope rate through the ``envelope_quantile`` of the
-    log ratios on ``envelope_levels``; reports per level the fraction of
-    replicas whose ratio sits below the envelope.  Replicas that never
-    cross the left rung enter with infinite ratios.  Raises ``LadderError``
-    before any walk runs unless the fit range, clipped to ``n``, holds two or
-    more levels of 1..n and the clipped envelope range one or more.
+    origin-anchored envelope rate through the ``_ENVELOPE_QUANTILE`` of the
+    log ratios on the levels ``_ENVELOPE_LEVELS`` (clipped to ``n``);
+    reports per level the fraction of replicas whose ratio sits below the
+    envelope.  Replicas that never cross the left rung enter with infinite
+    ratios.  Raises ``LadderError`` before any walk runs unless the fit
+    range, clipped to ``n``, holds two or more levels of 1..n.
     """
     if representative not in ("rung", "lower", "upper"):
         raise LadderError(f"unknown representative edge kind {representative!r}")
@@ -401,11 +370,7 @@ def profile_experiment(n: int, a: float, steps: int, replicas: int, rng: RngSpec
     if not 1 <= lo < hi:
         raise LadderError(f"fit range {lo}..{hi} (clipped to n={n}) "
                           f"is not two or more levels in 1..{n}")
-    elo, ehi = envelope_levels[0], min(envelope_levels[1], n)
-    if not 1 <= elo <= ehi:
-        raise LadderError(f"envelope range {elo}..{ehi} (clipped to n={n}) "
-                          f"is not one or more levels in 1..{n}")
-    env_levels = np.arange(elo, ehi + 1)
+    env_levels = np.arange(_ENVELOPE_LEVELS[0], min(_ENVELOPE_LEVELS[1], n) + 1)
     jobs = [(n, a, steps, rng.seed, rng.stream + r, representative) for r in range(replicas)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -422,7 +387,7 @@ def profile_experiment(n: int, a: float, steps: int, replicas: int, rng: RngSpec
         raise LadderError("median log ratio not finite on the fit range; run longer")
     slope, intercept, r2 = linear_fit(levels, med_fit)
     with np.errstate(invalid="ignore"):  # quantile interpolation near inf entries
-        env_q = np.quantile(log_ratios[:, env_levels - 1], envelope_quantile, axis=0)
+        env_q = np.quantile(log_ratios[:, env_levels - 1], _ENVELOPE_QUANTILE, axis=0)
     if not np.all(np.isfinite(env_q)):
         raise LadderError("envelope quantile not finite on the calibration range")
     rate = -float(np.sum(env_levels * env_q) / np.sum(env_levels * env_levels))
@@ -432,6 +397,6 @@ def profile_experiment(n: int, a: float, steps: int, replicas: int, rng: RngSpec
         n=n, a=a, steps=steps, replicas=replicas, representative=representative,
         log_ratios=log_ratios, median_log_ratio=median,
         slope=slope, intercept=intercept, r2=r2, fit_levels=(lo, hi),
-        envelope_rate=rate, envelope_quantile=envelope_quantile,
+        envelope_rate=rate, envelope_quantile=_ENVELOPE_QUANTILE,
         envelope_fraction=fraction,
     )

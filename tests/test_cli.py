@@ -44,6 +44,17 @@ def test_malformed_list_flags_are_config_errors(tmp_path, capsys, args, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["n_list", "k_list"])
+def test_empty_return_lists_are_config_errors(tmp_path, capsys, key):
+    # an empty list once passed validation and the run died in min()/max()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "returns", "params": {key: [], "replicas": 10}}))
+    out = tmp_path / "out.json"
+    assert run(["returns", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"$.params.{key}: fewer than 1 items" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_is_config_error(capsys):
     assert run(["verify", "--does-not-exist", "1"]) == 2
 

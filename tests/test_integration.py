@@ -35,7 +35,7 @@ def test_return_bound_replication(batch_n4):
     """Walk return frequencies dominate the sampled-environment bound."""
     g = build(4)
     replicas = 4000
-    counts = walk.returns_before_far_end([4], 1.0, 3, RngSpec(60), replicas)[:, 0]
+    counts = walk.returns_before_far_end_detailed([4], 1.0, 3, RngSpec(60), replicas)[0][:, 0]
     sub = range(0, batch_n4.size, batch_n4.size // 600)
     escapes = np.array([
         network.escape_probability(mcmc.environment_from_spin(batch_n4.spin(k)), 4)
@@ -54,8 +54,9 @@ def test_sigma_moment_importance_cross_check(batch_n8):
     grid = transfer.build_grid(transfer.GridParams(
         nx_core=8, nx_tail=4, nz_core=24, nz_tail=8, nv=24, nzb=48), a=1.0)
     ctx = transfer.TransferContext(grid, 1.0)
+    prof = transfer.sigma_moment_profile(ctx, 8)
     for j in (2, 4, 6):
-        op_val = transfer.sigma_moment(ctx, 8, j)
+        op_val = math.exp(prof[j])
         obs = np.exp(-0.25 * batch_n8.gamma[:, :j].sum(axis=1))
         est = float(obs.mean())
         err = batch_means_error(obs)

@@ -17,7 +17,6 @@ from ladderlab.transfer import (
     build_grid,
     chain_expectation,
     leading_triple,
-    sigma_moment,
     sigma_moment_profile,
     symmetry_defect,
 )
@@ -137,10 +136,11 @@ def test_reflection_identities(ctx, grid):
     perm = np.arange(grid.size).reshape(4, 2, -1)[[1, 0, 2, 3]].reshape(-1)
     for eta in (0.0, 0.25):
         sym = ctx.op(eta).dense()
-        neg = assemble_kernel(grid, A, -eta).dense()
+        plain_neg = assemble_kernel(grid, A, -eta)
+        neg = plain_neg.dense()
         assert np.allclose(sym, neg[np.ix_(perm, perm)].T, rtol=1e-12, atol=1e-300)
         g_sym = ctx.op(eta, "gamma").dense()
-        g_neg = assemble_kernel(grid, A, -eta, "gamma").dense()
+        g_neg = assemble_kernel(grid, A, -eta, "gamma", plain=plain_neg).dense()
         scale = np.max(np.abs(g_sym))
         assert np.max(np.abs(g_sym + g_neg[np.ix_(perm, perm)].T)) < 1e-13 * scale
 
@@ -251,8 +251,62 @@ def test_chain_expectation_two_sided_decay(ctx):
     assert np.all(rates[:4] > 0.5)
 
 
+def _dense_bracket(ctx, etas, mid=None):
+    """gl K_1 ... K_{n-1} gr with dense kernels at the couplings ``etas``; ``mid``
+    = (position, tag) swaps in the ``tag`` kernel at one position."""
+    v = ctx.gl_u
+    for pos, eta in enumerate(etas, start=1):
+        tag = mid[1] if mid is not None and mid[0] == pos else "one"
+        v = v @ ctx.op(eta, tag).dense()
+    return float(v @ ctx.gr_u)
+
+
+@pytest.fixture(scope="module")
+def small_ctx(small_grid):
+    return TransferContext(small_grid, A)
+
+
+@pytest.mark.parametrize("tag", ["one", "gamma"])
+def test_chain_expectation_matches_dense_brackets(small_ctx, tag):
+    """The one-contraction mean equals the ratio of the two forward brackets
+    (numerator with the ``tag`` kernel at rung i, denominator without), each
+    formed from dense kernels, for every (j, i) of a six-cell chain."""
+    n = 6
+    for j in range(n):
+        etas = [0.0] * j + [0.25] * (n - j - 1)
+        den = _dense_bracket(small_ctx, etas)
+        for i in range(1, n):
+            want = _dense_bracket(small_ctx, etas, (i, tag)) / den
+            got = chain_expectation(small_ctx, n, j, i, tag)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (j, i, got, want)
+
+
+def test_chain_expectation_makes_n_products(small_ctx, monkeypatch):
+    # the two forward brackets took 2n - 2
+    from ladderlab.transfer import OperatorMatrix
+
+    calls = []
+
+    def counted(product):
+        def wrapper(self, v):
+            calls.append(product.__name__)
+            return product(self, v)
+        return wrapper
+
+    for name in ("vecmat", "matvec"):
+        monkeypatch.setattr(OperatorMatrix, name, counted(getattr(OperatorMatrix, name)))
+    for n, j, i in ((2, 0, 1), (6, 3, 1), (6, 3, 5), (12, 10, 5)):
+        for tag in ("one", "gamma"):
+            calls.clear()
+            chain_expectation(small_ctx, n, j, i, tag)
+            assert len(calls) == n, (n, j, i, tag)
+
+
 def test_sigma_moment_j_zero_exact(ctx):
-    assert sigma_moment(ctx, 12, 0) == 1.0
+    assert sigma_moment_profile(ctx, 1).tolist() == [0.0]
+    for n in (0, -2):
+        with pytest.raises(LadderError, match="n >= 1"):
+            sigma_moment_profile(ctx, n)
 
 
 def test_sigma_moment_profile_decay(ctx):
@@ -262,8 +316,16 @@ def test_sigma_moment_profile_decay(ctx):
     slope, _, r2 = linear_fit(np.arange(5, 26), prof[5:26])
     assert slope < 0
     assert r2 > 0.99
-    # agrees with the one-shot evaluation
-    assert sigma_moment(ctx, 30, 7) == pytest.approx(math.exp(prof[7]), rel=1e-10)
+
+
+def test_sigma_moment_profile_matches_dense_brackets(small_ctx):
+    # exp(profile[j]) is the bracket with j zero couplings over the one with none
+    n = 8
+    prof = sigma_moment_profile(small_ctx, n)
+    den = _dense_bracket(small_ctx, [0.25] * (n - 1))
+    for j in range(n):
+        want = _dense_bracket(small_ctx, [0.0] * j + [0.25] * (n - j - 1)) / den
+        assert math.exp(prof[j]) == pytest.approx(want, rel=1e-12)
 
 
 def test_symmetry_defect(ctx):
@@ -311,6 +373,12 @@ def test_apply_right_matches_matrix(ctx, grid):
     assert np.allclose(out, direct, rtol=1e-10)
 
 
+def _kernel(grid, eta, tag):
+    """The operator of ``tag``; the gamma kernel is built from the plain one."""
+    plain = assemble_kernel(grid, A, eta)
+    return plain if tag == "one" else assemble_kernel(grid, A, eta, tag, plain=plain)
+
+
 @pytest.mark.parametrize("tag", ["one", "gamma"])
 @pytest.mark.parametrize("eta", [-0.25, 0.0, 0.25])
 def test_factorized_products_match_dense(small_grid, odd_grid, tag, eta):
@@ -318,7 +386,7 @@ def test_factorized_products_match_dense(small_grid, odd_grid, tag, eta):
         return np.linalg.norm(got - want) / np.linalg.norm(want)
 
     for grid in (small_grid, odd_grid):  # nx = 12 and 11
-        op = assemble_kernel(grid, A, eta, tag)
+        op = _kernel(grid, eta, tag)
         dense = op.dense()
         sw = grid.sqrt_w
         gen = np.random.default_rng(11)
@@ -337,12 +405,14 @@ def test_factorized_products_match_dense(small_grid, odd_grid, tag, eta):
 
 def test_gamma_kernel_reuses_plain_cores(small_grid):
     plain = assemble_kernel(small_grid, A, 0.25)
-    reused = assemble_kernel(small_grid, A, 0.25, "gamma", plain=plain)
-    fresh = assemble_kernel(small_grid, A, 0.25, "gamma")
-    scale = np.max(np.abs(fresh.sym))
-    assert np.max(np.abs(reused.sym - fresh.sym)) < 1e-13 * scale
+    gamma = assemble_kernel(small_grid, A, 0.25, "gamma", plain=plain)
+    assert gamma.left is plain.left and gamma.right is plain.right
+    with pytest.raises(LadderError, match="plain operator"):
+        assemble_kernel(small_grid, A, 0.25, "gamma")
     with pytest.raises(LadderError, match="plain operator"):
         assemble_kernel(small_grid, A, 0.0, "gamma", plain=plain)
+    with pytest.raises(LadderError, match="plain operator"):
+        assemble_kernel(small_grid, A, 0.25, "gamma", plain=gamma)
 
 
 @pytest.mark.parametrize("eta, lam_ref, ratio_ref",
@@ -425,7 +495,7 @@ def test_cores_match_direct_sum(kind, tag, eta, monkeypatch):
     assert np.all(_sign_factors(z[first], w[first])[1] == 0.0)
     for chunk in (transfer._RUNG_CHUNK, 6):
         monkeypatch.setattr(transfer, "_RUNG_CHUNK", chunk)
-        op = assemble_kernel(g, A, eta, tag)
+        op = _kernel(g, eta, tag)
         got = np.array([[[op.full_core(is_a, is_b, same) for same in (0, 1)] for is_b in (0, 1)]
                         for is_a in (0, 1)])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -17,8 +17,6 @@ from ladderlab.walk import (
     local_time_profile,
     path_probability_errw,
     profile_experiment,
-    return_statistics,
-    returns_before_far_end,
     returns_before_far_end_detailed,
     rwre_run,
 )
@@ -171,25 +169,27 @@ def _return_oracle(k: int) -> Fraction:
 
 
 def test_return_statistics_single_cell_oracle():
-    g = build(1)
     reps = 10_000
     for k in (1, 2, 3):
-        stat = return_statistics(g, 1.0, k, RngSpec(31), reps)
+        counts, _ = returns_before_far_end_detailed([1], 1.0, k, RngSpec(31), reps)
+        fraction = float(np.mean(counts[:, 0] >= k))
         oracle = float(_return_oracle(k))
         sigma = math.sqrt(oracle * (1 - oracle) / reps)
-        assert abs(stat.fraction - oracle) < 3 * sigma
+        assert abs(fraction - oracle) < 3 * sigma
     assert _return_oracle(1) == Fraction(1, 2)
     assert _return_oracle(2) == Fraction(1, 3)
 
 
 def test_return_statistics_k_zero():
-    g = build(2)
-    stat = return_statistics(g, 1.0, 0, RngSpec(0), 10)
-    assert stat.fraction == 1.0
+    # a zero return target or no level at all is refused before any walk runs
+    with pytest.raises(LadderError, match="k_cap >= 1"):
+        returns_before_far_end_detailed([2], 1.0, 0, RngSpec(0), 10)
+    with pytest.raises(LadderError, match="one or more levels"):
+        returns_before_far_end_detailed([], 1.0, 1, RngSpec(0), 10)
 
 
 def test_returns_monotone_in_k_and_level():
-    counts = returns_before_far_end([2, 4], 1.0, 4, RngSpec(37), 2000)
+    counts, _ = returns_before_far_end_detailed([2, 4], 1.0, 4, RngSpec(37), 2000)
     for k in (1, 2, 3, 4):
         frac = np.mean(counts >= k, axis=0)
         assert frac[0] <= frac[1] + 1e-12  # more room, more returns
@@ -245,8 +245,6 @@ def test_profile_experiment_smoke():
     dict(fit_levels=(3, 3)),
     dict(fit_levels=(6, 9)),  # clipped to 6..4
     dict(fit_levels=(0, 3)),
-    dict(fit_levels=(1, 3), envelope_levels=(5, 8)),
-    dict(fit_levels=(1, 3), envelope_levels=(0, 3)),
 ])
 def test_profile_experiment_rejects_short_ranges(ranges):
     with pytest.raises(LadderError, match="range"):

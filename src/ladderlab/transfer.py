@@ -300,7 +300,6 @@ _OTHERS = {key: [t for t in range(4) if t != key] for key in (_A, _B)}
 _CORES = tuple((is_a, is_b, same) for is_a in (0, 1) for is_b in (0, 1) for same in (0, 1)
                if not (is_a and is_b))
 _RUNG_CHUNK = 512  # rows per slab of the cell-pair table during assembly
-_FOLD_TILE = 128  # half rows per tile of the in-place mirror fold
 
 
 class _HalfRows(NamedTuple):
@@ -567,45 +566,52 @@ def _add_products(outs: list[np.ndarray], table: np.ndarray, coefs: np.ndarray) 
         start += width
 
 
-def _fold_pair(x: np.ndarray, y: np.ndarray | None, sign: float, half: _HalfRows) -> None:
-    """``x += sign * T(y)`` and ``y += sign * T(x)`` on the pre-fold values,
-    in place (``x += sign * T(x)`` if ``y`` is None), where T maps a half-row core
-    to the half rows of its transpose: ``T[:, up] = R[:, up].T`` and
-    ``T[:, mirror] = R[:, mirror].T`` off the diagonal cells, whose columns
-    take the ``up`` value.
-
-    The two column maps run one after the other over pairs of fixed-size
-    tiles of half rows (a, b): the entries (rows a, columns of b) take
-    their update from (rows b, columns of a) and vice versa, so each pair
-    reads all its tiles before it writes any, and no other pair touches
-    them.  The mirror columns go first: their update reads the ``up``
-    columns of the diagonal cells, which the ``up`` pass changes."""
-    nh = half.up.size
-    tiles = [np.arange(lo, min(lo + _FOLD_TILE, nh)) for lo in range(0, nh, _FOLD_TILE)]
-    targets = ((x, x),) if y is None else ((x, y), (y, x))
-    for cols, written in ((half.mirror, half.off > 0), (half.up, np.ones(nh, dtype=bool))):
-        for a, ra in enumerate(tiles):
-            for rb in tiles[a:]:
-                pairs = ((ra, rb),) if rb is ra else ((ra, rb), (rb, ra))
-                blocks = [(r, c[written[c]]) for r, c in pairs]
-                updates = [(dst, r, c, src[np.ix_(c, cols[r])].T)
-                           for dst, src in targets for r, c in blocks]
-                for dst, r, c, add in updates:
-                    dst[r[0]:r[-1] + 1, cols[c]] += sign * add
-
-
 def _fold_mirrors(out: np.ndarray, sign: float, half: _HalfRows) -> None:
     """Add the share of the mirrored rung nodes at eta = 0, given the sums
     over their partners in ``out`` (half-row cores before the cell weights).
 
     The node at (z, -w) adds to core (is_a, is_b, same) the transpose of
     what its partner at (z, w) adds to core (is_b, is_a, same), times
-    ``sign`` (the parity of the weight in w).  The half rows of a transpose
-    follow from the swap symmetry (``_fold_pair``); the cores with equal
-    letter flags are their own partners."""
-    for same in (0, 1):
-        _fold_pair(out[0, 0, same], None, sign, half)
-        _fold_pair(out[1, 0, same], out[0, 1, same], sign, half)
+    ``sign`` (the parity of the weight in w): on the pre-fold values, each
+    core R gains ``sign * T(P)`` of its partner P, and the cores with equal
+    letter flags are their own partners.  T maps a half-row core to the half
+    rows of its transpose: ``T[:, up] = P[:, up].T`` and ``T[:, mirror] =
+    P[:, mirror].T`` off the diagonal cells, whose columns take the ``up``
+    value.
+
+    The half rows of lower field i are a (nx - i, nx, nx) view over the
+    column cells, in which the ``up`` columns of lower field j are
+    ``[:, j, j:]`` and its off-diagonal mirror columns ``[:, j+1:, j]``, so
+    every read and write is a slice or stride view.  Block (i, j) of R takes
+    its update from block (j, i) of P: each pair of lower fields reads its
+    blocks before it writes them, and no other pair touches them.  The
+    mirror columns go first: their update reads the ``up`` columns of the
+    diagonal cells, which the ``up`` pass changes.  One update covers both
+    ``same`` flags, and the A->B cores stay untouched zero pages."""
+    nx = math.isqrt(half.swap.size)
+    starts = np.concatenate([[0], np.cumsum(np.arange(nx, 0, -1))]).tolist()
+
+    def blocks(cores):  # per lower field i, its half rows as a (.., nx - i, nx, nx) view
+        return [cores[..., lo:hi, :].reshape(cores.shape[:-2] + (hi - lo, nx, nx))
+                for lo, hi in zip(starts[:-1], starts[1:])]
+
+    flat = out.reshape((4,) + out.shape[2:])  # letter flags (is_a, is_b) at 2 is_a + is_b
+    groups = ((blocks(flat[0]), blocks(flat[0])), (blocks(flat[1:3]), blocks(flat[2:0:-1])))
+    add = np.add if sign > 0 else np.subtract  # x - y is x + (-y) bit for bit
+    passes = ((lambda b, i, j: b[i][..., j + 1:, j], lambda b, i, j: b[j][..., 1:, i:, i]),
+              (lambda b, i, j: b[i][..., j, j:], lambda b, i, j: b[j][..., i, i:]))
+    for dst_view, src_view in passes:
+        for dst, src in groups:
+            for i in range(nx):
+                for j in range(i, nx):
+                    t1, s1 = dst_view(dst, i, j), src_view(src, i, j)
+                    if i == j:  # overlapping operands: NumPy buffers the source
+                        add(t1, s1.swapaxes(-1, -2), out=t1)
+                        continue
+                    t2, s2 = dst_view(dst, j, i), src_view(src, j, i)
+                    pre = s2.copy()  # t1 shares its cells with s2
+                    add(t1, s1.swapaxes(-1, -2), out=t1)
+                    add(t2, pre.swapaxes(-1, -2), out=t2)
 
 
 def _core_sums(grid: TransferGrid, a: float, eta: float, power: int) -> np.ndarray:

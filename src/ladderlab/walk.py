@@ -9,6 +9,12 @@ A "return" is any arrival at the left rung pair (either of the two level-0
 vertices) at a positive time; consecutive arrivals while bouncing on the
 left rung all count.  Return-based experiments stop a replica as soon as
 its return target is reached, so they stay cheap even on long ladders.
+
+One step kernel runs every walk with one list write per step: a reinforced
+walk keeps only its weights and reads its local times back as
+``rint(w - a)``, a fixed-weight walk keeps only its crossing counts, and a
+run's returns follow from the arrival identity at the left rung pair.
+Reinforced runs whose weights could pass 2**50 are refused.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +45,9 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 15
+# w + 1.0 rounds only when w enters a new binade, so a weight that stays at most
+# this large is a + k to within ulp(w) <= 1/4: rint(w - a) is its local time k
+_MAX_WEIGHT = 2 ** 50
 
 
 @dataclass(frozen=True)
@@ -65,9 +75,6 @@ class WalkTrace:
         return self.a + self.local_times
 
 
-_RETURN, _STOP = 1, 2  # vertex marks read by the step kernel
-
-
 class _Uniforms:
     """One generator's uniforms, drawn in blocks of 256 doubling up to
     ``_BLOCK``.  PCG64 gives ``random(m)`` then ``random(k)`` the values of
@@ -89,23 +96,23 @@ def _step_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sum(opts, ()) + (-1, -1) * (3 - len(opts)) for opts in build(n).incident)
 
 
-def _marks(num_vertices: int, stops=()) -> list[int]:
-    """Kernel marks: ``_RETURN`` on the left rung pair, ``_STOP`` on ``stops``."""
-    marks = [_RETURN, _RETURN] + [0] * (num_vertices - 2)
-    for v in stops:
-        marks[v] |= _STOP
-    return marks
+def _check_reinforced(a: float, steps: int) -> None:
+    """Refuse a reinforced walk whose weights could pass ``_MAX_WEIGHT``."""
+    if not a > 0:
+        raise LadderError(f"initial weight must be positive, got a={a}")
+    if a > _MAX_WEIGHT - steps:
+        raise LadderError(f"a + steps = {a} + {steps} exceeds 2**50: reinforcement would stall")
 
 
-def _advance(table, w: list[float], k: list[int], inc: float, pos: int, budget: int,
-             marks: list[int], uniforms: _Uniforms) -> tuple[int, int, int]:
+def _advance(table, w: list[float], acc: list, d, pos: int, budget: int,
+             stops: list[bool], uniforms: _Uniforms) -> tuple[int, int]:
     """The step rule: advance one walk by at most ``budget`` steps, stopping on
-    arrival at a vertex marked ``_STOP``.  A step from ``pos`` crosses an
-    incident edge with probability proportional to its weight in ``w``, adds
-    one to its crossing count in ``k`` and ``inc`` to its weight.  Returns
-    ``(pos, steps taken, arrivals at the left rung pair)``."""
-    counted = sum(k)  # every step adds one crossing
-    returns, left = 0, budget
+    arrival at a vertex flagged in ``stops``.  A step from ``pos`` crosses an
+    incident edge with probability proportional to its weight in ``w`` and
+    adds ``d`` to that edge's entry of ``acc``, its one write: a reinforced
+    walk passes ``acc is w`` and ``d = 1.0``, a fixed-weight walk a list of
+    integer crossing counts and ``d = 1``.  Returns ``(pos, steps taken)``."""
+    entry, left = acc[:], budget
     while left > 0:
         if uniforms.ptr == len(uniforms.buf):
             uniforms.refill()
@@ -130,17 +137,14 @@ def _advance(table, w: list[float], k: list[int], inc: float, pos: int, budget: 
                     e, pos = e1, n1
                 else:
                     e, pos = e2, n2
-            k[e] += 1
-            w[e] += inc
-            mark = marks[pos]
-            if mark:
-                returns += mark & _RETURN
-                if mark & _STOP:
-                    taken = sum(k) - counted
-                    # the block's uniforms past this step stay in the stream
-                    uniforms.ptr = hi - (budget - left - taken)
-                    return pos, taken, returns
-    return pos, budget - left, returns
+            acc[e] += d
+            if stops[pos]:
+                # each entry grew by its crossings to within 1/4 (see _MAX_WEIGHT)
+                taken = sum(map(round, map(sub, acc, entry)))
+                # the block's uniforms past this step stay in the stream
+                uniforms.ptr = hi - (budget - left - taken)
+                return pos, taken
+    return pos, budget - left
 
 
 def _trace_run(graph: LadderGraph, w: list[float], a: float | None, steps: int, start: int,
@@ -148,25 +152,29 @@ def _trace_run(graph: LadderGraph, w: list[float], a: float | None, steps: int, 
     """A walk of ``steps`` steps from weights ``w``, reinforced unless ``a`` is None."""
     if not 0 <= start < graph.num_vertices:
         raise LadderError(f"start vertex {start} outside the graph")
-    table, marks = _step_table(graph.n), _marks(graph.num_vertices)
-    uniforms, inc = _Uniforms(rng.generator()), 0.0 if a is None else 1.0
-    k = [0] * graph.num_edges
-    pos, returns, hist = start, 0, []
+    table, stops = _step_table(graph.n), [False] * graph.num_vertices
+    uniforms = _Uniforms(rng.generator())
+    acc, d = (w, 1.0) if a is not None else ([0] * graph.num_edges, 1)
+    pos, hist = start, []
     for _ in range(steps // stride if stride > 0 else 0):
-        pos, _, ret = _advance(table, w, k, inc, pos, stride, marks, uniforms)
-        returns += ret
+        pos, _ = _advance(table, w, acc, d, pos, stride, stops, uniforms)
         hist.append(pos)
-    pos, _, ret = _advance(table, w, k, inc, pos, steps - stride * len(hist), marks, uniforms)
-    return WalkTrace(start=start, steps=steps, local_times=np.array(k, dtype=np.int64),
-                     position=pos, returns=returns + ret, a=a,
+    pos, _ = _advance(table, w, acc, d, pos, steps - stride * len(hist), stops, uniforms)
+    k = np.array(acc, dtype=np.int64) if a is None else np.rint(np.array(w) - a).astype(np.int64)
+    if int(k.sum()) != steps:
+        raise LadderError(f"local times sum to {int(k.sum())}, not to the {steps} steps taken")
+    # crossings of the edges at the left rung pair (the rung listed twice) count its
+    # arrivals plus departures, and departures = arrivals + [start there] - [end there]
+    left = [e for v in (0, 1) for e, _ in graph.incident[v]]
+    returns = (int(k[left].sum()) + (pos <= 1) - (start <= 1)) // 2
+    return WalkTrace(start=start, steps=steps, local_times=k, position=pos, returns=returns, a=a,
                      history=np.array(hist, dtype=np.int32) if stride > 0 else None)
 
 
 def errw_run(graph: LadderGraph, a: float, steps: int, start: int, rng: RngSpec,
              history_stride: int = 0) -> WalkTrace:
-    """Run the reinforced walk for ``steps`` steps."""
-    if not a > 0:
-        raise LadderError(f"initial weight must be positive, got a={a}")
+    """Run the reinforced walk for ``steps`` steps (``a + steps <= 2**50``)."""
+    _check_reinforced(a, steps)
     return _trace_run(graph, [float(a)] * graph.num_edges, float(a), steps, start, rng,
                       history_stride)
 
@@ -221,58 +229,46 @@ def local_time_profile(trace: WalkTrace, graph: LadderGraph,
 # return counting before reaching the far end
 
 
-def _returns_episode(graph: LadderGraph, a: float, levels: list[int], k_cap: int,
-                     gen: np.random.Generator, start: int, step_cap: int) -> tuple[list[int], bool]:
-    """One reinforced replica on the largest requested ladder.
-
-    Returns, for each requested level, the number of returns seen strictly
-    before the walk first reaches that level (capped at ``k_cap``), plus a
-    flag marking a replica that exhausted the step cap while still
-    undecided (reinforcement can trap the walk mid-ladder for a very long
-    stretch); its pending levels keep the returns seen so far, the
-    conservative resolution.  A replica that reached ``k_cap`` returns is
-    decided even on its last allowed step: no later step can change a
-    capped count.
-    """
-    table, uniforms = _step_table(graph.n), _Uniforms(gen)
-    w, k = [float(a)] * graph.num_edges, [0] * graph.num_edges
-    pos, returns, used = start, 0, 0
-    pending = sorted(levels)
-    counts: dict[int, int] = {}
-    while pending and returns < k_cap and used < step_cap:
-        # stop at the next return and on first reaching the lowest pending level
-        marks = _marks(graph.num_vertices, [0, 1, *range(2 * pending[0], graph.num_vertices)])
-        pos, taken, ret = _advance(table, w, k, 1.0, pos, step_cap - used, marks, uniforms)
-        used += taken
-        returns += ret
-        while pending and pos >> 1 >= pending[0]:
-            counts[pending.pop(0)] = returns
-    for lev in pending:
-        counts[lev] = returns
-    decided = not pending or returns >= k_cap or used < step_cap
-    return [counts[lev] for lev in levels], decided
-
-
 def returns_before_far_end_detailed(levels: Sequence[int], a: float, k_cap: int,
                                     rng: RngSpec, replicas: int,
                                     step_cap: int = 10_000_000) -> tuple[np.ndarray, int]:
     """Return counts before first reaching each level, coupled across levels,
     and how many replicas hit the step cap undecided.
 
-    One trajectory per replica decides every level at once (common random
-    numbers), so the empirical fractions are pathwise monotone in the level.
-    Counts have shape (replicas, len(levels)) and are capped at ``k_cap``."""
+    One reinforced trajectory per replica, on the largest requested ladder,
+    decides every level at once (common random numbers), so the empirical
+    fractions are pathwise monotone in the level.  Counts have shape
+    (replicas, len(levels)): per level, the returns seen strictly before the
+    walk first reaches it, capped at ``k_cap``.  A replica that exhausts the
+    step cap while still undecided (reinforcement can trap the walk
+    mid-ladder for a very long stretch) keeps the returns seen so far on its
+    pending levels, the conservative resolution; one that reached ``k_cap``
+    returns is decided even on its last allowed step, as no later step can
+    change a capped count.  ``a + step_cap`` may be at most 2**50."""
     levels = [int(v) for v in levels]
     if not levels or min(levels) < 1 or k_cap < 1:
         raise LadderError("need one or more levels, all >= 1, and k_cap >= 1")
+    _check_reinforced(a, step_cap)
     graph = build(max(levels))
-    start = graph.vertex(0, 2)
+    table = _step_table(graph.n)
+    # stop at every return and on first reaching the lowest pending level
+    stops = {lev: [v <= 1 or v >> 1 >= lev for v in range(graph.num_vertices)] for lev in levels}
     out = np.empty((replicas, len(levels)), dtype=np.int64)
     undecided = 0
     for r in range(replicas):
-        gen = RngSpec(rng.seed, rng.stream + r).generator()
-        out[r], ok = _returns_episode(graph, a, levels, k_cap, gen, start, step_cap)
-        undecided += not ok
+        uniforms = _Uniforms(RngSpec(rng.seed, rng.stream + r).generator())
+        w = [float(a)] * graph.num_edges
+        pos, returns, used = graph.vertex(0, 2), 0, 0
+        pending, counts = sorted(levels), {}
+        while pending and returns < k_cap and used < step_cap:
+            pos, taken = _advance(table, w, w, 1.0, pos, step_cap - used, stops[pending[0]],
+                                  uniforms)
+            used += taken
+            returns += pos <= 1  # a step was taken: ending on the left rung is a return
+            while pending and pos >> 1 >= pending[0]:
+                counts[pending.pop(0)] = returns
+        out[r] = [counts.get(lev, returns) for lev in levels]
+        undecided += bool(pending) and returns < k_cap and used >= step_cap
     return out, undecided
 
 
@@ -282,12 +278,12 @@ def escape_frequency(graph: LadderGraph, x: EdgeWeights, rng: RngSpec, replicas:
     start vertex, for the fixed-weight walk started at the top-left corner."""
     table, start = _step_table(graph.n), graph.vertex(0, 2)
     w, k = x.values.tolist(), [0] * graph.num_edges  # crossings are not reported
-    marks = _marks(graph.num_vertices, [start, *range(2 * graph.n, graph.num_vertices)])
+    stops = [v == start or v >> 1 >= graph.n for v in range(graph.num_vertices)]
     escapes = 0
     for r in range(replicas):
         uniforms = _Uniforms(RngSpec(rng.seed, rng.stream + r).generator())
-        pos, taken, _ = _advance(table, w, k, 0.0, start, step_cap, marks, uniforms)
-        if taken == 0 or not marks[pos] & _STOP:
+        pos, taken = _advance(table, w, k, 1, start, step_cap, stops, uniforms)
+        if taken == 0 or not stops[pos]:
             raise LadderError(f"episode undecided after {step_cap} steps")
         escapes += pos != start
     return escapes / replicas
@@ -362,8 +358,10 @@ def profile_experiment(n: int, a: float, steps: int, replicas: int, rng: RngSpec
     reports per level the fraction of replicas whose ratio sits below the
     envelope.  Replicas that never cross the left rung enter with infinite
     ratios.  Raises ``LadderError`` before any walk runs unless the fit
-    range, clipped to ``n``, holds two or more levels of 1..n.
+    range, clipped to ``n``, holds two or more levels of 1..n and
+    ``a + steps`` is at most 2**50.
     """
+    _check_reinforced(a, steps)
     if representative not in ("rung", "lower", "upper"):
         raise LadderError(f"unknown representative edge kind {representative!r}")
     lo, hi = fit_levels[0], min(fit_levels[1], n)

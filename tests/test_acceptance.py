@@ -198,13 +198,11 @@ def test_c05_minorant_certificate():
 def test_c06_bound_certificates(batch_n8):
     # realistic extra points for the coupling bound from the sampler
     i = 3
-    u = 0.5 * (batch_n8.xlo + batch_n8.xhi)
     extra = [
         batch_n8.xlo[:, i - 1], batch_n8.xhi[:, i - 1],
         batch_n8.z[:, i - 1], batch_n8.gamma[:, i - 1],
         batch_n8.xlo[:, i], batch_n8.xhi[:, i],
     ]
-    del u
     worst_mid = math.inf
     ok = True
     for a in (0.8, 1.0, 5.0):

@@ -396,6 +396,8 @@ def test_json_output_is_strict(tmp_path, args):
      "not two or more levels"),
     (["profile", "--n", "4", "--steps", "2000", "--replicas", "4", "--fit-lo", "6", "--fit-hi", "9"],
      "not two or more levels"),
+    # at a >= 2**53 a step no longer raises the weight: the walk would run unreinforced
+    (["simulate", "--n", "1", "--steps", "10", "--a", "1e16"], "exceeds 2**50"),
 ])
 def test_out_of_range_values_write_a_failure_report(tmp_path, args, message):
     out = tmp_path / "out.json"

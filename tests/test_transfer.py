@@ -547,41 +547,23 @@ def test_cell_pair_table_matches_log_sum_exp(params, a):
         assert np.array_equal(pair, got.reshape(-1, nx, nx).transpose(0, 2, 1).reshape(got.shape))
 
 
-def _gathered_fold(out, sign, half):
-    """The mirror fold written with full-core gathers: the oracle of the
-    tiled in-place ``_fold_mirrors``."""
-    def mirrored(core):
-        flipped = np.empty_like(core)
-        flipped[:, half.mirror] = core[:, half.mirror].T
-        flipped[:, half.up] = core[:, half.up].T
-        flipped *= sign
-        return flipped
-
-    for same in (0, 1):
-        out[0, 0, same] += mirrored(out[0, 0, same])
-        ab, ba = mirrored(out[1, 0, same]), mirrored(out[0, 1, same])
-        out[1, 0, same] += ba
-        out[0, 1, same] += ab
-
-
-@pytest.mark.parametrize("nx, tile", [(24, None), (9, 4), (7, 100)])
+@pytest.mark.parametrize("nx", [1, 2, 7, 9, 24])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_fold_mirrors_matches_gathered_fold(nx, tile, sign, monkeypatch):
-    """Random half-row cores without any symmetry, over several tiles (the
-    default tile on nx = 24, ragged small tiles, one tile): the in-place fold
-    reads only pre-fold values, keeps the ``up`` value on the diagonal
-    columns and folds the cores with equal letter flags once."""
+def test_fold_mirrors_matches_dense_transpose(nx, sign):
+    """Random cores with the rail-swap symmetry, expanded to full nx²×nx²
+    matrices: the in-place fold gives the half rows of C + sign·Pᵀ, P the
+    core with the letter flags swapped (C itself for equal flags), bit for
+    bit, since both make one addition per entry; the A->B cores stay zero."""
     from ladderlab import transfer
 
-    if tile is not None:
-        monkeypatch.setattr(transfer, "_FOLD_TILE", tile)
     half = transfer._half_rows(nx)
-    assert (half.up.size > transfer._FOLD_TILE) == (tile != 100)  # several tiles, or one
-    cores = np.random.default_rng(nx).standard_normal((2, 2, 2, half.up.size, nx * nx))
-    want = cores.copy()
-    _gathered_fold(want, sign, half)
+    full = np.random.default_rng(nx).standard_normal((2, 2, 2, nx * nx, nx * nx))
+    full += full[..., half.swap, :][..., half.swap]  # C[(i,k),(j,l)] = C[(k,i),(l,j)]
+    full[1, 1] = 0.0
+    cores = full[..., half.up, :].copy()
     transfer._fold_mirrors(cores, sign, half)
-    assert np.array_equal(cores, want)
+    want = full + sign * full.swapaxes(0, 1).swapaxes(-1, -2)
+    assert np.array_equal(cores, want[..., half.up, :])
 
 
 def test_doubled_assembly_allocates_the_operator_plus_one_slab():

@@ -337,14 +337,77 @@ def _reference_run(graph, w, steps, start, gen, inc):
     return k, pos, returns
 
 
-@pytest.mark.parametrize("n,a,start", [(1, 1.0, 1), (3, 0.3, 4), (6, 2.5, 7), (6, None, 0)])
+# With a non-dyadic a, adding 1.0 rounds each time a weight enters a new binade:
+# the local times read back as rint(w - a) must still be exact.
+@pytest.mark.parametrize("n,a,start", [(1, 1.0, 1), (3, 0.3, 4), (6, 2.5, 7), (6, None, 0),
+                                       (1, 0.1, 2), (2, 1 / 3, 0), (3, 1e-3, 5)])
 def test_step_kernel_matches_reference_loop(n, a, start):
     g = build(n)
+    steps = 200_000 if n == 1 else 40_000
     x = EdgeWeights(np.random.default_rng(n).uniform(0.2, 3.0, size=3 * n + 1))
     if a is None:
-        trace = rwre_run(g, x, 40_000, start, RngSpec(79, n), history_stride=999)
-        ref = _reference_run(g, x.values.tolist(), 40_000, start, RngSpec(79, n).generator(), 0.0)
+        trace = rwre_run(g, x, steps, start, RngSpec(79, n), history_stride=999)
+        ref = _reference_run(g, x.values.tolist(), steps, start, RngSpec(79, n).generator(), 0.0)
     else:
-        trace = errw_run(g, a, 40_000, start, RngSpec(79, n), history_stride=999)
-        ref = _reference_run(g, [a] * g.num_edges, 40_000, start, RngSpec(79, n).generator(), 1.0)
+        trace = errw_run(g, a, steps, start, RngSpec(79, n), history_stride=999)
+        ref = _reference_run(g, [a] * g.num_edges, steps, start, RngSpec(79, n).generator(), 1.0)
     assert (trace.local_times.tolist(), trace.position, trace.returns) == ref
+
+
+def _reference_returns(graph, a, levels, k_cap, step_cap, gen):
+    """Return counts of one replica as a plain loop over single steps."""
+    w = [a] * graph.num_edges
+    pos, returns, counts = graph.vertex(0, 2), 0, {}
+    for u in gen.random(step_cap).tolist():
+        if returns >= k_cap or len(counts) == len(levels):
+            break
+        opts = graph.incident[pos]
+        r = u * sum(w[e] for e, _ in opts)
+        for e, pos_next in opts:
+            r -= w[e]
+            if r < 0.0:
+                break
+        w[e] += 1.0
+        pos = pos_next
+        returns += pos <= 1
+        for lev in levels:
+            if pos >> 1 >= lev:
+                counts.setdefault(lev, returns)
+    return [counts.get(lev, returns) for lev in levels]
+
+
+@pytest.mark.parametrize("a", [1 / 3, 2.0 ** 50 - 10 ** 4])
+def test_return_episodes_match_reference_loop(a):
+    # each stop reads the steps taken back from the weights, here in many binades
+    # or near 2**50, where a float sum over all the weights would round
+    levels, k_cap, step_cap, rng = (2, 4), 3, 10 ** 4, RngSpec(83)
+    counts, _ = returns_before_far_end_detailed(levels, a, k_cap, rng, 30, step_cap=step_cap)
+    g = build(max(levels))
+    for r in range(30):
+        gen = RngSpec(rng.seed, rng.stream + r).generator()
+        assert counts[r].tolist() == _reference_returns(g, a, levels, k_cap, step_cap, gen)
+
+
+def test_reinforcement_past_2_to_the_50_is_refused():
+    # at a >= 2**53, w + 1.0 == w: the walk would run unreinforced
+    g = build(1)
+    for a, steps in ((2.0 ** 53, 10), (2.0 ** 50 - 9, 10), (math.inf, 0)):
+        with pytest.raises(LadderError, match=r"exceeds 2\*\*50"):
+            errw_run(g, a, steps, 0, RngSpec(1))
+    trace = errw_run(g, 2.0 ** 50 - 10, 10, 0, RngSpec(1))  # the largest weight is 2**50
+    assert trace.local_times.sum() == 10
+    assert trace.local_times.tolist() == _reference_run(
+        g, [2.0 ** 50 - 10] * 4, 10, 0, RngSpec(1).generator(), 1.0)[0]
+    with pytest.raises(LadderError, match=r"exceeds 2\*\*50"):
+        returns_before_far_end_detailed((2,), 2.0 ** 50, 1, RngSpec(0), 1, step_cap=1)
+
+
+def test_profile_experiment_refuses_huge_a_before_any_walk(monkeypatch):
+    from ladderlab import walk
+
+    def no_walk(args):
+        raise AssertionError("a replica ran")
+
+    monkeypatch.setattr(walk, "_profile_replica", no_walk)
+    with pytest.raises(LadderError, match=r"exceeds 2\*\*50"):
+        profile_experiment(4, 2.0 ** 50, 2000, 4, RngSpec(47), fit_levels=(1, 3))

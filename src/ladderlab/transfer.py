@@ -9,24 +9,32 @@ of weighted vectors are plain dot products and the operator and its adjoint
 act by plain matrix products (``vecmat``, ``matvec``).
 
 S is never stored dense.  Its block between tree letters t, t2 and signs
-s, s2 is diag(left[t]) C[t == A, t2 == B, s == s2] diag(right[t2]): eight
-nx²×nx² cores C (the two A->B cores vanish) and one side profile per
-letter on each side.  A product groups the input by the A (resp. B) flag
-and the sign, so it costs twelve core products, one per non-zero core and
-sign row, against 64 dense blocks.
+s, s2 is diag(left[t]) C[t == A, t2 == B, s == s2] diag(right[t2]): six
+nx²×nx² cores C (an A cell is never followed by a B cell, so the A->B
+cores vanish and are not stored) and one side profile per letter on each
+side.  A product groups the input by the A (resp. B) flag and the sign, so
+it costs twelve core products, one per core and sign row, against 64 dense
+blocks.
 
 Swapping the lower and upper rails of both cells leaves every core
 unchanged, C[(i, k), (j, l)] = C[(k, i), (l, j)]: the cores are Gram sums
 of one cell-pair table per rail, and only the side profiles (letters C and
 D) tell the rails apart.  So each core keeps its rows (i, k) with i <= k
-only, nx(nx+1)/2 of the nx² rows (``_half_rows``), about a sixteenth of
-the dense bytes in all; the row (k, i) is the row (i, k) with the columns
-(j, l) -> (l, j) swapped.  Assembly computes only those rows: per lower
-field i one matrix product of every core's weighted table columns (i, .)
-with the table columns (i.., .), added straight into the stored rows, so
-it holds the cores plus one slab of the table and no nx²×nx² temporary.
-The products multiply the stored rows once for the direct and once for
-the mirrored half of the state space.
+only, nx(nx+1)/2 of the nx² rows (``_half_rows``); the row (k, i) is the
+row (i, k) with the columns (j, l) -> (l, j) swapped.  Assembly computes
+only those rows: per lower field i one matrix product of several cores'
+weighted table columns (i, .) with the table columns (i.., .), added
+straight into the stored rows, so it holds the cores plus one slab of the
+table and no nx²×nx² temporary.  The products multiply the stored rows
+once for the direct and once for the mirrored half of the state space.
+
+The B-column cores C[0, 1, s] are stored as their transposes: a half-row
+partner P with C[0, 1, s] = σ P[s]ᵀ, σ = +1 for the plain and -1 for the
+shift-weighted kernel, which the products read in the other orientation.
+At eta = 0 the letter-swap reflection makes C[0, 1, s] = σ C[1, 0, s]ᵀ,
+so where the grid represents it exactly (every shift node mirrored, or
+unpaired at w = 0) P is the stored C[1, 0] itself: four stored cores,
+about a 32nd of the dense bytes.  Elsewhere P is assembled: six cores.
 
 No energy is written out here: the side profiles take the tree letter from
 ``environment.tree_letter`` with a zero rung term (the cores carry the rung
@@ -39,12 +47,12 @@ table.  The shift rule is symmetric bit for bit, so the nodes come in
 mirror pairs (z, w), (z, -w): the row at -w adds to the core with letter
 flags (p, q, s) what the row at w adds, at coupling -eta, to the core with
 flags (q, p, s), with the cell pair (i, j) -> (j, i) swapped on both
-sides.  The table is built for the w > 0 nodes only; at eta = 0 the
-mirrored half is then a transposed copy of the other core, folded in
-place at the end, which halves the products as well.  Rows whose weight
-is exactly 0 (the sign-mismatch factor underflows for z below about -6)
-are left out of the products, and nodes without an exact mirror are
-summed directly.
+sides.  The table is built for the w > 0 nodes only and multiplied once as
+built and once with its cell pairs swapped.  At eta = 0 the mirrored half
+of C[0, 0] is its own transpose, folded in place at the end, so C[0, 0]
+skips the swapped products.  Rows whose weight is exactly 0 (the
+sign-mismatch factor underflows for z below about -6) are left out of the
+products, and nodes without an exact mirror are summed directly.
 
 The shift-weighted ("gamma") kernel is built only from the plain kernel at
 the same grid, a and eta: its cores are the w-weighted Gram sums plus the
@@ -295,25 +303,22 @@ def build_grid(params: GridParams | None = None, a: float = 1.0,
 
 _A, _B = 0, 1  # tree-letter indices of A and B
 _OTHERS = {key: [t for t in range(4) if t != key] for key in (_A, _B)}
-# (row letter is A, column letter is B, signs agree) for the cores that do
-# not vanish: an A cell is never followed by a B cell
-_CORES = tuple((is_a, is_b, same) for is_a in (0, 1) for is_b in (0, 1) for same in (0, 1)
-               if not (is_a and is_b))
-_RUNG_CHUNK = 512  # rows per slab of the cell-pair table during assembly
+_RUNG_CHUNK = 512  # rung nodes per slab of the cell-pair table during assembly
+# stacked (core, lower field) column blocks per assembly product: at K = 512
+# rows and nx = 40 a 2-vCPU box runs 49 GFLOP/s at one block, 61 at two and
+# 63 at three, and a wider stack only enlarges the product array
+_MAX_STACK = 3
 
 
 class _HalfRows(NamedTuple):
     """Index arrays of the half-row core layout on an nx-node cell axis.
 
-    Stored row r is the cell (lower[r], upper[r]) with lower <= upper, in
-    ``np.triu_indices(nx)`` order; ``up[r]`` is its flat cell index and
-    ``mirror[r]`` that of the swapped cell (upper[r], lower[r]), equal on
-    the diagonal, where ``off`` is 0 (1 elsewhere).  ``swap`` permutes all
-    nx² cells (i, k) -> (k, i), so the full core row ``mirror[r]`` is
-    ``core[r, swap]``."""
+    Stored row r is the cell (i, k) with i <= k, in ``np.triu_indices(nx)``
+    order; ``up[r]`` is its flat cell index and ``mirror[r]`` that of the
+    swapped cell (k, i), equal on the diagonal, where ``off`` is 0 (1
+    elsewhere).  ``swap`` permutes all nx² cells (i, k) -> (k, i), so the
+    full core row ``mirror[r]`` is ``core[r, swap]``."""
 
-    lower: np.ndarray
-    upper: np.ndarray
     up: np.ndarray
     mirror: np.ndarray
     off: np.ndarray
@@ -323,7 +328,7 @@ class _HalfRows(NamedTuple):
 @cache
 def _half_rows(nx: int) -> _HalfRows:
     lower, upper = np.triu_indices(nx)
-    half = _HalfRows(lower=lower, upper=upper, up=lower * nx + upper, mirror=upper * nx + lower,
+    half = _HalfRows(up=lower * nx + upper, mirror=upper * nx + lower,
                      off=(lower != upper).astype(float),
                      swap=np.arange(nx * nx).reshape(nx, nx).T.reshape(-1))
     for arr in half:  # shared by every caller
@@ -337,12 +342,17 @@ class OperatorMatrix:
 
     Block (t, s; t2, s2) of the weighted matrix S is
     ``diag(left[t]) @ C[t == A, t2 == B, s == s2] @ diag(right[t2])``:
-    eight ``nx²×nx²`` cores C, of which the two A->B cores are zero, and one
-    side profile per tree letter on each side.  ``sym`` holds the rows
-    (i, k), i <= k, of each core (see ``_half_rows``): the other rows are
-    the same with the column cells swapped, so the cores take about a
-    sixteenth of the bytes of the dense S.  ``vecmat`` and ``matvec`` are
-    the only products (``apply_right`` is ``vecmat`` on function values);
+    ``nx²×nx²`` cores C, zero for an A row and a B column, and one side
+    profile per tree letter on each side.  Cores are stored as half rows,
+    the rows (i, k), i <= k (see ``_half_rows``): the other rows are the
+    same with the column cells swapped.  ``sym[0]`` and ``sym[1]`` hold
+    C[0, 0, s] and C[1, 0, s]; the B-column cores are read transposed from
+    the ``partner`` P, C[0, 1, s] = ``partner_sign`` · P[s]ᵀ.  Where the
+    letter-swap reflection is exact on the grid (eta = 0 and every unpaired
+    shift node at w = 0), P is C[1, 0] itself and ``sym`` holds four cores,
+    about a 32nd of the bytes of the dense S; elsewhere P is assembled as
+    ``sym[2]`` and ``sym`` holds six.  ``vecmat`` and ``matvec`` are the
+    only products (``apply_right`` is ``vecmat`` on function values);
     ``block_row`` materializes S one state block of rows at a time, for
     ``dense()`` in tests and for the raw kernel rows of ``kernel_rows``.
     Raw kernel values are S divided by ``grid.sqrt_w`` on both sides.
@@ -352,7 +362,7 @@ class OperatorMatrix:
     a: float
     eta: float
     tag: str  # "one" for the plain kernel, "gamma" for the shift-weighted one
-    sym: np.ndarray  # half-row cores, shape (2, 2, 2, nx(nx+1)/2, nx²), square-root weighted
+    sym: np.ndarray  # half-row cores, shape (2 or 3, 2, nx(nx+1)/2, nx²), square-root weighted
     left: np.ndarray  # side profiles of the row letter, shape (4, nx²)
     right: np.ndarray  # side profiles of the column letter, shape (4, nx²)
 
@@ -360,22 +370,36 @@ class OperatorMatrix:
     def size(self) -> int:
         return self.grid.size
 
+    @property
+    def partner(self) -> np.ndarray:
+        """Half-row partner cores P, shape (2, nx(nx+1)/2, nx²): ``sym[2]``
+        when assembled, else the stored C[1, 0] (``sym[1]``) itself."""
+        return self.sym[-1]
+
+    @property
+    def partner_sign(self) -> float:
+        """σ in C[0, 1, s] = σ P[s]ᵀ: the parity in w of the rung weight."""
+        return 1.0 if self.tag == "one" else -1.0
+
     def vecmat(self, v: np.ndarray) -> np.ndarray:
         """``v @ S`` for weighted vectors of shape (size,) or (m, size)."""
-        return _block_product(v, self.sym, self.left, _A, self.right, _B, adjoint=False)
+        return _block_product(v, self, adjoint=False)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``S @ v`` (the adjoint product, ``v @ S.T``), same shapes."""
-        return _block_product(v, self.sym, self.right, _B, self.left, _A, adjoint=True)
+        return _block_product(v, self, adjoint=True)
 
     def full_core(self, is_a: int, is_b: int, same: int) -> np.ndarray:
         """Core ``C[is_a, is_b, same]`` with all nx² rows."""
+        nxx = self.left.shape[1]
+        if is_a and is_b:
+            return np.zeros((nxx, nxx))
         half = _half_rows(self.grid.nx)
-        core = self.sym[is_a, is_b, same]
-        full = np.empty((core.shape[1], core.shape[1]))
+        core = self.partner[same] if is_b else self.sym[is_a, same]
+        full = np.empty((nxx, nxx))
         full[half.mirror] = core[:, half.swap]
         full[half.up] = core
-        return full
+        return self.partner_sign * full.T if is_b else full
 
     def block_row(self, block: int) -> np.ndarray:
         """Rows of S for the state block ``block = 2 t + s`` (tree letter t,
@@ -400,17 +424,19 @@ class OperatorMatrix:
         """Discrete Hilbert-Schmidt norm (exact in the weighted form), summed
         core by core: each core meets every letter pair of its group and two
         sign pairs, and its mirrored rows count with their own row profiles
-        against the swapped column profiles."""
+        against the swapped column profiles.  The B-column cores are the
+        partner transposed, so the partner's rows take the B column profiles
+        and its columns the row profiles of the letters other than A."""
         half = _half_rows(self.grid.nx)
         left2, right2 = self.left**2, self.right**2
         rows = (left2[_OTHERS[_A]].sum(axis=0), left2[_A])
         cols = (right2[_OTHERS[_B]].sum(axis=0), right2[_B])
         total = 0.0
-        for is_a, is_b, same in _CORES:
-            r, c = rows[is_a], cols[is_b]
-            sq = self.sym[is_a, is_b, same]**2
-            weighted = np.stack([r[half.up], r[half.mirror] * half.off]) @ sq
-            total += 2.0 * float((weighted * np.stack([c, c[half.swap]])).sum())
+        for cores, r, c in ((self.sym[0], rows[0], cols[0]), (self.sym[1], rows[1], cols[0]),
+                            (self.partner, cols[1], rows[0])):
+            for core in cores:
+                weighted = np.stack([r[half.up], r[half.mirror] * half.off]) @ core**2
+                total += 2.0 * float((weighted * np.stack([c, c[half.swap]])).sum())
         return math.sqrt(total)
 
     def kernel_rows(self):
@@ -430,45 +456,52 @@ class OperatorMatrix:
         return self.vecmat(f * sw) / sw
 
 
-def _block_product(v: np.ndarray, sym: np.ndarray, p_in: np.ndarray, key_in: int,
-                   p_out: np.ndarray, key_out: int, adjoint: bool) -> np.ndarray:
-    """``v @ S`` (``S @ v`` if ``adjoint``) for S with blocks ``diag(p_in[t])
-    C[t == key_in, t2 == key_out, s == s2] diag(p_out[t2])`` (the roles of
-    the two letter flags and of the core's rows and columns trade places if
-    ``adjoint``), from the half-row cores ``sym``.
+def _block_product(v: np.ndarray, op: OperatorMatrix, adjoint: bool) -> np.ndarray:
+    """``v @ S`` (``S @ v`` if ``adjoint``) from the half-row cores of ``op``.
 
-    The input is scaled by its profiles and summed over the letters other
-    than ``key_in``.  Its direct and mirrored halves are stacked once, so
-    each non-zero core multiplies both halves and both sign rows at once:
-    for ``v @ S`` the stored rows take the input at the cells ``up`` and the
-    mirrored rows (diagonal left out) the input at ``mirror``, and the
-    mirrored half of the result comes out with its cells swapped; for
-    ``S @ v`` the stored rows meet the input and the swapped input, and the
-    two halves of the result land on the cells ``up`` and ``mirror``.  The
-    result is scaled by the output profiles."""
+    The input is scaled by the row (column) profiles and grouped by its A
+    (B) flag and sign.  Each core H then meets one group in one of two
+    orientations, with F the full core of H:
+    - ``x @ F``: the stored rows take the input at the cells ``up`` and the
+      mirrored rows (diagonal left out) the input at ``mirror``, and the
+      mirrored half of the result comes out with its cells swapped;
+    - ``x @ Fᵀ``: the stored rows meet the input and the swapped input, and
+      the two halves of the result land on the cells ``up`` and ``mirror``.
+    ``v @ S`` takes C[0, 0] and C[1, 0] as ``x @ F`` and the B-column cores
+    σPᵀ as ``x @ Fᵀ`` of the partner; ``S @ v`` takes the transposes, so the
+    orientations trade places.  Both halves and both sign rows of a group
+    go through one matrix product per core.  The result is scaled by the
+    output profiles."""
+    p_in, key_in, p_out, key_out = ((op.right, _B, op.left, _A) if adjoint
+                                    else (op.left, _A, op.right, _B))
     nxx = p_in.shape[1]
     half = _half_rows(math.isqrt(nxx))
     x = v.reshape(-1, 4, 2, nxx) * p_in[:, None, :]
     m = x.shape[0]
     groups = (x[:, _OTHERS[key_in]].sum(axis=1).reshape(2 * m, nxx),
               x[:, key_in].reshape(2 * m, nxx))
-    if adjoint:
-        stacks = [np.concatenate([g, g[:, half.swap]]) for g in groups]
-    else:
-        stacks = [np.concatenate([g[:, half.up], g[:, half.mirror] * half.off]) for g in groups]
-    # (direct or mirrored half, vector, output letter is key_out, sign, cell)
-    out = np.zeros((2, m, 2, 2, half.up.size if adjoint else nxx))
-    for is_a, is_b, same in _CORES:
+    stacks: dict[tuple[int, bool], np.ndarray] = {}
+    # by orientation (x @ F?): (direct or mirrored half, vector, output flag, sign, cell)
+    out = {True: np.zeros((2, m, 2, 2, nxx)), False: np.zeros((2, m, 2, 2, half.up.size))}
+    # (row letter is A, column letter is B, half-row cores, C is σ Hᵀ)
+    for is_a, is_b, cores, flipped in ((0, 0, op.sym[0], False), (1, 0, op.sym[1], False),
+                                       (0, 1, op.partner, True)):
         f_in, f_out = (is_b, is_a) if adjoint else (is_a, is_b)
-        core = sym[is_a, is_b, same]
-        prod = (stacks[f_in] @ (core.T if adjoint else core)).reshape(2, m, 2, -1)
-        out[:, :, f_out] += prod if same else prod[:, :, ::-1]
-    if adjoint:
-        y = np.empty((m, 2, 2, nxx))
-        y[..., half.mirror] = out[1]
-        y[..., half.up] = out[0]
-    else:
-        y = out[0] + out[1][..., half.swap]
+        as_rows = adjoint == flipped
+        if (f_in, as_rows) not in stacks:
+            g = groups[f_in]
+            stacks[f_in, as_rows] = np.concatenate(
+                [g[:, half.up], g[:, half.mirror] * half.off] if as_rows else [g, g[:, half.swap]])
+        for same, core in enumerate(cores):
+            prod = (stacks[f_in, as_rows] @ (core if as_rows else core.T)).reshape(2, m, 2, -1)
+            if flipped:
+                prod *= op.partner_sign
+            out[as_rows][:, :, f_out] += prod if same else prod[:, :, ::-1]
+    y = out[True][0] + out[True][1][..., half.swap]
+    cols = np.empty_like(y)
+    cols[..., half.mirror] = out[False][1]
+    cols[..., half.up] = out[False][0]
+    y += cols
     letter = [int(t == key_out) for t in range(4)]
     return (y[:, letter] * p_out[:, None, :]).reshape(v.shape)
 
@@ -542,81 +575,105 @@ def _cell_pair_table(x: np.ndarray, z: np.ndarray, w: np.ndarray, a: float) -> n
     return table.reshape(z.size, -1)
 
 
-def _add_products(outs: list[np.ndarray], table: np.ndarray, coefs: np.ndarray) -> None:
-    """Add to ``outs[c]`` the half rows of the core whose Gram form is
-    ``table.T @ diag(coefs[:, c]) @ table``, one core per column of ``coefs``.
+def _add_products(table: np.ndarray, targets: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Add to each ``out`` of ``targets`` (pairs of half-row cores and one
+    coefficient per table row) the half rows of the core whose Gram form is
+    ``table.T @ diag(coef) @ table``.
 
     The table is indexed by the cell pair (i, j) of one rail, so the core
     row (i, k), column (j, l) is the sum over rows n of coef[n] table[n, (i,
-    j)] table[n, (k, l)].  For each lower field i the columns table[:, (i,
-    .)] of every core, scaled by that core's coefficients, are stacked side
-    by side and multiplied once with table[:, (i.., .)]; each core's share
-    of the product holds its stored rows (i, k), k >= i, with the j and k
-    axes swapped, and is added to them in place."""
+    j)] table[n, (k, l)].  Cores whose coefficients vanish on the same rows
+    share one product over the other rows (a view when those rows form one
+    run).  For each lower field i the columns table[:, (i, .)] of the cores
+    of a group, scaled by each core's coefficients, are stacked side by side
+    and multiplied once with table[:, (i.., .)]; each core's share of the
+    product holds its stored rows (i, k), k >= i, with the j and k axes
+    swapped, and is added to them in place.  A stack holds at most
+    ``_MAX_STACK`` column blocks: a larger group is split evenly, and a
+    smaller one stacks the lower fields i, i + 1, .. as well, where field
+    i + d drops the rows k < i + d of the shared product (a single core
+    wastes about 2/nx of its products so)."""
+    groups: dict[bytes, tuple[np.ndarray, list]] = {}
+    for out, coef in targets:
+        live = coef != 0.0
+        groups.setdefault(live.tobytes(), (live, []))[1].append((out, coef))
     nx = math.isqrt(table.shape[1])
-    cells = table.reshape(-1, nx, nx)
-    start = 0
-    for i in range(nx):
-        width = nx - i
-        stack = (coefs[:, :, None] * cells[:, i, None, :]).reshape(table.shape[0], -1)
-        prod = (stack.T @ table[:, i * nx:]).reshape(len(outs), nx, width, nx)
-        for out, part in zip(outs, prod):
-            block = out[start:start + width].reshape(width, nx, nx)
-            block += part.transpose(1, 0, 2)
-        start += width
+    for live, group in groups.values():
+        use = np.flatnonzero(live)
+        if use.size == 0:
+            continue
+        if use[-1] - use[0] + 1 == use.size:
+            use = slice(use[0], use[-1] + 1)
+        rows = table[use]
+        cells = rows.reshape(-1, nx, nx)
+        parts = -(-len(group) // _MAX_STACK)
+        for members in (group[k::parts] for k in range(parts)):
+            coefs = np.stack([coef[use] for _, coef in members], axis=1)
+            fields = _MAX_STACK // len(members)  # lower fields per product
+            start = 0
+            for i in range(0, nx, fields):
+                f = min(fields, nx - i)
+                stack = (coefs[:, None, :, None] * cells[:, i:i + f, None, :]).reshape(
+                    rows.shape[0], -1)
+                prod = (stack.T @ rows[:, i * nx:]).reshape(f, len(members), nx, nx - i, nx)
+                for d in range(f):  # lower field i + d; its rows k < i + d are dropped
+                    width = nx - i - d
+                    for c, (out, _) in enumerate(members):
+                        block = out[start:start + width].reshape(width, nx, nx)
+                        block += prod[d, c, :, d:].transpose(1, 0, 2)
+                    start += width
+                del stack, prod  # freed before the next product is allocated
+        del rows, cells  # a gathered copy goes before the next group's
 
 
 def _fold_mirrors(out: np.ndarray, sign: float, half: _HalfRows) -> None:
-    """Add the share of the mirrored rung nodes at eta = 0, given the sums
-    over their partners in ``out`` (half-row cores before the cell weights).
+    """Add, in place, the share of the mirrored rung nodes at eta = 0 to
+    half-row cores with equal letter flags, given their sums over the w > 0
+    nodes in ``out`` (shape (.., nx(nx+1)/2, nx²), before the cell weights).
 
     The node at (z, -w) adds to core (is_a, is_b, same) the transpose of
     what its partner at (z, w) adds to core (is_b, is_a, same), times
-    ``sign`` (the parity of the weight in w): on the pre-fold values, each
-    core R gains ``sign * T(P)`` of its partner P, and the cores with equal
-    letter flags are their own partners.  T maps a half-row core to the half
-    rows of its transpose: ``T[:, up] = P[:, up].T`` and ``T[:, mirror] =
-    P[:, mirror].T`` off the diagonal cells, whose columns take the ``up``
-    value.
+    ``sign`` (the parity of the weight in w), so a core with equal letter
+    flags is its own partner: on the pre-fold values it gains ``sign *
+    T(C)``.  T maps a half-row core to the half rows of its transpose:
+    ``T[:, up] = C[:, up].T`` and ``T[:, mirror] = C[:, mirror].T`` off the
+    diagonal cells, whose columns take the ``up`` value.
 
     The half rows of lower field i are a (nx - i, nx, nx) view over the
     column cells, in which the ``up`` columns of lower field j are
     ``[:, j, j:]`` and its off-diagonal mirror columns ``[:, j+1:, j]``, so
-    every read and write is a slice or stride view.  Block (i, j) of R takes
-    its update from block (j, i) of P: each pair of lower fields reads its
-    blocks before it writes them, and no other pair touches them.  The
-    mirror columns go first: their update reads the ``up`` columns of the
-    diagonal cells, which the ``up`` pass changes.  One update covers both
-    ``same`` flags, and the A->B cores stay untouched zero pages."""
+    every read and write is a slice or stride view.  Block (i, j) takes its
+    update from block (j, i): each pair of lower fields reads its blocks
+    before it writes them, and no other pair touches them.  The mirror
+    columns go first: their update reads the ``up`` columns of the diagonal
+    cells, which the ``up`` pass changes.  One update covers every leading
+    index (both ``same`` flags)."""
     nx = math.isqrt(half.swap.size)
     starts = np.concatenate([[0], np.cumsum(np.arange(nx, 0, -1))]).tolist()
-
-    def blocks(cores):  # per lower field i, its half rows as a (.., nx - i, nx, nx) view
-        return [cores[..., lo:hi, :].reshape(cores.shape[:-2] + (hi - lo, nx, nx))
-                for lo, hi in zip(starts[:-1], starts[1:])]
-
-    flat = out.reshape((4,) + out.shape[2:])  # letter flags (is_a, is_b) at 2 is_a + is_b
-    groups = ((blocks(flat[0]), blocks(flat[0])), (blocks(flat[1:3]), blocks(flat[2:0:-1])))
+    # per lower field i, its half rows as a (.., nx - i, nx, nx) view
+    blocks = [out[..., lo:hi, :].reshape(out.shape[:-2] + (hi - lo, nx, nx))
+              for lo, hi in zip(starts[:-1], starts[1:])]
     add = np.add if sign > 0 else np.subtract  # x - y is x + (-y) bit for bit
-    passes = ((lambda b, i, j: b[i][..., j + 1:, j], lambda b, i, j: b[j][..., 1:, i:, i]),
-              (lambda b, i, j: b[i][..., j, j:], lambda b, i, j: b[j][..., i, i:]))
+    passes = ((lambda i, j: blocks[i][..., j + 1:, j], lambda i, j: blocks[j][..., 1:, i:, i]),
+              (lambda i, j: blocks[i][..., j, j:], lambda i, j: blocks[j][..., i, i:]))
     for dst_view, src_view in passes:
-        for dst, src in groups:
-            for i in range(nx):
-                for j in range(i, nx):
-                    t1, s1 = dst_view(dst, i, j), src_view(src, i, j)
-                    if i == j:  # overlapping operands: NumPy buffers the source
-                        add(t1, s1.swapaxes(-1, -2), out=t1)
-                        continue
-                    t2, s2 = dst_view(dst, j, i), src_view(src, j, i)
-                    pre = s2.copy()  # t1 shares its cells with s2
+        for i in range(nx):
+            for j in range(i, nx):
+                t1, s1 = dst_view(i, j), src_view(i, j)
+                if i == j:  # overlapping operands: NumPy buffers the source
                     add(t1, s1.swapaxes(-1, -2), out=t1)
-                    add(t2, pre.swapaxes(-1, -2), out=t2)
+                    continue
+                t2, s2 = dst_view(j, i), src_view(j, i)
+                pre = s2.copy()  # t1 shares its cells with s2
+                add(t1, s1.swapaxes(-1, -2), out=t1)
+                add(t2, pre.swapaxes(-1, -2), out=t2)
 
 
 def _core_sums(grid: TransferGrid, a: float, eta: float, power: int) -> np.ndarray:
-    """Cores of the kernel whose rung integrand carries the extra factor
-    ``w**power``, square-root weighted.
+    """Half-row cores C[0, 0, s], C[1, 0, s] and, unless the letter swap is
+    exact, the partner P[s] (see ``OperatorMatrix``) of the kernel whose
+    rung integrand carries the extra factor ``w**power``, square-root
+    weighted.
 
     The integrand factorizes into one cell-pair table (lower and upper
     fields share a node set), per-node sign and tree factors and the side
@@ -624,65 +681,79 @@ def _core_sums(grid: TransferGrid, a: float, eta: float, power: int) -> np.ndarr
     The table is built one slab of rung nodes at a time, so the doubled
     grid never holds it whole, and each slab's products go straight into
     the half-row accumulators (``_add_products``): per lower field one
-    matrix product of all cores' weighted columns with the table, so no
-    nx²×nx² temporary is built.
+    matrix product of several cores' weighted columns with the table, so
+    no nx²×nx² temporary is built.
 
     Rung nodes come in mirror pairs (z, w), (z, -w), and the table is built
-    for the w > 0 partner only: the row at -w is the row at w with the cell
+    for the w > 0 node only: the row at -w is the row at w with the cell
     pair swapped, c_a and c_b trade places and the sign factors are even in
-    w.  At eta = 0 the coefficients of the row at -w are those of its
-    partner in the core with the letter flags swapped, so the sums run over
-    the w > 0 nodes alone and ``_fold_mirrors`` adds the mirrored half in
-    place at the end; otherwise the mirrored rows (the column-permuted
-    table, no exp or power) join each slab's products with their own
-    coefficients.  Nodes without an exact mirror are summed directly.
-    Cores whose coefficients vanish on the same rows share one product
-    over the other rows: ``differ`` underflows for z below about -6, which
-    drops about 40% of the rows of the three sign-mismatch cores."""
+    w.  Each slab is multiplied as built and again with its cell pairs
+    swapped in place, where its rows stand for the mirror nodes.  The
+    partner σ C[0, 1]ᵀ (σ = (-1)**power) is the Gram sum of the swapped
+    rows with the C[0, 1] coefficients times (-w)**power, so it takes the
+    swapped slab at the node's own coefficients and the slab as built at
+    its mirror's.  Nodes without an exact mirror go in once each way: as
+    built for C[., 0], swapped for P.
+
+    At eta = 0 the row at -w adds to each core σ times the transpose of
+    what the row at w adds to the core with the letter flags swapped.  So
+    C[0, 0] takes the w > 0 rows alone and ``_fold_mirrors`` adds the
+    mirrored half in place, and, when every unpaired node sits at w = 0,
+    C[0, 1] = σ C[1, 0]ᵀ holds term by term: P is C[1, 0] and is not summed.
+    The products then cost those of six cores over the w > 0 rows, and
+    every other case twelve.  Cores whose coefficients vanish on the same
+    rows share one product over the other rows: ``differ`` underflows for z
+    below about -6, which drops about 40% of the rows of the sign-mismatch
+    cores."""
     nx = grid.nx
     z, w, qw = _rung_nodes(grid)
     rho = qw * np.exp((a + 0.5) * z + eta * w)
     c_a = np.exp(-(z - 0.5 * w))  # extra factor when the left letter is A
     c_b = np.exp(-(z + 0.5 * w))  # extra factor when the right letter is B
     agree, differ = _sign_factors(z, w)
-    coefs = {(is_a, is_b, same): rho * (c_a if is_a else 1.0) * (c_b if is_b else 1.0)
-             * (agree if same else differ) for is_a, is_b, same in _CORES}
-    half = _half_rows(nx)
-    sums = np.zeros((2, 2, 2, half.up.size, nx * nx))
-    groups: dict[bytes, tuple[np.ndarray, list]] = {}  # cores by their non-zero rows
-    for key, coef in coefs.items():
-        live = coef != 0.0
-        groups.setdefault(live.tobytes(), (live, []))[1].append((sums[key], coef * w ** power))
-
-    def add_slab(nodes, mirrors):
-        table = _cell_pair_table(grid.x_nodes, z[nodes], w[nodes], a)
-        if mirrors is not None:
-            nodes = np.concatenate([nodes, mirrors])
-            table = np.concatenate([table, table[:, half.swap]])
-        for live, targets in groups.values():
-            use = np.flatnonzero(live[nodes])
-            if use.size == 0:
-                continue
-            if use[-1] - use[0] + 1 == use.size:  # one run of rows: a view, no copy
-                use = slice(use[0], use[-1] + 1)
-            _add_products([out for out, _ in targets], table[use],
-                          np.stack([coef[nodes[use]] for _, coef in targets], axis=1))
-
-    def add_rows(rows, mirrors):
-        step = _RUNG_CHUNK if mirrors is None else _RUNG_CHUNK // 2
-        for lo in range(0, rows.size, step):
-            add_slab(rows[lo:lo + step], None if mirrors is None else mirrors[lo:lo + step])
-
     pos, neg, single = _mirror_pairs(grid)
-    fold = eta == 0.0
-    add_rows(pos, None if fold else neg)
-    if fold:
-        _fold_mirrors(sums, (-1.0) ** power, half)
-    add_rows(single, None)
+    exact = eta == 0.0 and not np.any(w[single])
+    mirror = np.full(z.size, z.size)  # each node's mirror; z.size (no mirror) reads a 0
+    mirror[pos], mirror[neg] = neg, pos
+
+    def at_mirror(coef):
+        return np.append(coef, 0.0)[mirror]
+
+    half = _half_rows(nx)
+    sums = np.zeros((2 if exact else 3, 2, half.up.size, nx * nx))
+    targets = []  # (half-row cores, coefficient per node of its table row as built, swapped)
+    for same in (0, 1):
+        sign_factor = agree if same else differ
+        for is_a in (0, 1):
+            coef = rho * (c_a if is_a else 1.0) * sign_factor * w ** power
+            # the fold adds the swapped rows of C[0, 0] in the exact case
+            targets.append((sums[is_a, same], coef,
+                            np.zeros_like(coef) if exact and not is_a else at_mirror(coef)))
+        if not exact:
+            coef = rho * c_b * sign_factor * (-w) ** power
+            targets.append((sums[2, same], at_mirror(coef), coef))
+
+    def add_slab(nodes):  # the table dies with the call
+        table = _cell_pair_table(grid.x_nodes, z[nodes], w[nodes], a)
+        _add_products(table, [(out, built[nodes]) for out, built, _ in targets])
+        swapped = [(out, coef[nodes]) for out, _, coef in targets]
+        if any(coef.any() for _, coef in swapped):
+            cells = table.reshape(-1, nx, nx)
+            for r in range(0, nodes.size, 64):  # in place, a few rows at a time
+                cells[r:r + 64] = cells[r:r + 64].transpose(0, 2, 1)
+            _add_products(table, swapped)
+
+    def add_rows(nodes):
+        for lo in range(0, nodes.size, _RUNG_CHUNK):
+            add_slab(nodes[lo:lo + _RUNG_CHUNK])
+
+    add_rows(pos)
+    if exact:
+        _fold_mirrors(sums[0], (-1.0) ** power, half)
+    add_rows(single)
     cell_w = np.sqrt(np.outer(grid.x_weights, grid.x_weights)).reshape(-1)
-    for key in _CORES:  # the A->B cores stay untouched zero pages
-        sums[key] *= cell_w[half.up][:, None]
-        sums[key] *= cell_w[None, :]
+    sums *= cell_w[half.up][:, None]
+    sums *= cell_w
     return sums
 
 
@@ -710,8 +781,10 @@ def assemble_kernel(grid: TransferGrid, a: float, eta: float, tag: str = "one",
     x = grid.x_nodes
     u = 0.5 * (x[:, None] + x[None, :]).reshape(-1)  # mean cell field
     rows = u[_half_rows(grid.nx).up][:, None]
-    for key in _CORES:  # diagonal profiles commute with diag(u)
-        sym[key] += rows * plain.sym[key] - plain.sym[key] * u[None, :]
+    # diagonal profiles commute with diag(u); the partner, σ C[0, 1]ᵀ with
+    # σ = -1 here and +1 for the plain one, takes the same commutator
+    for core, base in zip(sym.reshape((-1,) + sym.shape[2:]), plain.sym.reshape((-1,) + sym.shape[2:])):
+        core += rows * base - base * u[None, :]
     return OperatorMatrix(grid=grid, a=a, eta=eta, tag=tag, sym=sym,
                           left=plain.left, right=plain.right)
 

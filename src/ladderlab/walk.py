@@ -19,7 +19,6 @@ Reinforced runs whose weights could pass 2**50 are refused.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -371,6 +370,10 @@ def profile_experiment(n: int, a: float, steps: int, replicas: int, rng: RngSpec
     env_levels = np.arange(_ENVELOPE_LEVELS[0], min(_ENVELOPE_LEVELS[1], n) + 1)
     jobs = [(n, a, steps, rng.seed, rng.stream + r, representative) for r in range(replicas)]
     if workers > 1:
+        # imported here: the process-pool machinery costs every import of
+        # this module about 17 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_profile_replica, jobs, chunksize=4))
     else:

@@ -385,7 +385,7 @@ def test_factorized_products_match_dense(small_grid, odd_grid, tag, eta):
     def rel(got, want):
         return np.linalg.norm(got - want) / np.linalg.norm(want)
 
-    for grid in (small_grid, odd_grid):  # nx = 12 and 11
+    for grid in (small_grid, odd_grid, _rule_grid("partly-mirrored")):  # nx = 12, 11 and 8
         op = _kernel(grid, eta, tag)
         dense = op.dense()
         sw = grid.sqrt_w
@@ -473,6 +473,38 @@ def _shift_rule(kind):
     return _panel_gauss([(-1.0, -0.5, 3), (-0.5, 0.5, 4), (0.5, 1.0, 2)])
 
 
+def _rule_grid(kind):
+    """A grid with nx = 8 and the shift rule ``kind``."""
+    vn, vw = _shift_rule(kind)
+    g = build_grid(GridParams(nx_core=5, nx_tail=3, nz_core=6, nz_tail=3, nv=vn.size, nzb=16), a=A)
+    object.__setattr__(g, "v_nodes", vn)
+    object.__setattr__(g, "v_weights", vw)
+    return g
+
+
+@pytest.mark.parametrize("tag", ["one", "gamma"])
+def test_partner_is_the_stored_core_where_the_letter_swap_is_exact(ctx, small_ctx, tag):
+    """At eta = 0 with mirrored shift nodes the B-column cores are C[1, 0]
+    read transposed: no partner array, four stored cores.  At eta = 1/4,
+    and on shift rules with unpaired nodes off w = 0, the partner is
+    assembled: six cores."""
+    def half_core_bytes(g):
+        return g.nx * (g.nx + 1) // 2 * g.nx**2 * 8
+
+    for c in (ctx, small_ctx):
+        op = c.op(0.0, tag)
+        assert np.shares_memory(op.partner, op.sym[1])
+        assert op.sym.nbytes == 4 * half_core_bytes(c.grid)
+        quarter = c.op(0.25, tag)
+        assert not np.shares_memory(quarter.partner, quarter.sym[:2])
+        assert quarter.sym.nbytes == 6 * half_core_bytes(c.grid)
+    # the odd rule's unpaired nodes sit at w = 0; the other two have some off it
+    for kind, exact in (("odd", True), ("asymmetric", False), ("partly-mirrored", False)):
+        op = _kernel(_rule_grid(kind), 0.0, tag)
+        assert np.shares_memory(op.partner, op.sym[:2]) == exact
+        assert op.sym.shape[0] == (2 if exact else 3)
+
+
 @pytest.mark.parametrize("kind", ["even", "odd", "asymmetric", "partly-mirrored"])
 @pytest.mark.parametrize("tag", ["one", "gamma"])
 @pytest.mark.parametrize("eta", [-0.25, 0.0, 0.25])
@@ -480,16 +512,14 @@ def test_cores_match_direct_sum(kind, tag, eta, monkeypatch):
     from ladderlab import transfer
     from ladderlab.transfer import _mirror_pairs, _rung_nodes, _sign_factors
 
-    vn, vw = _shift_rule(kind)
-    g = build_grid(GridParams(nx_core=5, nx_tail=3, nz_core=6, nz_tail=3, nv=vn.size, nzb=16), a=A)
-    object.__setattr__(g, "v_nodes", vn)
-    object.__setattr__(g, "v_weights", vw)
+    g = _rule_grid(kind)
+    vn = g.v_nodes
     pos, neg, single = _mirror_pairs(g)
     assert sorted(np.concatenate([pos, neg, single])) == list(range(g.z_nodes.size * vn.size))
     assert (pos.size > 0) == (kind != "asymmetric") and (single.size > 0) == (kind != "even")
     want = _direct_cores(g, eta, tag)
-    # one slab, then six rows per slab (three pairs when the mirrored rows
-    # join each slab): the first slab of the sign-mismatch cores is all zero
+    # one slab, then six rung nodes per slab (each slab multiplied as built
+    # and swapped): the first slab of the sign-mismatch cores is all zero
     z, w, _ = _rung_nodes(g)
     first = (pos if pos.size else single)[:6]
     assert np.all(_sign_factors(z[first], w[first])[1] == 0.0)
@@ -551,24 +581,24 @@ def test_cell_pair_table_matches_log_sum_exp(params, a):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_fold_mirrors_matches_dense_transpose(nx, sign):
     """Random cores with the rail-swap symmetry, expanded to full nx²×nx²
-    matrices: the in-place fold gives the half rows of C + sign·Pᵀ, P the
-    core with the letter flags swapped (C itself for equal flags), bit for
-    bit, since both make one addition per entry; the A->B cores stay zero."""
+    matrices: the in-place self-partner fold of both sign slots gives the
+    half rows of C + sign·Cᵀ, bit for bit, since both make one addition per
+    entry."""
     from ladderlab import transfer
 
     half = transfer._half_rows(nx)
-    full = np.random.default_rng(nx).standard_normal((2, 2, 2, nx * nx, nx * nx))
+    full = np.random.default_rng(nx).standard_normal((2, nx * nx, nx * nx))
     full += full[..., half.swap, :][..., half.swap]  # C[(i,k),(j,l)] = C[(k,i),(l,j)]
-    full[1, 1] = 0.0
     cores = full[..., half.up, :].copy()
     transfer._fold_mirrors(cores, sign, half)
-    want = full + sign * full.swapaxes(0, 1).swapaxes(-1, -2)
+    want = full + sign * full.swapaxes(-1, -2)
     assert np.array_equal(cores, want[..., half.up, :])
 
 
 def test_doubled_assembly_allocates_the_operator_plus_one_slab():
     """No nx^4 Gram or full-core copy: on the doubled grid the assembly
-    allocates at most 24 MB beyond the cores it returns."""
+    allocates at most 24 MB beyond the cores it returns, and at eta = 0 it
+    returns four cores."""
     g = build_grid(GridParams().doubled(), a=A)
     tracemalloc.start()
     try:
@@ -577,3 +607,6 @@ def test_doubled_assembly_allocates_the_operator_plus_one_slab():
     finally:
         tracemalloc.stop()
     assert peak <= op.sym.nbytes + 24e6, (peak / 1e6, op.sym.nbytes / 1e6)
+    # four stored half-row cores (820 rows of 1600 cells): the B-column cores
+    # are the stored A-row cores read transposed, not copies
+    assert op.sym.nbytes <= 4 * 820 * 1600 * 8

@@ -14,7 +14,9 @@ One step kernel runs every walk with one list write per step: a reinforced
 walk keeps only its weights and reads its local times back as
 ``rint(w - a)``, a fixed-weight walk keeps only its crossing counts, and a
 run's returns follow from the arrival identity at the left rung pair.
-Reinforced runs whose weights could pass 2**50 are refused.
+Reinforced runs whose weights could pass 2**50 are refused.  A step makes
+no stop check: the step table lists each stop vertex shifted past the last
+vertex, and the failed table read after an arrival there ends the episode.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ __all__ = [
     "ProfileResult",
 ]
 
-_BLOCK = 1 << 15
+_BLOCK = 1 << 13
 # w + 1.0 rounds only when w enters a new binade, so a weight that stays at most
 # this large is a + k to within ulp(w) <= 1/4: rint(w - a) is its local time k
 _MAX_WEIGHT = 2 ** 50
@@ -89,10 +91,15 @@ class _Uniforms:
 
 
 @lru_cache(maxsize=16)
-def _step_table(n: int) -> tuple[tuple[int, ...], ...]:
+def _step_table(n: int, stops: tuple[int, ...] = ()) -> tuple[tuple[int, ...], ...]:
     """Per vertex ``(e0, n0, e1, n1, e2, n2)``: incident edges and the
-    neighbors across them in incidence order, ``e2 = -1`` at degree 2."""
-    return tuple(sum(opts, ()) + (-1, -1) * (3 - len(opts)) for opts in build(n).incident)
+    neighbors across them in incidence order, ``e2 = -1`` at degree 2.  A
+    neighbor listed in ``stops`` appears as its index plus the vertex count,
+    so a walk that arrives there fails its next table read (see ``_advance``)."""
+    graph = build(n)
+    shifted = [(v in stops) * graph.num_vertices + v for v in range(graph.num_vertices)]
+    return tuple(sum(((e, shifted[v]) for e, v in opts), ()) + (-1, -1) * (3 - len(opts))
+                 for opts in graph.incident)
 
 
 def _check_reinforced(a: float, steps: int) -> None:
@@ -104,46 +111,58 @@ def _check_reinforced(a: float, steps: int) -> None:
 
 
 def _advance(table, w: list[float], acc: list, d, pos: int, budget: int,
-             stops: list[bool], uniforms: _Uniforms) -> tuple[int, int]:
+             uniforms: _Uniforms) -> tuple[int, int]:
     """The step rule: advance one walk by at most ``budget`` steps, stopping on
-    arrival at a vertex flagged in ``stops``.  A step from ``pos`` crosses an
-    incident edge with probability proportional to its weight in ``w`` and
-    adds ``d`` to that edge's entry of ``acc``, its one write: a reinforced
-    walk passes ``acc is w`` and ``d = 1.0``, a fixed-weight walk a list of
-    integer crossing counts and ``d = 1``.  Returns ``(pos, steps taken)``."""
-    entry, left = acc[:], budget
-    while left > 0:
-        if uniforms.ptr == len(uniforms.buf):
-            uniforms.refill()
-        lo = uniforms.ptr
-        hi = min(len(uniforms.buf), lo + left)
-        uniforms.ptr = hi
-        left -= hi - lo
-        for u in uniforms.buf[lo:hi]:
-            e0, n0, e1, n1, e2, n2 = table[pos]
-            w0 = w[e0]
-            if e2 < 0:
-                if u * (w0 + w[e1]) - w0 < 0.0:
-                    e, pos = e0, n0
+    arrival at a vertex that ``table`` lists shifted by the vertex count (see
+    ``_step_table``).  A step from ``pos`` crosses an incident edge with
+    probability proportional to its weight in ``w`` and adds ``d`` to that
+    edge's entry of ``acc``, its one write: a reinforced walk passes
+    ``acc is w`` and ``d = 1.0``, a fixed-weight walk a list of integer
+    crossing counts and ``d = 1``.  No step checks for a stop: the read of
+    ``table`` at a shifted position raises ``IndexError``, caught once outside
+    the loop, so ``w`` and ``acc`` must hold an entry for every edge.  Each
+    comparison ``x < y`` decides as the running subtraction ``x - y < 0.0``
+    of the step rule would, since a float difference rounds to a negative
+    value exactly when ``x < y`` (subnormals keep it from rounding to zero).
+    Returns ``(pos, steps taken)`` with ``pos`` unshifted."""
+    entry, left, vertices = acc[:], budget, len(table)
+    try:
+        while left > 0:
+            if uniforms.ptr == len(uniforms.buf):
+                uniforms.refill()
+            lo = uniforms.ptr
+            hi = min(len(uniforms.buf), lo + left)
+            uniforms.ptr = hi
+            left -= hi - lo
+            for u in uniforms.buf[lo:hi]:
+                e0, n0, e1, n1, e2, n2 = table[pos]
+                w0 = w[e0]
+                if e2 >= 0:
+                    w1 = w[e1]
+                    r = u * (w0 + w1 + w[e2])
+                    if r < w0:
+                        acc[e0] += d
+                        pos = n0
+                    elif r - w0 < w1:
+                        acc[e1] += d
+                        pos = n1
+                    else:
+                        acc[e2] += d
+                        pos = n2
+                elif u * (w0 + w[e1]) < w0:
+                    acc[e0] += d
+                    pos = n0
                 else:
-                    e, pos = e1, n1
-            else:
-                w1 = w[e1]
-                r = u * (w0 + w1 + w[e2]) - w0
-                if r < 0.0:
-                    e, pos = e0, n0
-                elif r - w1 < 0.0:
-                    e, pos = e1, n1
-                else:
-                    e, pos = e2, n2
-            acc[e] += d
-            if stops[pos]:
-                # each entry grew by its crossings to within 1/4 (see _MAX_WEIGHT)
-                taken = sum(map(round, map(sub, acc, entry)))
-                # the block's uniforms past this step stay in the stream
-                uniforms.ptr = hi - (budget - left - taken)
-                return pos, taken
-    return pos, budget - left
+                    acc[e1] += d
+                    pos = n1
+    except IndexError:
+        # each entry grew by its crossings to within 1/4 (see _MAX_WEIGHT)
+        taken = sum(map(round, map(sub, acc, entry)))
+        # the uniform in hand and the block's uniforms past it stay in the stream
+        uniforms.ptr = hi - (budget - left - taken)
+        return pos - vertices, taken
+    # the budget ran out, possibly on the step that reached a stop
+    return (pos - vertices if pos >= vertices else pos), budget - left
 
 
 def _trace_run(graph: LadderGraph, w: list[float], a: float | None, steps: int, start: int,
@@ -151,14 +170,14 @@ def _trace_run(graph: LadderGraph, w: list[float], a: float | None, steps: int, 
     """A walk of ``steps`` steps from weights ``w``, reinforced unless ``a`` is None."""
     if not 0 <= start < graph.num_vertices:
         raise LadderError(f"start vertex {start} outside the graph")
-    table, stops = _step_table(graph.n), [False] * graph.num_vertices
+    table = _step_table(graph.n)
     uniforms = _Uniforms(rng.generator())
     acc, d = (w, 1.0) if a is not None else ([0] * graph.num_edges, 1)
     pos, hist = start, []
     for _ in range(steps // stride if stride > 0 else 0):
-        pos, _ = _advance(table, w, acc, d, pos, stride, stops, uniforms)
+        pos, _ = _advance(table, w, acc, d, pos, stride, uniforms)
         hist.append(pos)
-    pos, _ = _advance(table, w, acc, d, pos, steps - stride * len(hist), stops, uniforms)
+    pos, _ = _advance(table, w, acc, d, pos, steps - stride * len(hist), uniforms)
     k = np.array(acc, dtype=np.int64) if a is None else np.rint(np.array(w) - a).astype(np.int64)
     if int(k.sum()) != steps:
         raise LadderError(f"local times sum to {int(k.sum())}, not to the {steps} steps taken")
@@ -249,9 +268,10 @@ def returns_before_far_end_detailed(levels: Sequence[int], a: float, k_cap: int,
         raise LadderError("need one or more levels, all >= 1, and k_cap >= 1")
     _check_reinforced(a, step_cap)
     graph = build(max(levels))
-    table = _step_table(graph.n)
     # stop at every return and on first reaching the lowest pending level
-    stops = {lev: [v <= 1 or v >> 1 >= lev for v in range(graph.num_vertices)] for lev in levels}
+    tables = {lev: _step_table(graph.n, tuple(v for v in range(graph.num_vertices)
+                                              if v <= 1 or v >> 1 >= lev))
+              for lev in levels}
     out = np.empty((replicas, len(levels)), dtype=np.int64)
     undecided = 0
     for r in range(replicas):
@@ -260,8 +280,7 @@ def returns_before_far_end_detailed(levels: Sequence[int], a: float, k_cap: int,
         pos, returns, used = graph.vertex(0, 2), 0, 0
         pending, counts = sorted(levels), {}
         while pending and returns < k_cap and used < step_cap:
-            pos, taken = _advance(table, w, w, 1.0, pos, step_cap - used, stops[pending[0]],
-                                  uniforms)
+            pos, taken = _advance(tables[pending[0]], w, w, 1.0, pos, step_cap - used, uniforms)
             used += taken
             returns += pos <= 1  # a step was taken: ending on the left rung is a return
             while pending and pos >> 1 >= pending[0]:
@@ -275,14 +294,17 @@ def escape_frequency(graph: LadderGraph, x: EdgeWeights, rng: RngSpec, replicas:
                      step_cap: int = 10_000_000) -> float:
     """Monte Carlo frequency of reaching the far end before returning to the
     start vertex, for the fixed-weight walk started at the top-left corner."""
-    table, start = _step_table(graph.n), graph.vertex(0, 2)
+    if x.n != graph.n:
+        raise LadderError(f"weights are for n={x.n}, graph has n={graph.n}")
+    start = graph.vertex(0, 2)
+    stops = (start,) + tuple(v for v in range(graph.num_vertices) if v >> 1 >= graph.n)
+    table = _step_table(graph.n, stops)
     w, k = x.values.tolist(), [0] * graph.num_edges  # crossings are not reported
-    stops = [v == start or v >> 1 >= graph.n for v in range(graph.num_vertices)]
     escapes = 0
     for r in range(replicas):
         uniforms = _Uniforms(RngSpec(rng.seed, rng.stream + r).generator())
-        pos, taken = _advance(table, w, k, 1, start, step_cap, stops, uniforms)
-        if taken == 0 or not stops[pos]:
+        pos, taken = _advance(table, w, k, 1, start, step_cap, uniforms)
+        if taken == 0 or pos not in stops:
             raise LadderError(f"episode undecided after {step_cap} steps")
         escapes += pos != start
     return escapes / replicas

@@ -12,6 +12,8 @@ from ladderlab.rng import RngSpec
 from ladderlab.walk import (
     _BLOCK,
     _Uniforms,
+    _advance,
+    _step_table,
     errw_run,
     escape_frequency,
     local_time_profile,
@@ -411,3 +413,141 @@ def test_profile_experiment_refuses_huge_a_before_any_walk(monkeypatch):
     monkeypatch.setattr(walk, "_profile_replica", no_walk)
     with pytest.raises(LadderError, match=r"exceeds 2\*\*50"):
         profile_experiment(4, 2.0 ** 50, 2000, 4, RngSpec(47), fit_levels=(1, 3))
+
+
+def test_escape_frequency_refuses_weights_for_another_ladder(monkeypatch):
+    from ladderlab import walk
+
+    def no_walk(*args):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(walk, "_advance", no_walk)
+    for n in (4, 10):  # shorter and longer weight vectors than n = 8 needs
+        with pytest.raises(LadderError, match=f"weights are for n={n}, graph has n=8"):
+            escape_frequency(build(8), EdgeWeights(np.ones(3 * n + 1)), RngSpec(71), 5)
+
+
+@pytest.mark.parametrize("n,stops", [(1, ()), (1, (0, 1, 2, 3)), (2, (1, 4)), (5, (0, 1, 10, 11)),
+                                     (6, (3, 8, 13))])
+def test_step_table_shifts_exactly_the_flagged_neighbours(n, stops):
+    g, plain, table = build(n), _step_table(n), _step_table(n, stops)
+    assert len(table) == len(plain) == g.num_vertices
+    for v, (row, flagged) in enumerate(zip(plain, table)):
+        assert row == sum(g.incident[v], ()) + (-1, -1) * (3 - len(g.incident[v]))
+        assert flagged[0::2] == row[0::2]  # the same edges, in the same order
+        for nb, listed in zip(row[1::2], flagged[1::2]):
+            assert listed == (nb + g.num_vertices if nb in stops else nb)
+    assert _step_table(n, stops) is table  # cached
+
+
+class _Constant:
+    """A generator stub whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def _subtraction_step(u, w, opts):
+    """One step from the incident ``opts``, chosen as the running weight
+    subtraction reaching below zero: ``(edge crossed, next vertex)``."""
+    r = u * sum(w[e] for e, _ in opts)
+    for e, nxt in opts:
+        r -= w[e]
+        if r < 0.0:
+            break
+    return e, nxt
+
+
+def _comparison_cases(degree, gen):
+    """(u, weights) on which a comparison ``x < y`` and ``x - y < 0.0`` could part:
+    u just below one, exact ties at a branch boundary, weights near 2**50,
+    subnormal differences and random draws."""
+    top = 1.0 - 2.0 ** -53
+    cases = []
+    for _ in range(300):
+        ws = np.exp(gen.uniform(-30, 30, size=degree)).tolist()
+        cases += [(top, ws), (float(gen.random()), ws)]
+        near = (2.0 ** 50 - gen.integers(0, 2 ** 12, size=degree)).tolist()
+        cases += [(top, near), (float(gen.random()), near)]
+        tiny = (gen.integers(1, 64, size=degree) * 2.0 ** -1074).tolist()  # subnormal weights
+        cases += [(top, tiny), (float(gen.random()), tiny)]
+    for ws in ([1.0, 2.0 ** -52], [1.0, 2.0 ** -53], [2.0 ** 50, 1.0], [1.0, 1.0], [3.0, 1.0]):
+        cases.append((top, ws + [1.0] * (degree - 2)))
+    # uniforms on either side of each branch boundary: ties fl(u * tot) == w0
+    # and, at degree 3, fl(u * tot) - w0 == w1
+    for ws in [c[1] for c in cases]:
+        tot = sum(ws)
+        for edge in (ws[0], ws[0] + ws[1]):
+            u = edge / tot
+            for _ in range(3):
+                u = np.nextafter(u, 0.0)
+            for _ in range(7):
+                if 0.0 <= u < 1.0:
+                    cases.append((float(u), ws))
+                u = np.nextafter(u, 1.0)
+    return cases
+
+
+@pytest.mark.parametrize("n,pos", [(1, 0), (2, 2)])  # degree 2, then degree 3
+def test_weight_comparisons_match_the_subtraction_form(n, pos):
+    g = build(n)
+    degree = len(g.incident[pos])
+    edges = [e for e, _ in g.incident[pos]]
+    ties, chosen = 0, set()
+    for u, ws in _comparison_cases(degree, np.random.default_rng(89 + n)):
+        w = [1.0] * g.num_edges
+        for e, x in zip(edges, ws):
+            w[e] = x
+        _, expected = _subtraction_step(u, w, g.incident[pos])
+        got, taken = _advance(_step_table(n), w, [0] * g.num_edges, 1, pos, 1,
+                              _Uniforms(_Constant(u)))
+        assert (got, taken) == (expected, 1), (u, ws)
+        ties += u * sum(ws) == ws[0] or (degree == 3 and u * sum(ws) - ws[0] == ws[1])
+        chosen.add(got)
+    assert ties > 0 and len(chosen) == degree
+
+
+@pytest.mark.parametrize("a", [1 / 3, None])
+def test_stops_at_block_ends_and_on_the_budgets_last_step(a):
+    # short budgeted episodes against the step rule as a plain loop over one
+    # stream: a stop on the last uniform of a refill block leaves the next
+    # block's first uniform to the next episode, and a stop on the budget's
+    # last step still returns the unshifted vertex
+    n, g = 2, build(2)
+    stops = (0, 1, 4, 5)  # the left rung pair and the far level
+    table, gen = _step_table(n, stops), np.random.default_rng(97)
+    w = [a] * g.num_edges if a is not None else np.random.default_rng(5).uniform(
+        0.5, 2.0, size=g.num_edges).tolist()
+    acc, d = (w, 1.0) if a is not None else ([0] * g.num_edges, 1)
+    ref_w = list(w)
+    uniforms = _Uniforms(RngSpec(101).generator())
+    stream = RngSpec(101).generator().random(3 * _BLOCK).tolist()
+    ends, size = [256], 512  # cumulative draws at the end of each refill block
+    while ends[-1] + size <= len(stream):
+        ends.append(ends[-1] + size)
+        size = min(2 * size, _BLOCK)
+    drawn, pos, on_block_end, on_last_step = 0, 2, 0, 0
+    while drawn < len(stream) - 64:
+        budget = int(gen.integers(1, 8))
+        got = _advance(table, w, acc, d, pos, budget, uniforms)
+        taken = 0
+        while taken < budget:
+            u = stream[drawn + taken]
+            e, pos = _subtraction_step(u, ref_w, g.incident[pos])
+            if a is not None:
+                ref_w[e] += 1.0
+            taken += 1
+            if pos in stops:
+                break
+        drawn += taken
+        assert got == (pos, taken)
+        if uniforms.ptr == len(uniforms.buf):
+            uniforms.refill()
+        assert uniforms.buf[uniforms.ptr] == stream[drawn]  # the next uniform drawn
+        on_block_end += pos in stops and taken < budget and drawn in ends
+        on_last_step += pos in stops and taken == budget
+    assert w == ref_w
+    assert on_block_end > 0 and on_last_step > 0

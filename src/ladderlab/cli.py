@@ -309,7 +309,7 @@ def cmd_spectrum(cfg: dict):
     eta = p["eta"]
     grid = transfer.build_grid(_grid_params(p["grid"]), a=a)
     ctx = transfer.TransferContext(grid, a)
-    tri = transfer.leading_triple(ctx.op(eta))
+    tri = ctx.triple(eta)
     summary = {
         "a": a, "eta": eta, "grid": p["grid"],
         "grid_size": grid.size,

@@ -6,9 +6,9 @@ letters (so a forbidden adjacent ``AB`` is never proposed).  The sweep
 caches u = (xlo + xhi)/2, e^{-xlo} and e^{-xhi} per cell, the named parts of
 the coupling energy (``environment.h_ln`` ... ``h_exp2``) with w and the
 total per coupling, and the two boundary energies.  A move recomputes only
-what it changes: an x move every part of its two couplings, reusing the
+the couplings it touches: an x move every part of both, reusing the
 neighbours' exponentials; a sign flip only h_exp2; a tree letter only
-h_tree; a z move all but h_exp1; a gamma move all but h_linear and h_exp1.
+h_tree; a z or gamma move every part of its one coupling.
 The z0/zn moves and the x and tree moves on an end cell recompute its
 boundary energy through this module's ``left_energy``/``right_energy``;
 perfbench traces those and ``middle_energy`` under their names here.
@@ -292,26 +292,15 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
                 accept["tree"] += 1
                 draw_u()
 
-        # inner rung fields: z changes every part but h_exp1, gamma every
-        # part but h_linear and h_exp1
+        # inner rung fields: a z or gamma move refreshes its one coupling
         for p in range(n1):
-            q = p + 1
             for fs, step, kind in ((z, s_z, "z"), (ga, s_gamma, "gamma")):
-                w, ln, lin, tr, e1, e2, total = parts[p]
                 before = spin() if budget > 0 else None
                 old = fs[p]
                 fs[p] = old + step * draw_n()
-                zp = z[p]
-                if fs is z:
-                    lin = h_linear(u[p], u[q], zp, a)
-                else:
-                    w = ga[p] + u[q] - u[p]
-                ln = h_ln(xlo[p], xhi[p], zp, w, xlo[q], xhi[q], a)
-                tr = h_tree(t[p], xlo[p], xhi[p], u[p], zp, w, t[q], xlo[q], xhi[q], u[q])
-                e2 = h_exp2(w, zp, sig[p] * sig[q])
-                e_new = coupling_total(ln, lin, tr, e1, e2, -eta[p] * ga[p])
-                if decide(kind, e_new - total, draw_u(), before):
-                    parts[p] = w, ln, lin, tr, e1, e2, e_new
+                new = coupling(p)
+                if decide(kind, new[6] - parts[p][6], draw_u(), before):
+                    parts[p] = new
                 else:
                     fs[p] = old
 

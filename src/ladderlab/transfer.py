@@ -924,12 +924,13 @@ def _scaled_images(v: np.ndarray, products) -> tuple[list[np.ndarray], list[floa
 
 
 class TransferContext:
-    """Grid, kernels and boundary vectors bundled for the chain formulas."""
+    """Grid, kernels, leading triples and boundary vectors bundled for the chain formulas."""
 
     def __init__(self, grid: TransferGrid, a: float):
         self.grid = grid
         self.a = a
         self._ops: dict = {}
+        self._triples: dict = {}
 
     def op(self, eta: float, tag: str = "one") -> OperatorMatrix:
         key = (round(eta, 12), tag)
@@ -937,6 +938,13 @@ class TransferContext:
             plain = self.op(eta) if tag == "gamma" else None
             self._ops[key] = assemble_kernel(self.grid, self.a, eta, tag, plain=plain)
         return self._ops[key]
+
+    def triple(self, eta: float, seed: int = 0) -> EigenTriple:
+        """The plain kernel's leading triple, solved once per (eta, seed)."""
+        key = (round(eta, 12), seed)
+        if key not in self._triples:
+            self._triples[key] = leading_triple(self.op(eta), seed=seed)
+        return self._triples[key]
 
     @cached_property
     def gl_u(self) -> np.ndarray:
@@ -995,7 +1003,7 @@ def symmetry_defect(ctx: TransferContext, seed: int = 0) -> dict:
     sw = ctx.grid.sqrt_w
     pairings = []  # (triple, raw pairing, normalized pairing) at eta = 0, 1/4
     for eta in (0.0, 0.25):
-        triple = leading_triple(ctx.op(eta), seed=seed)
+        triple = ctx.triple(eta, seed)
         u_left, u_right = triple.left * sw, triple.right * sw
         kg = ctx.op(eta, "gamma")
         raw = float(kg.vecmat(u_left) @ u_right)

@@ -16,7 +16,8 @@ walk keeps only its weights and reads its local times back as
 run's returns follow from the arrival identity at the left rung pair.
 Reinforced runs whose weights could pass 2**50 are refused.  A step makes
 no stop check: the step table lists each stop vertex shifted past the last
-vertex, and the failed table read after an arrival there ends the episode.
+vertex, the failed table read after an arrival there ends the episode, and
+the uniforms left in its block (16 doubling to 8192) give the steps taken.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import sub
+from operator import length_hint
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +46,7 @@ __all__ = [
     "ProfileResult",
 ]
 
-_BLOCK = 1 << 13
+_FIRST_BLOCK, _BLOCK = 16, 1 << 13
 # w + 1.0 rounds only when w enters a new binade, so a weight that stays at most
 # this large is a + k to within ulp(w) <= 1/4: rint(w - a) is its local time k
 _MAX_WEIGHT = 2 ** 50
@@ -77,13 +78,13 @@ class WalkTrace:
 
 
 class _Uniforms:
-    """One generator's uniforms, drawn in blocks of 256 doubling up to
-    ``_BLOCK``.  PCG64 gives ``random(m)`` then ``random(k)`` the values of
-    ``random(m + k)``: the stream is that of fixed blocks, and a short
-    episode draws a few hundred values instead of a full block."""
+    """One generator's uniforms, drawn in blocks of ``_FIRST_BLOCK``
+    doubling up to ``_BLOCK``.  PCG64 gives ``random(m)`` then ``random(k)``
+    the values of ``random(m + k)``: the stream is that of fixed blocks, and
+    a short episode draws a few dozen values instead of a full block."""
 
     def __init__(self, gen: np.random.Generator):
-        self.gen, self.buf, self.ptr, self.size = gen, [], 0, 256
+        self.gen, self.buf, self.ptr, self.size = gen, [], 0, _FIRST_BLOCK
 
     def refill(self) -> None:
         self.buf, self.ptr = self.gen.random(self.size).tolist(), 0
@@ -120,12 +121,12 @@ def _advance(table, w: list[float], acc: list, d, pos: int, budget: int,
     ``acc is w`` and ``d = 1.0``, a fixed-weight walk a list of integer
     crossing counts and ``d = 1``.  No step checks for a stop: the read of
     ``table`` at a shifted position raises ``IndexError``, caught once outside
-    the loop, so ``w`` and ``acc`` must hold an entry for every edge.  Each
-    comparison ``x < y`` decides as the running subtraction ``x - y < 0.0``
-    of the step rule would, since a float difference rounds to a negative
-    value exactly when ``x < y`` (subnormals keep it from rounding to zero).
-    Returns ``(pos, steps taken)`` with ``pos`` unshifted."""
-    entry, left, vertices = acc[:], budget, len(table)
+    the loop, so ``w`` and ``acc`` must hold an entry for every edge; the steps
+    taken are read from the uniforms left in the block's iterator.  Each
+    ``x < y`` decides as the subtraction ``x - y < 0.0`` of the step rule: a
+    float difference is negative exactly when ``x < y`` (subnormals keep it
+    from rounding to zero).  Returns ``(pos, steps taken)``, ``pos`` unshifted."""
+    left, vertices = budget, len(table)
     try:
         while left > 0:
             if uniforms.ptr == len(uniforms.buf):
@@ -134,7 +135,7 @@ def _advance(table, w: list[float], acc: list, d, pos: int, budget: int,
             hi = min(len(uniforms.buf), lo + left)
             uniforms.ptr = hi
             left -= hi - lo
-            for u in uniforms.buf[lo:hi]:
+            for u in (block := iter(uniforms.buf[lo:hi])):
                 e0, n0, e1, n1, e2, n2 = table[pos]
                 w0 = w[e0]
                 if e2 >= 0:
@@ -156,11 +157,10 @@ def _advance(table, w: list[float], acc: list, d, pos: int, budget: int,
                     acc[e1] += d
                     pos = n1
     except IndexError:
-        # each entry grew by its crossings to within 1/4 (see _MAX_WEIGHT)
-        taken = sum(map(round, map(sub, acc, entry)))
         # the uniform in hand and the block's uniforms past it stay in the stream
-        uniforms.ptr = hi - (budget - left - taken)
-        return pos - vertices, taken
+        unused = length_hint(block) + 1
+        uniforms.ptr = hi - unused
+        return pos - vertices, budget - left - unused
     # the budget ran out, possibly on the step that reached a stop
     return (pos - vertices if pos >= vertices else pos), budget - left
 
@@ -264,16 +264,15 @@ def returns_before_far_end_detailed(levels: Sequence[int], a: float, k_cap: int,
     returns is decided even on its last allowed step, as no later step can
     change a capped count.  ``a + step_cap`` may be at most 2**50."""
     levels = [int(v) for v in levels]
-    if not levels or min(levels) < 1 or k_cap < 1:
-        raise LadderError("need one or more levels, all >= 1, and k_cap >= 1")
+    if not levels or min(levels) < 1 or k_cap < 1 or replicas < 1:
+        raise LadderError("need one or more levels, all >= 1, k_cap >= 1 and replicas >= 1")
     _check_reinforced(a, step_cap)
     graph = build(max(levels))
     # stop at every return and on first reaching the lowest pending level
     tables = {lev: _step_table(graph.n, tuple(v for v in range(graph.num_vertices)
                                               if v <= 1 or v >> 1 >= lev))
               for lev in levels}
-    out = np.empty((replicas, len(levels)), dtype=np.int64)
-    undecided = 0
+    out, undecided = np.empty((replicas, len(levels)), dtype=np.int64), 0
     for r in range(replicas):
         uniforms = _Uniforms(RngSpec(rng.seed, rng.stream + r).generator())
         w = [float(a)] * graph.num_edges
@@ -296,6 +295,8 @@ def escape_frequency(graph: LadderGraph, x: EdgeWeights, rng: RngSpec, replicas:
     start vertex, for the fixed-weight walk started at the top-left corner."""
     if x.n != graph.n:
         raise LadderError(f"weights are for n={x.n}, graph has n={graph.n}")
+    if replicas < 1:
+        raise LadderError(f"need replicas >= 1, got {replicas}")
     start = graph.vertex(0, 2)
     stops = (start,) + tuple(v for v in range(graph.num_vertices) if v >> 1 >= graph.n)
     table = _step_table(graph.n, stops)
@@ -378,11 +379,13 @@ def profile_experiment(n: int, a: float, steps: int, replicas: int, rng: RngSpec
     log ratios on the levels ``_ENVELOPE_LEVELS`` (clipped to ``n``);
     reports per level the fraction of replicas whose ratio sits below the
     envelope.  Replicas that never cross the left rung enter with infinite
-    ratios.  Raises ``LadderError`` before any walk runs unless the fit
-    range, clipped to ``n``, holds two or more levels of 1..n and
-    ``a + steps`` is at most 2**50.
+    ratios.  Raises ``LadderError`` before any walk runs unless
+    ``replicas >= 1``, the fit range, clipped to ``n``, holds two or more
+    levels of 1..n and ``a + steps`` is at most 2**50.
     """
     _check_reinforced(a, steps)
+    if replicas < 1:
+        raise LadderError(f"need replicas >= 1, got {replicas}")
     if representative not in ("rung", "lower", "upper"):
         raise LadderError(f"unknown representative edge kind {representative!r}")
     lo, hi = fit_levels[0], min(fit_levels[1], n)

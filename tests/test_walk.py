@@ -11,6 +11,7 @@ from ladderlab.network import escape_probability
 from ladderlab.rng import RngSpec
 from ladderlab.walk import (
     _BLOCK,
+    _FIRST_BLOCK,
     _Uniforms,
     _advance,
     _step_table,
@@ -314,7 +315,7 @@ def test_growing_blocks_draw_the_fixed_block_stream():
         uniforms.refill()
         sizes.append(len(uniforms.buf))
         drawn.extend(uniforms.buf)
-    assert sizes[0] == 256 and sizes[-2:] == [_BLOCK, _BLOCK]
+    assert sizes[0] == _FIRST_BLOCK and sizes[-2:] == [_BLOCK, _BLOCK]
     assert drawn == RngSpec(73).generator().random(len(drawn)).tolist()
     gen = RngSpec(73).generator()
     fixed = np.concatenate([gen.random(_BLOCK) for _ in range(len(drawn) // _BLOCK + 1)])
@@ -427,6 +428,24 @@ def test_escape_frequency_refuses_weights_for_another_ladder(monkeypatch):
             escape_frequency(build(8), EdgeWeights(np.ones(3 * n + 1)), RngSpec(71), 5)
 
 
+@pytest.mark.parametrize("replicas", [0, -3])
+@pytest.mark.parametrize("experiment", [
+    lambda r: escape_frequency(build(8), EdgeWeights(np.ones(25)), RngSpec(71), r),
+    lambda r: returns_before_far_end_detailed((4, 8), 1.0, 2, RngSpec(3), r),
+    lambda r: profile_experiment(4, 1.0, 2000, r, RngSpec(47), fit_levels=(1, 3)),
+], ids=["escape", "returns", "profile"])
+def test_replica_experiments_refuse_fewer_than_one_replica(monkeypatch, experiment, replicas):
+    from ladderlab import walk
+
+    def no_walk(*args):
+        raise AssertionError("a walk ran")
+
+    monkeypatch.setattr(walk, "_advance", no_walk)
+    monkeypatch.setattr(walk, "_profile_replica", no_walk)
+    with pytest.raises(LadderError, match="replicas >= 1"):
+        experiment(replicas)
+
+
 @pytest.mark.parametrize("n,stops", [(1, ()), (1, (0, 1, 2, 3)), (2, (1, 4)), (5, (0, 1, 10, 11)),
                                      (6, (3, 8, 13))])
 def test_step_table_shifts_exactly_the_flagged_neighbours(n, stops):
@@ -525,7 +544,7 @@ def test_stops_at_block_ends_and_on_the_budgets_last_step(a):
     ref_w = list(w)
     uniforms = _Uniforms(RngSpec(101).generator())
     stream = RngSpec(101).generator().random(3 * _BLOCK).tolist()
-    ends, size = [256], 512  # cumulative draws at the end of each refill block
+    ends, size = [_FIRST_BLOCK], 2 * _FIRST_BLOCK  # cumulative draws at each refill block's end
     while ends[-1] + size <= len(stream):
         ends.append(ends[-1] + size)
         size = min(2 * size, _BLOCK)

@@ -18,7 +18,6 @@ one margin per point by the check's own minimum over its letters.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -222,14 +221,6 @@ def verify_linear_minorant() -> BoundReport:
     )
 
 
-def perturbed_minorant_residual(t: str, t2: str, variable: str, delta: Fraction) -> Fraction:
-    """Negative control: shift kappa_lo by ``delta`` and report the residual
-    it induces on the given variable."""
-    c = minorant_certificate(t, t2)
-    bumped = dataclasses.replace(c, kappa_lo=c.kappa_lo + delta)
-    return _linear_identity_residuals(bumped)[variable]
-
-
 # ---------------------------------------------------------------------------
 # vectorized energy pieces (blocks of sample points)
 
@@ -330,13 +321,6 @@ def _middle_base_vec(points, terms, a: float, eta: float, rate: float):
         exp1 = h_exp1(np.exp(-xlo), np.exp(-xhi), np.exp(-xlo2), np.exp(-xhi2))
     rhs = rate * (np.abs(xlo) + np.abs(xhi) + np.abs(z) + np.abs(gamma) + np.abs(xlo2) + np.abs(xhi2))
     return h_ln + h_linear(u, u2, z, a) + exp1 - eta * gamma - rhs
-
-
-def middle_no_exp2_vec(xlo, xhi, z, gamma, xlo2, xhi2, t: str, t2: str, a: float, eta: float):
-    """Vectorized coupling energy without the sign term (one tree pair)."""
-    points = (xlo, xhi, z, gamma, xlo2, xhi2)
-    terms = _cell_terms(points)
-    return _middle_base_vec(points, terms, a, eta, 0.0) + _tree_piece_vec(terms, t, t2)
 
 
 def _scan(name: str, details: dict, block_min, per_point: int, dims: int,

@@ -68,8 +68,10 @@ def _check(doc, schema, path) -> list[str]:
         if not isinstance(doc, int) or isinstance(doc, bool):
             return [f"{path}: expected integer"]
     elif typ == "number":
-        if not isinstance(doc, (int, float)) or isinstance(doc, bool):
-            return [f"{path}: expected number"]
+        # every comparison with NaN is false, so no bound below would refuse it
+        if (not isinstance(doc, (int, float)) or isinstance(doc, bool)
+                or isinstance(doc, float) and not math.isfinite(doc)):
+            return [f"{path}: expected finite number"]
     elif typ == "string":
         if not isinstance(doc, str):
             return [f"{path}: expected string"]
@@ -170,7 +172,7 @@ def _grid_params(name: str) -> transfer.GridParams:
 
 def _load_weights(spec: str | None, n: int) -> EdgeWeights:
     """Unit weights, or the ``x`` list of a JSON weights file; an unreadable
-    file or one that does not hold positive weights for ``n`` cells is a
+    file or one that does not hold finite positive weights for ``n`` cells is a
     config error."""
     if spec is None or spec == "unit":
         return EdgeWeights(np.ones(3 * n + 1))

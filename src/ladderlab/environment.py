@@ -36,7 +36,6 @@ __all__ = [
     "EnvironmentPoint",
     "log_phi",
     "scaling_law_residual",
-    "normalize_weights",
     "h_total",
     "psi_forward",
     "psi_inverse",
@@ -347,7 +346,8 @@ def log_phi(x: EdgeWeights | np.ndarray, y: Sequence[float], code: SpanningTreeC
     logx = np.log(x.values)
     out = (a - 1.5) * float(np.sum(logx))
     out += sum(logx[e] for e in indices_from_mask(tree_decode(code)))
-    logv = np.log(x.vertex_weights(graph))
+    vals = x.values.tolist()
+    logv = np.log([sum(vals[e] for e, _ in incident) for incident in graph.incident])
     out -= (a + 0.5) * logv[graph.vertex(0, 1)] + a * logv[graph.vertex(0, 2)]
     for i in range(1, n):
         out -= 0.5 * (3.0 * a + 1.0) * (logv[graph.vertex(i, 1)] + logv[graph.vertex(i, 2)])
@@ -375,26 +375,6 @@ def scaling_law_residual(gen: np.random.Generator, count: int) -> float:
         drop = -(3.5 * n + 1.0) * math.log(c)
         worst = max(worst, abs(scaled - base - drop) / max(1.0, abs(base)))
     return worst
-
-
-def normalize_weights(
-    x: EdgeWeights | np.ndarray, y: Sequence[float], mode: str
-) -> tuple[EdgeWeights, np.ndarray]:
-    """Rescale weights (and y with the square-root factor) into one of the
-    two canonical gauges; walk transition probabilities are unchanged."""
-    if not isinstance(x, EdgeWeights):
-        x = EdgeWeights(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if mode == "simplex":
-        s = float(np.sum(x.values))
-    elif mode == "rung-zero-unit":
-        s = float(x.values[0])
-    else:
-        raise LadderError(f"unknown normalization mode {mode!r}")
-    vals = x.values / s
-    if mode == "rung-zero-unit":
-        vals[0] = 1.0  # exact by construction
-    return EdgeWeights(vals, normalization=mode), y / math.sqrt(s)
 
 
 def psi_forward(omega: SpinConfig) -> EnvironmentPoint:

@@ -34,8 +34,6 @@ __all__ = [
     "count_codes",
     "matrix_tree_count",
     "all_codes",
-    "all_spanning_trees",
-    "cycle_matrix",
     "cycle_form",
     "tree_mask_from_indices",
     "indices_from_mask",
@@ -88,9 +86,6 @@ class LadderGraph:
                               f"need level 0..{self.n} and rail 1 or 2")
         return vertex_index(i, level)
 
-    def degree(self, v: int) -> int:
-        return len(self.incident[v])
-
     def edge_between(self, u: int, v: int) -> int:
         for e, w in self.incident[u]:
             if w == v:
@@ -127,10 +122,9 @@ def build(n: int) -> LadderGraph:
 
 @dataclass(frozen=True)
 class EdgeWeights:
-    """Positive weights per edge plus a normalization tag.
+    """Finite positive weights per edge plus a normalization tag.
 
-    Tags: ``simplex`` (weights sum to 1), ``rung-zero-unit`` (left rung has
-    weight exactly 1) or ``none``.
+    Tags: ``rung-zero-unit`` (left rung has weight exactly 1) or ``none``.
     """
 
     values: np.ndarray
@@ -141,12 +135,9 @@ class EdgeWeights:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or (vals.size - 1) % 3 != 0 or vals.size < 4:
             raise LadderError(f"weight vector length {vals.size} does not fit any ladder")
-        if not np.all(vals > 0.0):
-            raise LadderError("edge weights must be strictly positive")
-        if self.normalization == "simplex":
-            if abs(vals.sum() - 1.0) > 1e-12:
-                raise LadderError("simplex-tagged weights must sum to 1 within 1e-12")
-        elif self.normalization == "rung-zero-unit":
+        if not ((vals > 0.0) & (vals < np.inf)).all():
+            raise LadderError("edge weights must be finite and strictly positive")
+        if self.normalization == "rung-zero-unit":
             if vals[0] != 1.0:
                 raise LadderError("rung-zero-unit weights must have left rung weight exactly 1")
         elif self.normalization != "none":
@@ -168,13 +159,6 @@ class EdgeWeights:
     def vertex_weight(self, graph: LadderGraph, v: int) -> float:
         """Sum of weights over edges incident to vertex ``v``."""
         return float(sum(self.values[e] for e, _ in graph.incident[v]))
-
-    def vertex_weights(self, graph: LadderGraph) -> np.ndarray:
-        out = np.zeros(graph.num_vertices)
-        for e, (_, u, v) in enumerate(graph.edges):
-            out[u] += self.values[e]
-            out[v] += self.values[e]
-        return out
 
 
 @dataclass(frozen=True)
@@ -350,19 +334,6 @@ def all_codes(n: int):
     yield from rec(0)
 
 
-def all_spanning_trees(n: int) -> list[int]:
-    """Brute-force enumeration of spanning trees as bit masks (small n only)."""
-    from itertools import combinations
-
-    graph = build(n)
-    out = []
-    for subset in combinations(range(graph.num_edges), 2 * n + 1):
-        mask = tree_mask_from_indices(subset)
-        if _is_spanning_tree(graph, mask):
-            out.append(mask)
-    return out
-
-
 def _bareiss_determinant(mat: list[list[int]]) -> int:
     """Exact integer determinant by fraction-free elimination."""
     m = [row[:] for row in mat]
@@ -399,20 +370,6 @@ def matrix_tree_count(n: int) -> int:
     return _bareiss_determinant(minor)
 
 
-def cycle_matrix(x: EdgeWeights | np.ndarray) -> np.ndarray:
-    """Tridiagonal matrix of inverse weights around each cell."""
-    if not isinstance(x, EdgeWeights):
-        x = EdgeWeights(np.asarray(x, dtype=float))
-    n = x.n
-    inv = 1.0 / x.values
-    mat = np.zeros((n, n))
-    for i in range(1, n + 1):
-        mat[i - 1, i - 1] = inv[0 if i == 1 else 3 * (i - 2) + 3] + inv[3 * (i - 1) + 1] + inv[3 * (i - 1) + 2] + inv[3 * (i - 1) + 3]
-    for i in range(1, n):
-        mat[i - 1, i] = mat[i, i - 1] = -inv[3 * (i - 1) + 3]
-    return mat
-
-
 def cycle_form(x: EdgeWeights | np.ndarray, y: Sequence[float]) -> float:
     """Quadratic form ``y A(x) y^t`` evaluated as an explicit sum of squares."""
     if not isinstance(x, EdgeWeights):
@@ -427,14 +384,3 @@ def cycle_form(x: EdgeWeights | np.ndarray, y: Sequence[float]) -> float:
     for i in range(1, n):
         total += (y[i - 1] - y[i]) ** 2 / x.rung(i)
     return float(total)
-
-
-def spanning_tree_count_recurrence(n: int) -> int:
-    """Closed recurrence a(n) = 4 a(n-1) - a(n-2), a(0)=1, a(1)=4."""
-    a, b = 1, 4
-    if n == 0:
-        return a
-    for _ in range(n - 1):
-        a, b = b, 4 * b - a
-    return b
-

@@ -387,9 +387,7 @@ def observable(batch: SampleBatch, name: str, i: int | None = None) -> np.ndarra
     """Column of a named observable; ``i`` is the 1-based cell or rung index.
 
     ``log_y_ratio`` is the log modulus ratio of consecutive auxiliary
-    variables; ``log_z_over_y2`` the log of a rung weight relative to the
-    squared auxiliary variable at its left cell.  Both are linear in the
-    stored fields.
+    variables, linear in the stored fields.
     """
     if name == "Z0":
         return batch.z0
@@ -401,12 +399,9 @@ def observable(batch: SampleBatch, name: str, i: int | None = None) -> np.ndarra
     if name in ("Z", "Gamma"):
         arr = batch.z if name == "Z" else batch.gamma
         return arr[:, i - 1]
-    u = 0.5 * (batch.xlo + batch.xhi)
-    w_i = batch.gamma[:, i - 1] + u[:, i] - u[:, i - 1]
     if name == "log_y_ratio":
-        return -0.5 * w_i
-    if name == "log_z_over_y2":
-        return batch.z[:, i - 1] - 0.5 * w_i
+        u = 0.5 * (batch.xlo + batch.xhi)
+        return -0.5 * (batch.gamma[:, i - 1] + u[:, i] - u[:, i - 1])
     raise LadderError(f"unknown observable {name!r}")
 
 

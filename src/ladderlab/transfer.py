@@ -118,23 +118,24 @@ __all__ = [
 ]
 
 _STATE_BLOCKS = 8  # four tree letters times two signs
+_ETA_MAX = 0.25  # largest |eta| that assemble_kernel accepts
 
 
-def axis_rates(a: float, eta_max: float = 0.25) -> dict:
+def axis_rates(a: float) -> dict:
     """Per-axis exponential decay rates of the coupling integrand.
 
-    Worst case over tree letters, signs and couplings up to ``eta_max``.
+    Worst case over tree letters, signs and couplings |eta| <= 1/4.
     The negative cell side decays double-exponentially and is handled
     separately.
     """
     if not a > 0.5:
         raise LadderError(f"kernel truncation needs a > 1/2, got a={a}")
     return {
-        "x_plus": 0.5 * (3 * a + 1) - 0.5 * (a + 0.5) - 0.25 - 0.5 * eta_max,
+        "x_plus": 0.5 * (3 * a + 1) - 0.5 * (a + 0.5) - 0.25 - 0.5 * _ETA_MAX,
         "z_plus": (3 * a + 1) - (a + 0.5),
         "z_minus": a - 0.5,
-        "w": 0.5 * (3 * a + 1) - 0.5 - eta_max,
-        "x_minus_gain": 0.75 + 0.5 * eta_max,  # linear growth the tail must beat
+        "w": 0.5 * (3 * a + 1) - 0.5 - _ETA_MAX,
+        "x_minus_gain": 0.75 + 0.5 * _ETA_MAX,  # linear growth the tail must beat
     }
 
 
@@ -238,8 +239,7 @@ class TransferGrid:
         return np.tile(cell, _STATE_BLOCKS)
 
 
-def build_grid(params: GridParams | None = None, a: float = 1.0,
-               eta_max: float = 0.25) -> TransferGrid:
+def build_grid(params: GridParams | None = None, a: float = 1.0) -> TransferGrid:
     """Build the discretization and validate the truncation against the
     per-axis decay rates; too-small radii are rejected with the minimal
     admissible radius in the message."""
@@ -248,7 +248,7 @@ def build_grid(params: GridParams | None = None, a: float = 1.0,
         raise LadderError("need at least 8 nodes per continuous axis")
     eps = params.eps
     budget = math.log(1.0 / eps) + 2.0  # two extra e-folds of safety
-    rates = axis_rates(a, eta_max)
+    rates = axis_rates(a)
     required = {
         "x_hi": budget / rates["x_plus"],
         "z_hi": budget / rates["z_plus"],
@@ -767,7 +767,7 @@ def assemble_kernel(grid: TransferGrid, a: float, eta: float, tag: str = "one",
     plain operator at the same (grid, a, eta), passed as ``plain``: the
     commutator reads its cores, and the side profiles are its own.
     """
-    if not -0.25 <= eta <= 0.25:
+    if not -_ETA_MAX <= eta <= _ETA_MAX:
         raise LadderError(f"eta={eta} outside [-1/4, 1/4]")
     if tag not in ("one", "gamma"):
         raise LadderError(f"unknown kernel tag {tag!r}")

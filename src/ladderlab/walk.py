@@ -56,25 +56,10 @@ _MAX_WEIGHT = 2 ** 50
 class WalkTrace:
     """Outcome of one walk run."""
 
-    start: int
-    steps: int
-    local_times: np.ndarray  # crossings per edge; sums to steps
+    local_times: np.ndarray  # crossings per edge; sums to the steps taken
     position: int
     returns: int  # arrivals at the left rung pair at positive times
-    a: float | None  # reinforcement offset, None for fixed-weight runs
     history: np.ndarray | None = field(default=None, repr=False)
-
-    def alpha(self) -> np.ndarray:
-        """Normalized local times k_t / t."""
-        if self.steps == 0:
-            raise LadderError("no steps taken")
-        return self.local_times / self.steps
-
-    def weights(self) -> np.ndarray:
-        """Edge weights after the run (reinforced runs only)."""
-        if self.a is None:
-            raise LadderError("fixed-weight runs do not evolve weights")
-        return self.a + self.local_times
 
 
 class _Uniforms:
@@ -185,7 +170,7 @@ def _trace_run(graph: LadderGraph, w: list[float], a: float | None, steps: int, 
     # arrivals plus departures, and departures = arrivals + [start there] - [end there]
     left = [e for v in (0, 1) for e, _ in graph.incident[v]]
     returns = (int(k[left].sum()) + (pos <= 1) - (start <= 1)) // 2
-    return WalkTrace(start=start, steps=steps, local_times=k, position=pos, returns=returns, a=a,
+    return WalkTrace(local_times=k, position=pos, returns=returns,
                      history=np.array(hist, dtype=np.int32) if stride > 0 else None)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -20,10 +21,9 @@ from ladderlab.certificates import (
     boundary_growth_rate,
     _cell_terms,
     _grid_blocks,
+    _linear_identity_residuals,
     _middle_base_vec,
     _tree_piece_vec,
-    middle_no_exp2_vec,
-    perturbed_minorant_residual,
     verify_linear_minorant,
 )
 from ladderlab.cli import run
@@ -82,8 +82,9 @@ def test_verify_linear_minorant_zero_residuals():
 def test_minorant_negative_control():
     # bump one dual weight: the lower-field residual moves by exactly -delta
     delta = Fraction(1, 1000)
-    res = perturbed_minorant_residual("C", "C", "xlo", delta)
-    assert res == -delta
+    c = minorant_certificate("C", "C")
+    bumped = dataclasses.replace(c, kappa_lo=c.kappa_lo + delta)
+    assert _linear_identity_residuals(bumped)["xlo"] == -delta
 
 
 def test_minorant_identity_certifies_the_scan_tree_steps(monkeypatch):
@@ -121,9 +122,15 @@ def test_minorant_numeric_spot_check():
         assert lhs >= rhs - 1e-9
 
 
+def _middle_no_exp2_vec(points, t, t2, a, eta):
+    """The scan's coupling energy without the sign term, at rate 0."""
+    terms = _cell_terms(points)
+    return _middle_base_vec(points, terms, a, eta, 0.0) + _tree_piece_vec(terms, t, t2)
+
+
 def test_middle_bound_zero_point_margin():
     # the zero point with tree pair (C, C): bound left side is 4 ln 3 + 1
-    val = middle_no_exp2_vec(*(np.zeros(1) for _ in range(6)), t="C", t2="C", a=1.0, eta=0.25)
+    val = _middle_no_exp2_vec([np.zeros(1)] * 6, "C", "C", 1.0, 0.25)
     assert val[0] == pytest.approx(4 * math.log(3.0) + 1.0, rel=1e-12)
 
 
@@ -134,7 +141,7 @@ def test_middle_no_exp2_vec_matches_scalar():
         t, t2 = PAIRS[rng.integers(len(PAIRS))]
         a = rng.uniform(0.6, 4)
         eta = rng.uniform(-0.25, 0.25)
-        vec = middle_no_exp2_vec(*(np.array([v]) for v in pt), t=t, t2=t2, a=a, eta=eta)
+        vec = _middle_no_exp2_vec([np.array([v]) for v in pt], t, t2, a, eta)
         p = middle_parts(pt[0], pt[1], 1, STATES.index(t), pt[2], pt[3],
                          pt[4], pt[5], 1, STATES.index(t2), a, eta)
         scal = p.h_ln + p.h_linear + p.h_tree + p.h_exp1 + p.eta_term  # all parts but h_exp2

@@ -69,6 +69,24 @@ def test_bad_config_file(tmp_path):
     assert run(["verify", "--config", str(bad)]) == 2  # config for a different subcommand
 
 
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("subcommand, key, value", [
+    ("simulate", "a", math.nan), ("spectrum", "eta", math.nan), ("chain-stats", "a", math.inf),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, form, subcommand, key, value):
+    # every comparison with NaN is false, so NaN passed every bound and inf passed a > 0
+    out = tmp_path / "out.json"
+    if form == "flag":
+        args = [subcommand, f"--{key}={value}"]
+    else:  # json writes and reads the NaN and Infinity tokens
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"subcommand": subcommand, "params": {key: value}}))
+        args = [subcommand, "--config", str(cfg)]
+    assert run(args + ["--out", str(out)]) == 2
+    assert f"$.params.{key}: expected finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_params_of_another_subcommand_are_refused(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"subcommand": "verify", "params": {"n": 3, "steps": 10,
@@ -195,7 +213,8 @@ def test_ignored_weights_file_is_a_config_error(tmp_path, capsys, args, keys):
 
 @pytest.mark.parametrize("subcommand", [["simulate", "--mode", "rwre"], ["resistance"]])
 @pytest.mark.parametrize("content", [None, "not json", '{"y": [1]}', '{"x": [1, 2]}',
-                                     '{"x": [1, -1, 1, 1, 1, 1, 1]}', '{"x": [1, 1, 1, 1]}'])
+                                     '{"x": [1, -1, 1, 1, 1, 1, 1]}', '{"x": [1, 1, 1, 1]}',
+                                     '{"x": [1, Infinity, 1, 1, 1, 1, 1]}'])
 def test_bad_weights_file_is_a_config_error(tmp_path, capsys, subcommand, content):
     weights = tmp_path / "w.json"
     if content is not None:  # None: the file is missing

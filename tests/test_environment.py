@@ -18,7 +18,6 @@ from ladderlab.environment import (
     log_phi,
     middle_energy,
     middle_parts,
-    normalize_weights,
     psi_forward,
     psi_inverse,
     right_energy,
@@ -122,25 +121,6 @@ def test_log_phi_finite_on_positive_inputs():
         vals = rng.uniform(1e-4, 1e4, size=3 * n + 1)
         y = rng.normal(size=n)
         assert math.isfinite(log_phi(EdgeWeights(vals), y, "D" * n, 1.0))
-
-
-def test_normalize_weights():
-    x = EdgeWeights(np.full(4, 1.0))
-    xs, ys = normalize_weights(x, [2.0], "simplex")
-    assert xs.normalization == "simplex"
-    assert np.allclose(xs.values, 0.25)
-    assert ys[0] == pytest.approx(1.0)
-    xr, yr = normalize_weights(xs, ys, "rung-zero-unit")
-    assert xr.values[0] == 1.0
-    assert np.allclose(xr.values, 1.0)
-    # idempotence
-    xr2, yr2 = normalize_weights(xr, yr, "rung-zero-unit")
-    assert np.array_equal(xr.values, xr2.values)
-    assert np.array_equal(yr, yr2)
-    # transition ratios unchanged
-    g_ratio = x.values[1] / (x.values[0] + x.values[1])
-    s_ratio = xs.values[1] / (xs.values[0] + xs.values[1])
-    assert g_ratio == pytest.approx(s_ratio, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,9 @@ from ladderlab.ladder import (
     LadderError,
     SpanningTreeCode,
     all_codes,
-    all_spanning_trees,
     build,
     count_codes,
     cycle_form,
-    cycle_matrix,
     indices_from_mask,
     matrix_tree_count,
     tree_decode,
@@ -51,7 +51,7 @@ def test_vertex_rejects_points_off_the_ladder():
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_build_degrees(n):
     g = build(n)
-    degrees = sorted(g.degree(v) for v in range(g.num_vertices))
+    degrees = sorted(len(g.incident[v]) for v in range(g.num_vertices))
     assert degrees.count(2) == 4
     assert degrees.count(3) == g.num_vertices - 4
 
@@ -115,7 +115,9 @@ def test_tree_encode_rejects_non_trees():
 
 def test_bijection_on_two_cells():
     # oracle: brute-force enumeration of all spanning trees of build(2)
-    trees = all_spanning_trees(2)
+    g = build(2)
+    trees = [mask for subset in itertools.combinations(range(g.num_edges), 5)
+             if ladder._is_spanning_tree(g, mask := tree_mask_from_indices(subset))]
     assert len(trees) == 15
     codes = {tree_encode(mask, 2).states for mask in trees}
     assert len(codes) == 15
@@ -142,9 +144,12 @@ def test_count_codes_small_values():
 
 
 def test_count_codes_recurrence_and_matrix_tree():
+    # independent count: the recurrence a(n) = 4 a(n-1) - a(n-2), a(0) = 1, a(1) = 4
+    prev, count = 1, 4
     for n in range(1, 9):
-        assert count_codes(n) == ladder.spanning_tree_count_recurrence(n)
+        assert count_codes(n) == count
         assert count_codes(n) == matrix_tree_count(n)
+        prev, count = count, 4 * count - prev
 
 
 def test_matrix_tree_known_sequence():
@@ -174,23 +179,15 @@ def test_cycle_form_matches_matrix_evaluation(n, seed):
     vals = rng.uniform(0.05, 20.0, size=3 * n + 1)
     y = rng.normal(size=n)
     x = EdgeWeights(vals)
-    mat = cycle_matrix(x)
+    # oracle: the tridiagonal matrix of inverse weights around each cell
+    inv = 1.0 / vals
+    rungs, lower, upper = inv[0::3], inv[1::3], inv[2::3]
+    mat = np.diag(rungs[:-1] + lower + upper + rungs[1:])
+    mat -= np.diag(rungs[1:-1], 1) + np.diag(rungs[1:-1], -1)
     direct = float(y @ mat @ y)
     summed = cycle_form(x, y)
     assert summed == pytest.approx(direct, rel=1e-12, abs=1e-12)
     assert summed >= 0.0
-
-
-@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_cycle_matrix_symmetric_tridiagonal_positive_definite(n, seed):
-    rng = np.random.default_rng(seed)
-    x = EdgeWeights(rng.uniform(0.05, 20.0, size=3 * n + 1))
-    mat = cycle_matrix(x)
-    assert np.array_equal(mat, mat.T)
-    assert np.all(mat[np.abs(np.subtract.outer(range(n), range(n))) >= 2] == 0.0)
-    # pivoted Cholesky-style check of positive definiteness
-    np.linalg.cholesky(mat)
 
 
 def test_cycle_form_rejects_nonpositive_weights():
@@ -200,10 +197,15 @@ def test_cycle_form_rejects_nonpositive_weights():
         EdgeWeights(np.array([1.0, 0.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_edge_weights_reject_non_finite_values(bad):
+    with pytest.raises(LadderError, match="finite"):
+        EdgeWeights(np.array([1.0, bad, 1.0, 1.0]))
+
+
 def test_edge_weights_tags():
     with pytest.raises(LadderError):
-        EdgeWeights(np.full(4, 0.3), normalization="simplex")
-    EdgeWeights(np.full(4, 0.25), normalization="simplex")
+        EdgeWeights(np.full(4, 0.25), normalization="simplex")
     with pytest.raises(LadderError):
         EdgeWeights(np.array([0.9, 1.0, 1.0, 1.0]), normalization="rung-zero-unit")
     w = EdgeWeights(np.array([1.0, 2.0, 3.0, 4.0]), normalization="rung-zero-unit")

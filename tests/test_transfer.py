@@ -78,7 +78,7 @@ def test_grid_structure(grid):
 
 
 def test_axis_rates_values():
-    r = axis_rates(1.0, 0.25)
+    r = axis_rates(1.0)
     assert r["x_plus"] == pytest.approx(0.875)
     assert r["z_minus"] == pytest.approx(0.5)
     with pytest.raises(LadderError):

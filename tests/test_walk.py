@@ -69,7 +69,6 @@ def test_local_time_bookkeeping():
     g = build(3)
     trace = errw_run(g, 1.0, 5000, g.vertex(0, 2), RngSpec(1))
     assert int(trace.local_times.sum()) == 5000
-    assert np.array_equal(trace.weights(), 1.0 + trace.local_times)
     assert trace.local_times.min() >= 0
 
 
@@ -107,8 +106,8 @@ def test_cesaro_stabilization():
     g = build(2)
     short = errw_run(g, 1.0, 100_000, g.vertex(0, 2), RngSpec(11))
     long = errw_run(g, 1.0, 400_000, g.vertex(0, 2), RngSpec(11))
-    a_short = short.alpha()[g.rung_index(0)]
-    a_long = long.alpha()[g.rung_index(0)]
+    a_short = short.local_times[g.rung_index(0)] / 100_000
+    a_long = long.local_times[g.rung_index(0)] / 400_000
     assert abs(a_short - a_long) < 0.05
 
 
@@ -120,16 +119,15 @@ def test_rwre_edge_frequencies_match_stationary_law():
     x = EdgeWeights(vals)
     trace = rwre_run(g, x, 400_000, g.vertex(0, 2), RngSpec(19))
     expected = vals / vals.sum()
-    assert np.max(np.abs(trace.alpha() - expected)) < 0.01
+    assert np.max(np.abs(trace.local_times / 400_000 - expected)) < 0.01
 
 
 def test_rwre_keeps_weights_fixed():
     g = build(1)
     x = EdgeWeights(np.ones(4))
     trace = rwre_run(g, x, 100, g.vertex(0, 2), RngSpec(2))
-    assert trace.a is None
-    with pytest.raises(LadderError):
-        trace.weights()
+    assert int(trace.local_times.sum()) == 100
+    assert np.array_equal(x.values, np.ones(4))
 
 
 def test_rwre_uniform_corner_step():

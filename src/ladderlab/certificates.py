@@ -30,6 +30,10 @@ from ladderlab.rng import RngSpec
 
 STATES = "ABCD"
 PAIRS = [(t, t2) for t in STATES for t2 in STATES if (t, t2) != ("A", "B")]
+# the bound cases that ``ladderlab verify`` and criterion c06 check: (a, eta) and (a, side)
+MIDDLE_CASES = tuple((a, eta) for a in (0.8, 1.0, 5.0) for eta in (-0.25, 0.0, 0.25))
+BOUNDARY_CASES = tuple((a, side) for a in (0.75, 1.0) for side in ("left", "right"))
+_GRID_RADIUS = 30.0  # half-width of the structured grid of every scan
 
 __all__ = [
     "MinorantCertificate",
@@ -324,10 +328,10 @@ def _middle_base_vec(points, terms, a: float, eta: float, rate: float):
 
 
 def _scan(name: str, details: dict, block_min, per_point: int, dims: int,
-          samples: int, rng: RngSpec | None, radius: float, grid_radius: float,
-          grid_step: float, extra_points: np.ndarray | None = None) -> BoundReport:
+          samples: int, rng: RngSpec | None, radius: float, grid_step: float,
+          extra_points: np.ndarray | None = None) -> BoundReport:
     """Scan a bound's margin over ``samples`` uniform points of the radius
-    box in ``dims`` coordinates, the step grid of ``grid_radius`` (none when
+    box in ``dims`` coordinates, the step grid of ``_GRID_RADIUS`` (none when
     ``grid_step`` is 0) and ``extra_points``, in that order and in blocks of
     at most ``_BLOCK`` points.
 
@@ -342,7 +346,7 @@ def _scan(name: str, details: dict, block_min, per_point: int, dims: int,
     uniform = [gen.uniform(-radius, radius, size=samples) for _ in range(dims)]
     sources = [("uniform", _point_blocks(uniform))]
     if grid_step > 0:
-        sources.append(("grid", _grid_blocks(grid_radius, grid_step, dims)))
+        sources.append(("grid", _grid_blocks(_GRID_RADIUS, grid_step, dims)))
     if extra_points is not None:
         sources.append(("extra", _point_blocks([np.asarray(p, dtype=float) for p in extra_points])))
     min_margin = math.inf
@@ -368,7 +372,6 @@ def check_middle_bound(
     eta: float,
     rng: RngSpec | None = None,
     radius: float = 50.0,
-    grid_radius: float = 30.0,
     grid_step: float = 5.0,
     extra_points: np.ndarray | None = None,
 ) -> BoundReport:
@@ -403,7 +406,7 @@ def check_middle_bound(
         return margins, label
 
     return _scan(f"middle-bound a={a} eta={eta}", {"rate": rate}, block_min,
-                 len(PAIRS), 6, samples, rng, radius, grid_radius, grid_step, extra_points)
+                 len(PAIRS), 6, samples, rng, radius, grid_step, extra_points)
 
 
 def check_boundary_bound(
@@ -412,7 +415,6 @@ def check_boundary_bound(
     side: str,
     rng: RngSpec | None = None,
     radius: float = 50.0,
-    grid_radius: float = 30.0,
     grid_step: float = 5.0,
 ) -> BoundReport:
     """Sampled verification of the boundary energy lower bounds.
@@ -450,7 +452,7 @@ def check_boundary_bound(
 
     return _scan(f"boundary-bound a={a} side={side}",
                  {"rate": rate if rate is not None else "z/4 at a=3/4"}, block_min,
-                 len(STATES), 3, samples, rng, radius, grid_radius, grid_step)
+                 len(STATES), 3, samples, rng, radius, grid_step)
 
 
 # ---------------------------------------------------------------------------

@@ -278,17 +278,15 @@ def cmd_verify(cfg: dict):
         rep = certificates.verify_linear_minorant()
         add("minorant", rep.passed, rep.details)
     if suite in ("middle-bound", "all"):
-        for a in (0.8, 1.0, 5.0):
-            for eta in (-0.25, 0.0, 0.25):
-                rep = certificates.check_middle_bound(samples, a, eta, rng=RngSpec(seed))
-                add(f"middle-bound a={a} eta={eta}", rep.passed,
-                    {"min_margin": rep.min_margin, "samples": rep.samples})
+        for a, eta in certificates.MIDDLE_CASES:
+            rep = certificates.check_middle_bound(samples, a, eta, rng=RngSpec(seed))
+            add(f"middle-bound a={a} eta={eta}", rep.passed,
+                {"min_margin": rep.min_margin, "samples": rep.samples})
     if suite in ("boundary-bound", "all"):
-        for a in (0.75, 1.0):
-            for side in ("left", "right"):
-                rep = certificates.check_boundary_bound(samples, a, side, rng=RngSpec(seed))
-                add(f"boundary-bound a={a} {side}", rep.passed,
-                    {"min_margin": rep.min_margin, "samples": rep.samples})
+        for a, side in certificates.BOUNDARY_CASES:
+            rep = certificates.check_boundary_bound(samples, a, side, rng=RngSpec(seed))
+            add(f"boundary-bound a={a} {side}", rep.passed,
+                {"min_margin": rep.min_margin, "samples": rep.samples})
     if suite in ("gibbs-identity", "all"):
         count = samples // 9
         worst = environment.gibbs_identity_sweep(RngSpec(seed, 17).generator(), count)
@@ -381,9 +379,8 @@ def cmd_resistance(cfg: dict):
     for idx, x in enumerate(weight_sets):
         res = network.effective_resistance(x, n)
         shorted = network.shorted_resistance(x, n)
-        escape = network._escape_from(x, n, res)  # the same solve gives R, C and q
-        rows.append([idx, res.resistance, shorted, res.conductance, escape])
-        ok = ok and shorted <= res.resistance + 1e-12 and 0 <= escape <= 1
+        rows.append([idx, res.resistance, shorted, res.conductance, res.escape])
+        ok = ok and shorted <= res.resistance + 1e-12 and 0 <= res.escape <= 1
     summary = {"n": n, "count": len(rows), "all_bounds_hold": ok}
     return ok, {"rows": rows, "header": ["sample", "R", "R_shorted", "C", "escape"],
                 "summary": summary}

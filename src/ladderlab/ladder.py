@@ -17,6 +17,7 @@ indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -102,8 +103,12 @@ def check_cells(n: int) -> int:
 
 
 def build(n: int) -> LadderGraph:
-    """Construct the ladder with ``n`` cells (``n >= 1``)."""
-    check_cells(n)
+    """The ladder with ``n`` cells (``n >= 1``), built once per size."""
+    return _build(check_cells(n))
+
+
+@lru_cache(maxsize=64)
+def _build(n: int) -> LadderGraph:
     edges: list[tuple[str, int, int]] = [("rung", vertex_index(0, 1), vertex_index(0, 2))]
     for i in range(1, n + 1):
         edges.append(("lower", vertex_index(i - 1, 1), vertex_index(i, 1)))

@@ -152,7 +152,6 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
     gen = cfg.rng.generator()
     scales = dict.fromkeys(_SCALED, 1.0)  # initial proposal scales, tuned during burn-in
     accept = dict.fromkeys(_CLASSES, 0)
-    propose = dict.fromkeys(_CLASSES, 0)
     per_sweep = {"z0": 1, "x": 2 * n, "z": n1, "gamma": n1, "zn": 1, "sigma": n, "tree": n}
     budget = 0  # moves still to log; none during burn-in
     proposal_log: list[dict] = []
@@ -194,18 +193,22 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
         # every move out of a zero-density start computes inf - inf and is rejected
         raise LadderError("init configuration has a non-finite boundary or coupling energy")
 
-    def decide(kind: str, delta: float, uniform: float, before) -> bool:
-        nonlocal budget
+    def decide(kind: str, delta: float, uniform: float) -> bool:
+        """Accept or reject an applied move: every state change passes here."""
+        nonlocal budget, logged
         ok = delta <= 0.0 or (delta < INF and uniform < math.exp(-delta))
         if ok:
             accept[kind] += 1
-        if before is not None:
+        if budget > 0:
             budget -= 1
+            proposed = spin()
             proposal_log.append({"kind": kind, "delta_h": delta, "accepted": ok,
-                                 "before": before, "proposed": spin()})
+                                 "before": logged, "proposed": proposed})
+            if ok:
+                logged = proposed
         return ok
 
-    def move_cell(kind: str, i: int, refresh, bounds: bool, before) -> bool:
+    def move_cell(kind: str, i: int, refresh, bounds: bool) -> bool:
         """Accept or reject a move already applied to cell i: ``refresh``
         gives the new parts of the couplings i-1 and i, and ``bounds``
         recomputes the boundary energy of an end cell."""
@@ -227,7 +230,7 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
         if bounds and i == n1:
             e_r = right_energy(xlo[n1], xhi[n1], t[n1], zn, a)
             delta += e_r - e_right
-        if not decide(kind, delta, draw_u(), before):
+        if not decide(kind, delta, draw_u()):
             return False
         if i > 0:
             parts[i - 1] = new_l
@@ -243,11 +246,10 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
         s_z0, s_x, s_z, s_gamma, s_zn = (scales[c] for c in _SCALED)
 
         # left boundary field
-        before = spin() if budget > 0 else None
         old = z0
         z0 = old + s_z0 * draw_n()
         e_new = left_energy(z0, xlo[0], xhi[0], t[0], a)
-        if decide("z0", e_new - e_left, draw_u(), before):
+        if decide("z0", e_new - e_left, draw_u()):
             e_left = e_new
         else:
             z0 = old
@@ -256,26 +258,25 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
             # x move: every part of both couplings; the new exponential is
             # shared by them and the neighbours' cached ones are reused
             for xs, es in ((xlo, elo), (xhi, ehi)):
-                before = spin() if budget > 0 else None
                 old, e_old, u_old = xs[i], es[i], u[i]
                 xs[i] = old + s_x * draw_n()
                 es[i] = _exp(-xs[i])
                 u[i] = 0.5 * (xlo[i] + xhi[i])
-                if not move_cell("x", i, coupling, True, before):
+                if not move_cell("x", i, coupling, True):
                     xs[i], es[i], u[i] = old, e_old, u_old
 
             # sign flip: only the adjacent sign terms move (the boundary
             # energies do not depend on the sign); for a single cell the
-            # measure is symmetric in the sign, so flip a fair coin
+            # measure is symmetric in the sign, so flip a fair coin and accept
             if n > 1:
-                before = spin() if budget > 0 else None
                 sig[i] = -sig[i]
-                if not move_cell("sigma", i, with_sign, False, before):
+                if not move_cell("sigma", i, with_sign, False):
                     sig[i] = -sig[i]
             else:
-                accept["sigma"] += 1
-                if draw_u() < 0.5:
+                coin = draw_u()
+                if coin < 0.5:
                     sig[i] = -sig[i]
+                decide("sigma", 0.0, coin)
 
             # tree letter: uniform over the locally admissible states; the
             # admissible set does not depend on the current letter, so the
@@ -284,9 +285,8 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
             old_t = t[i]
             new_t = letters[int(draw_u() * len(letters)) % len(letters)]
             if new_t != old_t:
-                before = spin() if budget > 0 else None
                 t[i] = new_t
-                if not move_cell("tree", i, with_tree, True, before):
+                if not move_cell("tree", i, with_tree, True):
                     t[i] = old_t
             else:
                 accept["tree"] += 1
@@ -295,27 +295,22 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
         # inner rung fields: a z or gamma move refreshes its one coupling
         for p in range(n1):
             for fs, step, kind in ((z, s_z, "z"), (ga, s_gamma, "gamma")):
-                before = spin() if budget > 0 else None
                 old = fs[p]
                 fs[p] = old + step * draw_n()
                 new = coupling(p)
-                if decide(kind, new[6] - parts[p][6], draw_u(), before):
+                if decide(kind, new[6] - parts[p][6], draw_u()):
                     parts[p] = new
                 else:
                     fs[p] = old
 
         # right boundary field
-        before = spin() if budget > 0 else None
         old = zn
         zn = old + s_zn * draw_n()
         e_new = right_energy(xlo[n1], xhi[n1], t[n1], zn, a)
-        if decide("zn", e_new - e_right, draw_u(), before):
+        if decide("zn", e_new - e_right, draw_u()):
             e_right = e_new
         else:
             zn = old
-
-        for c in _CLASSES:
-            propose[c] += per_sweep[c]
 
     # burn-in with scale tuning toward 0.4 acceptance
     window = 50
@@ -323,13 +318,14 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
         sweep()
         if (b + 1) % window == 0:
             for c in _SCALED:
-                if propose[c]:
-                    rate = accept[c] / propose[c]
+                if per_sweep[c]:
+                    rate = accept[c] / (per_sweep[c] * window)
                     scales[c] = float(np.clip(scales[c] * math.exp(0.6 * (rate - 0.4)), 0.02, 50.0))
-                accept[c] = propose[c] = 0
+                accept[c] = 0
     for c in _CLASSES:
-        accept[c] = propose[c] = 0
+        accept[c] = 0
     budget = cfg.debug_log_moves
+    logged = spin()  # the state after the last logged decision: the next record's before
 
     m = cfg.samples
     out_z0 = np.empty(m)
@@ -352,7 +348,8 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
         out_z[k] = z
         out_ga[k] = ga
 
-    rates = {c: (accept[c] / propose[c] if propose[c] else math.nan) for c in _CLASSES}
+    sweeps = m * cfg.thinning
+    rates = {c: accept[c] / (per_sweep[c] * sweeps) if per_sweep[c] else math.nan for c in _CLASSES}
     warnings = [
         f"acceptance rate {rates[c]:.3f} for {c} outside [0.1, 0.9]"
         for c in _CLASSES
@@ -393,16 +390,17 @@ def observable(batch: SampleBatch, name: str, i: int | None = None) -> np.ndarra
         return batch.z0
     if name == "Zn":
         return batch.zn
-    if name in ("Xlo", "Xhi"):
-        arr = batch.xlo if name == "Xlo" else batch.xhi
-        return arr[:, i - 1]
-    if name in ("Z", "Gamma"):
-        arr = batch.z if name == "Z" else batch.gamma
-        return arr[:, i - 1]
+    columns = {"Xlo": batch.xlo, "Xhi": batch.xhi, "Z": batch.z, "Gamma": batch.gamma,
+               "log_y_ratio": batch.gamma}
+    if name not in columns:
+        raise LadderError(f"unknown observable {name!r}")
+    last = columns[name].shape[1]  # n per cell field; n - 1 per rung field and log_y_ratio
+    if i is None or not 1 <= i <= last:
+        raise LadderError(f"{name} index {i} outside 1..{last}")
     if name == "log_y_ratio":
         u = 0.5 * (batch.xlo + batch.xhi)
         return -0.5 * (batch.gamma[:, i - 1] + u[:, i] - u[:, i - 1])
-    raise LadderError(f"unknown observable {name!r}")
+    return columns[name][:, i - 1]
 
 
 @dataclass(frozen=True)

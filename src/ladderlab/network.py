@@ -5,14 +5,15 @@ single node before assembling the Laplacian, so the last rung drops out as
 a self-loop.  Ladders are tiny, so everything is a dense direct solve.
 
 Everything that depends only on the ladder size is computed once per size
-and cached (:func:`_plan`): the graph, the reduced node count, the source
-node and, for each edge that is not the self-loop, in edge order, the four
+and cached (:func:`_plan`): the reduced node count, the source node, its two
+edges and, for each edge that is not the self-loop, in edge order, the four
 flat matrix positions (u,u), (v,v), (u,v), (v,u) with signs +1, +1, -1, -1.
 A solve then builds the reduced Laplacian with one ``np.bincount`` over
 those positions.  ``bincount`` adds its weights in input order, starting
 from 0.0, so every entry receives the same additions in the same order as
 an edge-by-edge loop of ``+= c`` / ``-= c`` would make, and the matrix,
-the potentials and the resistance are bit-identical to that loop's.
+the potentials and the resistance are bit-identical to that loop's.  The
+escape probability comes from the same solve.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ladderlab.ladder import EdgeWeights, LadderError, LadderGraph, build, check_cells
+from ladderlab.ladder import EdgeWeights, LadderError, build, check_cells
 
 __all__ = ["ResistanceResult", "effective_resistance", "shorted_resistance", "escape_probability"]
 
@@ -36,9 +37,11 @@ class ResistanceResult:
     conductance: float
     potentials: np.ndarray  # one entry per reduced node, far end last (grounded)
     harmonic_defect: float  # worst violation of current balance at interior nodes
+    escape: float  # escape probability: conductance over the start vertex weight
 
 
 def _as_weights(x, n: int) -> EdgeWeights:
+    n = check_cells(n)
     if not isinstance(x, EdgeWeights):
         x = EdgeWeights(np.asarray(x, dtype=float))
     if x.n != n:
@@ -48,11 +51,11 @@ def _as_weights(x, n: int) -> EdgeWeights:
 
 @dataclass(frozen=True)
 class _Plan:
-    """What a solve on the ladder with ``graph.n`` cells needs besides the
-    weights.  Reduced node order: every vertex but the two at level n (in
-    index order), then the merged far node last (the ground)."""
+    """What a solve on a ladder of one size needs besides the weights.
+    Reduced node order: every vertex but the two at level n (in index
+    order), then the merged far node last (the ground)."""
 
-    graph: LadderGraph
+    corner: tuple[int, int]  # the source's edges, in the order EdgeWeights.vertex_weight sums them
     size: int  # reduced node count
     source: int  # reduced index of the top-left corner
     flat: np.ndarray  # flat positions in the size x size Laplacian, four per edge
@@ -83,15 +86,16 @@ def _plan(n: int) -> _Plan:
             continue  # the last rung becomes a self-loop on the merged node
         flat += [iu * size + iu, iv * size + iv, iu * size + iv, iv * size + iu]
         edge += [e] * 4
-    return _Plan(graph=graph, size=size, source=index[graph.vertex(0, 2)],
+    corner = tuple(e for e, _ in graph.incident[graph.vertex(0, 2)])
+    return _Plan(corner=corner, size=size, source=index[graph.vertex(0, 2)],
                  flat=_frozen(flat, np.intp), edge=_frozen(edge, np.intp),
                  sign=_frozen([1.0, 1.0, -1.0, -1.0] * (len(edge) // 4), float))
 
 
 def effective_resistance(x, n: int) -> ResistanceResult:
     """Resistance between the top-left corner and the shorted far end."""
-    plan = _plan(check_cells(n))
     x = _as_weights(x, n)
+    plan = _plan(x.n)
     size, source = plan.size, plan.source
     lap = np.bincount(plan.flat, weights=x.values[plan.edge] * plan.sign,
                       minlength=size * size).reshape(size, size)
@@ -111,11 +115,16 @@ def effective_resistance(x, n: int) -> ResistanceResult:
     residual[source] -= 1.0
     residual[-1] = 0.0
     defect = float(np.max(np.abs(residual)))
+    conductance = 1.0 / resistance
+    escape = conductance / (x.values[plan.corner[0]] + x.values[plan.corner[1]])
+    if not -1e-10 <= escape <= 1.0 + 1e-10:
+        raise LadderError(f"escape probability {escape} outside [0, 1]")
     return ResistanceResult(
         resistance=resistance,
-        conductance=1.0 / resistance,
+        conductance=conductance,
         potentials=potentials,
         harmonic_defect=defect,
+        escape=float(min(max(escape, 0.0), 1.0)),
     )
 
 
@@ -127,20 +136,8 @@ def shorted_resistance(x, n: int) -> float:
     return float(sum((1.0 / (v[1::3] + v[2::3])).tolist()))
 
 
-def _escape_from(x: EdgeWeights, n: int, result: ResistanceResult) -> float:
-    """Escape probability on the weights ``x`` from ``result``, the
-    resistance solve on the same weights."""
-    graph = _plan(n).graph
-    value = result.conductance / x.vertex_weight(graph, graph.vertex(0, 2))
-    if not -1e-10 <= value <= 1.0 + 1e-10:
-        raise LadderError(f"escape probability {value} outside [0, 1]")
-    return float(min(max(value, 0.0), 1.0))
-
-
 def escape_probability(x, n: int) -> float:
     """Chance that the fixed-weight walk started at the top-left corner
     reaches the far end before returning to its start: conductance divided
     by the start vertex weight."""
-    n = check_cells(n)
-    x = _as_weights(x, n)
-    return _escape_from(x, n, effective_resistance(x, n))
+    return effective_resistance(x, n).escape

@@ -583,10 +583,11 @@ def _add_products(table: np.ndarray, targets: list[tuple[np.ndarray, np.ndarray]
     The table is indexed by the cell pair (i, j) of one rail, so the core
     row (i, k), column (j, l) is the sum over rows n of coef[n] table[n, (i,
     j)] table[n, (k, l)].  Cores whose coefficients vanish on the same rows
-    share one product over the other rows (a view when those rows form one
-    run).  For each lower field i the columns table[:, (i, .)] of the cores
-    of a group, scaled by each core's coefficients, are stacked side by side
-    and multiplied once with table[:, (i.., .)]; each core's share of the
+    share one product over the rows from the first live one to the last, a
+    view (a zero coefficient inside that run adds exact zeros).  For each
+    lower field i the columns table[:, (i, .)] of the cores of a group,
+    scaled by each core's coefficients, are stacked side by side and
+    multiplied once with table[:, (i.., .)]; each core's share of the
     product holds its stored rows (i, k), k >= i, with the j and k axes
     swapped, and is added to them in place.  A stack holds at most
     ``_MAX_STACK`` column blocks: a larger group is split evenly, and a
@@ -602,8 +603,7 @@ def _add_products(table: np.ndarray, targets: list[tuple[np.ndarray, np.ndarray]
         use = np.flatnonzero(live)
         if use.size == 0:
             continue
-        if use[-1] - use[0] + 1 == use.size:
-            use = slice(use[0], use[-1] + 1)
+        use = slice(use[0], use[-1] + 1)
         rows = table[use]
         cells = rows.reshape(-1, nx, nx)
         parts = -(-len(group) // _MAX_STACK)
@@ -623,7 +623,6 @@ def _add_products(table: np.ndarray, targets: list[tuple[np.ndarray, np.ndarray]
                         block += prod[d, c, :, d:].transpose(1, 0, 2)
                     start += width
                 del stack, prod  # freed before the next product is allocated
-        del rows, cells  # a gathered copy goes before the next group's
 
 
 def _fold_mirrors(out: np.ndarray, sign: float, half: _HalfRows) -> None:
@@ -702,9 +701,9 @@ def _core_sums(grid: TransferGrid, a: float, eta: float, power: int) -> np.ndarr
     C[0, 1] = σ C[1, 0]ᵀ holds term by term: P is C[1, 0] and is not summed.
     The products then cost those of six cores over the w > 0 rows, and
     every other case twelve.  Cores whose coefficients vanish on the same
-    rows share one product over the other rows: ``differ`` underflows for z
-    below about -6, which drops about 40% of the rows of the sign-mismatch
-    cores."""
+    rows share one product over the run of their live rows: ``differ``
+    underflows for z below about -6, which drops about 40% of the rows of
+    the sign-mismatch cores."""
     nx = grid.nx
     z, w, qw = _rung_nodes(grid)
     rho = qw * np.exp((a + 0.5) * z + eta * w)

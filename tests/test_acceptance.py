@@ -205,18 +205,16 @@ def test_c06_bound_certificates(batch_n8):
     ]
     worst_mid = math.inf
     ok = True
-    for a in (0.8, 1.0, 5.0):
-        for eta in (-0.25, 0.0, 0.25):
-            rep = certificates.check_middle_bound(
-                100_000, a, eta, rng=RngSpec(21), extra_points=extra)
-            ok = ok and rep.passed
-            worst_mid = min(worst_mid, rep.min_margin)
+    for a, eta in certificates.MIDDLE_CASES:
+        rep = certificates.check_middle_bound(
+            100_000, a, eta, rng=RngSpec(21), extra_points=extra)
+        ok = ok and rep.passed
+        worst_mid = min(worst_mid, rep.min_margin)
     worst_bnd = math.inf
-    for a in (0.75, 1.0):
-        for side in ("left", "right"):
-            rep = certificates.check_boundary_bound(100_000, a, side, rng=RngSpec(23))
-            ok = ok and rep.passed
-            worst_bnd = min(worst_bnd, rep.min_margin)
+    for a, side in certificates.BOUNDARY_CASES:
+        rep = certificates.check_boundary_bound(100_000, a, side, rng=RngSpec(23))
+        ok = ok and rep.passed
+        worst_bnd = min(worst_bnd, rep.min_margin)
     report(6, ok, f"coupling bound min margin {worst_mid:.3e}, boundary min margin "
                   f"{worst_bnd:.3e} (both > -1e-9) over 10^5 samples + grid per config")
     assert ok
@@ -326,7 +324,7 @@ def test_c12_escape_probabilities(batch_n8):
     for k in range(0, batch_n8.size, step):
         x = mcmc.environment_from_spin(batch_n8.spin(k))
         res = network.effective_resistance(x, 8)
-        q, c = network._escape_from(x, 8, res), res.conductance
+        q, c = res.escape, res.conductance
         inv_short = 1.0 / network.shorted_resistance(x, 8)
         tail = x.lower(8) + x.upper(8)
         checked += 1

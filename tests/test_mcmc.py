@@ -125,6 +125,40 @@ def test_detailed_balance_on_logged_proposals():
     assert checked >= 50
 
 
+def _same_spin(s1, s2) -> bool:
+    return all(np.array_equal(getattr(s1, f), getattr(s2, f))
+               for f in ("z0", "xlo", "xhi", "sigma", "t", "z", "gamma", "zn"))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_move_log_is_a_chain(n):
+    """Every state change passes the sampler's one decision point, the
+    single-cell sign coin included, so each logged move starts from the
+    outcome of the move logged before it."""
+    batch = small_batch(n=n, samples=30, seed=13, debug_log_moves=60)
+    log = batch.proposal_log
+    assert len(log) == 60
+    if n == 1:
+        assert any(rec["kind"] == "sigma" for rec in log)
+    for prev, rec in zip(log, log[1:]):
+        outcome = prev["proposed"] if prev["accepted"] else prev["before"]
+        assert _same_spin(rec["before"], outcome), (prev["kind"], rec["kind"])
+
+
+def test_observable_refuses_indices_outside_the_chain():
+    batch = small_batch(n=3, samples=50, seed=5)
+    assert np.array_equal(observable(batch, "Xhi", 3), batch.xhi[:, 2])
+    assert np.array_equal(observable(batch, "Gamma", 2), batch.gamma[:, 1])
+    for name, last in (("Xlo", 3), ("Xhi", 3), ("Z", 2), ("Gamma", 2), ("log_y_ratio", 2)):
+        for bad in (0, -1, last + 1, None):
+            with pytest.raises(LadderError, match="outside"):
+                observable(batch, name, bad)
+        with pytest.raises(LadderError, match="outside"):
+            tail_estimate(batch, name, [0.5, 1.0], i=0)
+    with pytest.raises(LadderError, match="unknown observable"):
+        observable(batch, "W", 1)
+
+
 def test_sign_statistics():
     batch = small_batch(n=8, samples=8000, seed=17)
     for i in (1, 4, 7):

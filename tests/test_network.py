@@ -187,6 +187,7 @@ def test_plan_scatter_is_bit_identical_to_the_edge_loop():
         assert res.conductance == 1.0 / r
         assert np.array_equal(res.potentials, pot)
         assert res.harmonic_defect == defect
+        assert res.escape == escape
         assert shorted_resistance(vals, n_arg) == shorted
         assert escape_probability(vals, n_arg) == escape
 
@@ -194,7 +195,7 @@ def test_plan_scatter_is_bit_identical_to_the_edge_loop():
 def test_plan_is_cached_per_size_and_read_only():
     plan = network._plan(5)
     assert network._plan(5) is plan
-    assert plan.size == 2 * 5 + 1 and plan.graph.n == 5
+    assert plan.size == 2 * 5 + 1 and plan.corner == (0, 2)
     for arr in (plan.flat, plan.edge, plan.sign):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -211,6 +212,8 @@ def test_invalid_sizes_still_rejected():
             effective_resistance(np.ones(7), bad)
         with pytest.raises(LadderError):
             escape_probability(np.ones(7), bad)
+        with pytest.raises(LadderError):
+            shorted_resistance(np.ones(7), bad)
     with pytest.raises(LadderError, match="weights are for n=2, requested n=3"):
         escape_probability(np.ones(7), 3)
 

@@ -595,6 +595,28 @@ def test_fold_mirrors_matches_dense_transpose(nx, sign):
     assert np.array_equal(cores, want[..., half.up, :])
 
 
+def test_add_products_matches_dense_gram_on_scattered_rows():
+    """Cores whose live rows are not one run (four sharing a live set, so
+    their group is split, one alone, one all zero) against the dense Gram
+    sum table.T @ diag(coef) @ table, read at the stored half rows: core row
+    (i, k), column (j, l) is Gram entry ((i, j), (k, l))."""
+    from ladderlab import transfer
+
+    nx, rows = 5, 11
+    gen = np.random.default_rng(3)
+    table = gen.random((rows, nx * nx))
+    shared = np.array([1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0], dtype=bool)
+    coefs = [gen.random(rows) * shared for _ in range(4)]
+    coefs += [-gen.random(rows) * (np.arange(rows) % 3 == 1), np.zeros(rows)]
+    half = transfer._half_rows(nx)
+    outs = [np.zeros((half.up.size, nx * nx)) for _ in coefs]
+    transfer._add_products(table, list(zip(outs, coefs)))
+    for out, coef in zip(outs, coefs):
+        gram = ((table.T * coef) @ table).reshape(nx, nx, nx, nx)
+        want = gram.transpose(0, 2, 1, 3).reshape(nx * nx, nx * nx)[half.up]
+        assert np.max(np.abs(out - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
 def test_doubled_assembly_allocates_the_operator_plus_one_slab():
     """No nx^4 Gram or full-core copy: on the doubled grid the assembly
     allocates at most 24 MB beyond the cores it returns, and at eta = 0 it

@@ -151,44 +151,28 @@ def _linear_identity_residuals(c: MinorantCertificate) -> dict[str, Fraction]:
     pieces minus a quarter separation, at half initial weight; RHS is the
     kappa-weighted combination of the four cell fields.  The rung variable
     w is eliminated via w = gamma + u' - u.  The tree piece folds the steps
-    of ``_TREE_OPS`` over the linear forms of the cell terms.
+    of ``_TREE_OPS`` over the coefficient vectors of the cell terms.
     """
     half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-
-    def form(**kw) -> dict[str, Fraction]:
-        out = {v: Fraction(0) for v in _VARS}
-        out.update({k: Fraction(v) for k, v in kw.items()})
-        return out
-
-    def add(f, g, scale=Fraction(1)):
-        return {v: f[v] + scale * g[v] for v in _VARS}
-
-    u = form(xlo=half, xhi=half)
-    u2 = form(xlo2=half, xhi2=half)
-    w = add(add(form(gamma=1), u2), u, Fraction(-1))
-
-    # K: (5/4) [ alpha (xlo + w/2) + beta (xlo2 - w/2) + gamma z + bars ]
-    lhs = form()
-    lhs = add(lhs, add(form(xlo=1), w, half), Fraction(5, 4) * c.alpha_lo)
-    lhs = add(lhs, add(form(xlo2=1), w, -half), Fraction(5, 4) * c.beta_lo)
-    lhs = add(lhs, form(z=1), Fraction(5, 4) * c.gamma_lo)
-    lhs = add(lhs, add(form(xhi=1), w, half), Fraction(5, 4) * c.alpha_hi)
-    lhs = add(lhs, add(form(xhi2=1), w, -half), Fraction(5, 4) * c.beta_hi)
-    lhs = add(lhs, form(z=1), Fraction(5, 4) * c.gamma_hi)
-    # linear piece at a = 1/2: -(u + u' + z)
-    lhs = add(lhs, add(add(u, u2), form(z=1)), Fraction(-1))
-    # tree piece: the float scan's steps over the forms of its cell terms
-    terms = {"lo": form(xlo=half), "hi": form(xhi=half), "lo2": form(xlo2=half),
-             "hi2": form(xhi2=half), "z": form(z=1), "hw": add(form(), w, half),
-             "hu": add(form(), u, half), "hu2": add(form(), u2, half)}
+    # one exact coordinate vector over _VARS per variable
+    xlo, xhi, xlo2, xhi2, z, gamma = np.eye(len(_VARS), dtype=int) * Fraction(1)
+    u, u2 = half * (xlo + xhi), half * (xlo2 + xhi2)
+    w = gamma + u2 - u
+    # K: (5/4) [ alpha (xlo + w/2) + beta (xlo2 - w/2) + gamma z + bars ],
+    # then the linear piece at a = 1/2: -(u + u' + z)
+    lhs = Fraction(5, 4) * (
+        c.alpha_lo * (xlo + half * w) + c.beta_lo * (xlo2 - half * w) + c.gamma_lo * z
+        + c.alpha_hi * (xhi + half * w) + c.beta_hi * (xhi2 - half * w) + c.gamma_hi * z
+    ) - (u + u2 + z)
+    # tree piece: the float scan's steps over the vectors of its cell terms
+    terms = {"lo": half * xlo, "hi": half * xhi, "lo2": half * xlo2, "hi2": half * xhi2,
+             "z": z, "hw": half * w, "hu": half * u, "hu2": half * u2}
     for op, name in _TREE_OPS[c.t + c.t2]:
-        lhs = add(lhs, terms[name], Fraction(1 if op is np.add else -1))
+        lhs = op(lhs, terms[name])
     # minus a quarter separation
-    lhs = add(lhs, form(gamma=1), -quarter)
-    # RHS
-    rhs = form(xlo=c.kappa_lo, xhi=c.kappa_hi, xlo2=c.kappa_lo2, xhi2=c.kappa_hi2)
-    return {v: lhs[v] - rhs[v] for v in _VARS}
+    lhs = lhs - Fraction(1, 4) * gamma
+    rhs = c.kappa_lo * xlo + c.kappa_hi * xhi + c.kappa_lo2 * xlo2 + c.kappa_hi2 * xhi2
+    return dict(zip(_VARS, lhs - rhs))
 
 
 @dataclass

@@ -381,16 +381,15 @@ def psi_forward(omega: SpinConfig) -> EnvironmentPoint:
     """Spin coordinates to environment weights (left rung pinned to 1)."""
     if not omega.admissible():
         raise LadderError("configuration with adjacent AB has no environment image")
-    n = omega.n
     yfield = omega.y()
-    vals = np.empty(3 * n + 1)
+    # edge layout: left rung, then (lower, upper, rung) per cell; math.exp
+    # per entry (np.exp can differ in the last bit)
+    vals = np.empty(3 * omega.n + 1)
     vals[0] = 1.0
-    for i in range(1, n + 1):
-        vals[3 * (i - 1) + 1] = math.exp(omega.xlo[i - 1] + yfield[i - 1])
-        vals[3 * (i - 1) + 2] = math.exp(omega.xhi[i - 1] + yfield[i - 1])
-    for i in range(1, n):
-        vals[3 * (i - 1) + 3] = math.exp(omega.z[i - 1] + 0.5 * (yfield[i - 1] + yfield[i]))
-    vals[3 * n] = math.exp(omega.zn + yfield[n - 1])
+    vals[1::3] = [*map(math.exp, omega.xlo + yfield)]
+    vals[2::3] = [*map(math.exp, omega.xhi + yfield)]
+    vals[3:-1:3] = [*map(math.exp, omega.z + 0.5 * (yfield[:-1] + yfield[1:]))]
+    vals[-1] = math.exp(omega.zn + yfield[-1])
     yvec = omega.sigma * np.exp(0.5 * yfield)
     return EnvironmentPoint(
         x=EdgeWeights(vals, normalization="rung-zero-unit"),
@@ -401,19 +400,19 @@ def psi_forward(omega: SpinConfig) -> EnvironmentPoint:
 
 def psi_inverse(point: EnvironmentPoint) -> SpinConfig:
     """Environment weights back to spin coordinates."""
-    n = point.n
-    x, y = point.x, point.y
+    v, y = point.x.values, point.y
+    lo, hi = v[1::3], v[2::3]  # the edge layout of ``psi_forward``
     y2 = y * y
-    xlo = np.array([math.log(x.lower(i) / y2[i - 1]) for i in range(1, n + 1)])
-    xhi = np.array([math.log(x.upper(i) / y2[i - 1]) for i in range(1, n + 1)])
+
+    def logs(q):
+        return np.array([*map(math.log, q)])
+
+    xlo, xhi = logs(lo / y2), logs(hi / y2)
     sigma = np.where(y > 0, 1, -1).astype(np.int8)
     z0 = -math.log(y2[0])
-    z = np.array([math.log(x.rung(i) / abs(y[i - 1] * y[i])) for i in range(1, n)])
-    zn = math.log(x.rung(n) / y2[n - 1])
-    gamma = np.array([
-        0.5 * (math.log(x.lower(i) / x.lower(i + 1)) + math.log(x.upper(i) / x.upper(i + 1)))
-        for i in range(1, n)
-    ])
+    z = logs(v[3:-1:3] / abs(y[:-1] * y[1:]))
+    zn = math.log(v[-1] / y2[-1])
+    gamma = 0.5 * (logs(lo[:-1] / lo[1:]) + logs(hi[:-1] / hi[1:]))
     omega = SpinConfig(z0=z0, xlo=xlo, xhi=xhi, sigma=sigma, t=point.code.states, z=z, gamma=gamma, zn=zn)
     # internal consistency: the reconstructed chain centers match 2 ln|y|
     yfield = omega.y()

@@ -16,6 +16,7 @@ indices.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -161,10 +162,6 @@ class EdgeWeights:
     def rung(self, i: int) -> float:
         return float(self.values[0] if i == 0 else self.values[3 * (i - 1) + 3])
 
-    def vertex_weight(self, graph: LadderGraph, v: int) -> float:
-        """Sum of weights over edges incident to vertex ``v``."""
-        return float(sum(self.values[e] for e, _ in graph.incident[v]))
-
 
 @dataclass(frozen=True)
 class SpanningTreeCode:
@@ -266,42 +263,25 @@ def _is_spanning_tree(graph: LadderGraph, mask: int) -> bool:
     return count == graph.num_vertices
 
 
-def _tree_path_stays_left(graph: LadderGraph, mask: int, i: int) -> bool:
-    """True when the tree path joining the two left corners of cell ``i``
-    avoids both horizontals of cell ``i`` (the cell closes on the left)."""
-    blocked = {graph.lower_index(i), graph.upper_index(i)}
-    start = graph.vertex(i - 1, 1)
-    goal = graph.vertex(i - 1, 2)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        if u == goal:
-            return True
-        for e, v in graph.incident[u]:
-            if (mask >> e) & 1 and e not in blocked and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return False
-
-
 def tree_encode(tree: int | Iterable[int], n: int) -> SpanningTreeCode:
     """Inverse of :func:`tree_decode`; rejects inputs that are not spanning trees."""
     mask = tree if isinstance(tree, int) else tree_mask_from_indices(tree)
     graph = build(n)
     if not _is_spanning_tree(graph, mask):
         raise LadderError("edge set is not a spanning tree of the ladder")
-    letters = []
+    letters = ""
     for i in range(1, n + 1):
-        has_lower = (mask >> graph.lower_index(i)) & 1
-        has_upper = (mask >> graph.upper_index(i)) & 1
-        if not has_lower:
-            letters.append("C")
-        elif not has_upper:
-            letters.append("D")
+        left, lower, upper, right = ((mask >> e) & 1 for e in (
+            graph.rung_index(i - 1), graph.lower_index(i), graph.upper_index(i), graph.rung_index(i)))
+        if not lower:
+            letters += "C"
+        elif not upper:
+            letters += "D"
         else:
-            letters.append("A" if _tree_path_stays_left(graph, mask, i) else "B")
-    code = SpanningTreeCode("".join(letters))
+            # A drops the cell's right rung and B its left one; AB is never
+            # adjacent, so a left rung missing after an A is that A's
+            letters += "A" if not right and (left or letters.endswith("A")) else "B"
+    code = SpanningTreeCode(letters)
     if tree_decode(code) != mask:
         raise LadderError("tree does not round-trip through its code")  # pragma: no cover
     return code
@@ -323,20 +303,9 @@ def count_codes(n: int) -> int:
 
 def all_codes(n: int):
     """Yield every valid code of length ``n`` in lexicographic order."""
-    word = []
-
-    def rec(i: int):
-        if i == n:
-            yield SpanningTreeCode("".join(word))
-            return
-        for s in TREE_STATES:
-            if word and word[-1] == "A" and s == "B":
-                continue
-            word.append(s)
-            yield from rec(i + 1)
-            word.pop()
-
-    yield from rec(0)
+    for word in map("".join, itertools.product(TREE_STATES, repeat=n)):
+        if "AB" not in word:
+            yield SpanningTreeCode(word)
 
 
 def _bareiss_determinant(mat: list[list[int]]) -> int:

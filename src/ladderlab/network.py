@@ -55,7 +55,7 @@ class _Plan:
     Reduced node order: every vertex but the two at level n (in index
     order), then the merged far node last (the ground)."""
 
-    corner: tuple[int, int]  # the source's edges, in the order EdgeWeights.vertex_weight sums them
+    corner: tuple[int, int]  # the source's edges, in incidence order
     size: int  # reduced node count
     source: int  # reduced index of the top-left corner
     flat: np.ndarray  # flat positions in the size x size Laplacian, four per edge

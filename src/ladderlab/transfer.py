@@ -766,6 +766,8 @@ def assemble_kernel(grid: TransferGrid, a: float, eta: float, tag: str = "one",
     plain operator at the same (grid, a, eta), passed as ``plain``: the
     commutator reads its cores, and the side profiles are its own.
     """
+    if a != grid.a:  # build_grid checked the truncation box for grid.a only
+        raise LadderError(f"a={a} on a grid built for a={grid.a}")
     if not -_ETA_MAX <= eta <= _ETA_MAX:
         raise LadderError(f"eta={eta} outside [-1/4, 1/4]")
     if tag not in ("one", "gamma"):
@@ -891,6 +893,8 @@ def boundary_vector(grid: TransferGrid, a: float, side: str) -> np.ndarray:
         raise LadderError(f"side must be left or right, got {side!r}")
     if not a > 0.75:
         raise LadderError(f"boundary vectors need a > 3/4, got a={a}")
+    if a != grid.a:  # build_grid checked the truncation box for grid.a only
+        raise LadderError(f"a={a} on a grid built for a={grid.a}")
     x = grid.x_nodes
     xlo = x[:, None, None]
     xhi = x[None, :, None]

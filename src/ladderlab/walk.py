@@ -22,7 +22,7 @@ the uniforms left in its block (16 doubling to 8192) give the steps taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from operator import length_hint
@@ -326,16 +326,9 @@ class ProfileResult:
     envelope_fraction: np.ndarray  # per level, fraction with ratio <= exp(-rate*i)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n, "a": self.a, "steps": self.steps, "replicas": self.replicas,
-            "representative": self.representative,
-            "median_log_ratio": self.median_log_ratio.tolist(),
-            "slope": self.slope, "intercept": self.intercept, "r2": self.r2,
-            "fit_levels": list(self.fit_levels),
-            "envelope_rate": self.envelope_rate,
-            "envelope_quantile": self.envelope_quantile,
-            "envelope_fraction": self.envelope_fraction.tolist(),
-        }
+        """Every field but the per-replica ``log_ratios``; arrays and tuples
+        stay as they are (the CLI's strict-JSON writer lists them)."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "log_ratios"}
 
 
 # the envelope rate is calibrated on these levels (clipped to n) through

@@ -225,7 +225,7 @@ def test_c07_transfer_spectrum(ctx):
     details = []
     doubled_grid = transfer.build_grid(transfer.GridParams().doubled(), a=1.0)
     for eta in (0.0, 0.25):
-        tri = transfer.leading_triple(ctx.op(eta))
+        tri = ctx.triple(eta)
         k2 = transfer.assemble_kernel(doubled_grid, 1.0, eta)
         tri2 = transfer.leading_triple(k2)
         drift = abs(tri.value - tri2.value) / tri2.value
@@ -247,8 +247,7 @@ def test_c08_sigma_moment_decay(ctx):
     slope, _, r2 = linear_fit(np.arange(5, 26), prof[5:26])
     z0_exact = math.exp(prof[0])
     # in the bulk each level trades a factor lambda1(0) for lambda1(1/4)
-    rate = -math.log(transfer.leading_triple(ctx.op(0.25)).value
-                     / transfer.leading_triple(ctx.op(0.0)).value)
+    rate = -math.log(ctx.triple(0.25).value / ctx.triple(0.0).value)
     ok = prof[0] == 0.0 and z0_exact == 1.0 and slope < 0 and r2 > 0.99
     ok = ok and abs(slope - rate) < 1e-8
     report(8, ok, f"n=30: slope={slope:.4f} (<0), r2={r2:.6f} (>0.99), Z(30,0)={z0_exact} (=1), "

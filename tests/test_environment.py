@@ -321,6 +321,52 @@ def test_psi_round_trip(n, seed):
     assert np.allclose(p2.y, p.y, rtol=1e-9)
 
 
+def _psi_forward_loops(omega):
+    """Reference weights of psi_forward: per-cell math.exp over the edge
+    indices 3(i-1)+k."""
+    n, yfield = omega.n, omega.y()
+    vals = np.empty(3 * n + 1)
+    vals[0] = 1.0
+    for i in range(1, n + 1):
+        vals[3 * (i - 1) + 1] = math.exp(omega.xlo[i - 1] + yfield[i - 1])
+        vals[3 * (i - 1) + 2] = math.exp(omega.xhi[i - 1] + yfield[i - 1])
+    for i in range(1, n):
+        vals[3 * (i - 1) + 3] = math.exp(omega.z[i - 1] + 0.5 * (yfield[i - 1] + yfield[i]))
+    vals[3 * n] = math.exp(omega.zn + yfield[n - 1])
+    return vals
+
+
+def _psi_inverse_loops(point):
+    """Reference fields of psi_inverse: per-cell math.log of the weights read
+    through the EdgeWeights accessors."""
+    n, x, y = point.n, point.x, point.y
+    y2 = y * y
+    return {
+        "xlo": [math.log(x.lower(i) / y2[i - 1]) for i in range(1, n + 1)],
+        "xhi": [math.log(x.upper(i) / y2[i - 1]) for i in range(1, n + 1)],
+        "z0": -math.log(y2[0]),
+        "z": [math.log(x.rung(i) / abs(y[i - 1] * y[i])) for i in range(1, n)],
+        "zn": math.log(x.rung(n) / y2[n - 1]),
+        "gamma": [0.5 * (math.log(x.lower(i) / x.lower(i + 1)) + math.log(x.upper(i) / x.upper(i + 1)))
+                  for i in range(1, n)],
+    }
+
+
+def test_psi_bits_match_per_cell_loops():
+    # bit for bit, not approx: np.exp and np.log can differ from math.exp and
+    # math.log in the last bit, and every sampled environment passes psi
+    rng = np.random.default_rng(24)
+    for n in range(1, 17):
+        for k in range(12):
+            omega = random_spin(rng, n, scale=(0.5, 2.5, 6.0)[k % 3])
+            point = psi_forward(omega)
+            assert point.x.values.tolist() == _psi_forward_loops(omega).tolist(), (n, k)
+            back = psi_inverse(point)
+            for name, want in _psi_inverse_loops(point).items():
+                got = np.asarray(getattr(back, name)).tolist()
+                assert got == np.asarray(want).tolist(), (n, k, name)
+
+
 def test_w_accessor_matches_y_ratio():
     rng = np.random.default_rng(17)
     omega = random_spin(rng, 5)

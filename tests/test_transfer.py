@@ -16,7 +16,6 @@ from ladderlab.transfer import (
     boundary_vector,
     build_grid,
     chain_expectation,
-    leading_triple,
     sigma_moment_profile,
     symmetry_defect,
 )
@@ -146,7 +145,7 @@ def test_reflection_identities(ctx, grid):
 
 
 def test_leading_triple_properties(ctx):
-    tri = leading_triple(ctx.op(0.0))
+    tri = ctx.triple(0.0)
     assert tri.value > 0
     assert np.all(tri.left > 0) and np.all(tri.right > 0)
     assert tri.residual_left < 1e-10 and tri.residual_right < 1e-10
@@ -157,7 +156,7 @@ def test_leading_triple_properties(ctx):
 
 def test_rank_one_convergence(ctx):
     # powers of the normalized operator converge to the spectral projector
-    tri = leading_triple(ctx.op(0.0))
+    tri = ctx.triple(0.0)
     sym = ctx.op(0.0).dense()
     sw = ctx.grid.sqrt_w
     u_left = tri.left * sw
@@ -226,6 +225,20 @@ def test_boundary_vector_validation(grid):
         boundary_vector(grid, 0.7, "left")
     with pytest.raises(LadderError):
         boundary_vector(grid, A, "middle")
+
+
+def test_operators_refuse_an_a_the_grid_was_not_built_for(small_grid):
+    # build_grid refuses the default box at a = 0.8; a grid built at a = 1
+    # must not carry an a = 0.8 operator past that truncation check
+    with pytest.raises(LadderError, match="truncation too small"):
+        build_grid(GridParams(), a=0.8)
+    with pytest.raises(LadderError, match="grid built for a=1.0"):
+        assemble_kernel(small_grid, 0.8, 0.0)
+    for side in ("left", "right"):
+        with pytest.raises(LadderError, match="grid built for a=1.0"):
+            boundary_vector(small_grid, 0.8, side)
+    with pytest.raises(LadderError, match="grid built for a=1.0"):
+        TransferContext(small_grid, 0.8).triple(0.0)
 
 
 def test_chain_expectation_unit_is_exact(ctx):
@@ -419,7 +432,7 @@ def test_gamma_kernel_reuses_plain_cores(small_grid):
                          [(0.0, 7.174309147472, 0.322276), (0.25, 7.845132018405, 0.313309)])
 def test_leading_triple_anchors(ctx, eta, lam_ref, ratio_ref):
     # lambda1 and |lambda2|/lambda1 from dense eigvals on the default grid at a=1
-    tri = leading_triple(ctx.op(eta))
+    tri = ctx.triple(eta)
     assert tri.value == pytest.approx(lam_ref, rel=1e-9)
     assert tri.gap == pytest.approx(ratio_ref, abs=1e-6)
     assert tri.gap_residual < 1e-10

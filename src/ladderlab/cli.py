@@ -4,7 +4,8 @@ Every module is exposed as one subcommand with JSON or CSV outputs.  Flag
 values override config-file values, which override defaults; the effective
 configuration is echoed into every output document for provenance.  Exit
 codes: 0 success with all internal checks passing, 1 check failure (a
-machine-readable failure report is still written), 2 configuration error.
+machine-readable failure report is still written), 2 configuration error or
+an input the library refused (the latter also writes its report).
 
 Outputs are deterministic given the seed: no timestamps, sorted JSON keys,
 fixed float formatting.
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ladderlab import certificates, environment, ladder, mcmc, network, transfer, walk
-from ladderlab.ladder import EdgeWeights, LadderError
+from ladderlab.ladder import EdgeWeights, InputRefused, LadderError
 from ladderlab.rng import RngSpec
 from ladderlab.stats import slope_interval, wilson_interval
 
@@ -531,9 +532,11 @@ def run(argv=None) -> int:
         sys.stderr.write(f"config error: {err}\n")
         return 2
     except LadderError as err:
+        refused = isinstance(err, InputRefused)
         _write_json(summary_out if cfg["format"] == "csv" else out,
-                    {"config": config, "status": "check-failure", "error": str(err)})
-        return 1
+                    {"config": config, "status": "input-refused" if refused else "check-failure",
+                     "error": str(err)})
+        return 2 if refused else 1
     doc = {"config": config, "status": "ok" if ok else "check-failure"}
     if "summary" in report:
         doc["summary"] = report["summary"]

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ladderlab.ladder import (
+    LOWER,
+    RUNGS,
+    UPPER,
     EdgeWeights,
     LadderError,
     SpanningTreeCode,
@@ -42,6 +45,7 @@ __all__ = [
     "log_jacobian",
     "gibbs_identity_residual",
     "gibbs_identity_sweep",
+    "coupling_parts",
     "middle_energy",
     "left_energy",
     "right_energy",
@@ -70,25 +74,9 @@ _LN2 = math.log(2.0)
 # scalar local energies (hot path: plain floats, tree states as ints 0..3)
 #
 # The coupling energy across an inner rung is the sum, in this order, of its
-# parts h_ln, h_linear, h_tree, h_exp1, h_exp2 and -eta * gamma.  One helper
-# per part, taking u = (xlo + xhi)/2, e^{-x} and w = gamma + u2 - u, so the
-# sampler can cache them and recompute only the parts a move changes.
-
-
-def h_ln(xlo: float, xhi: float, z: float, w: float, xlo2: float, xhi2: float, a: float) -> float:
-    """Log part: (3a + 1)/2 times a three-way log-sum-exp per rail, each
-    written out (max shift, then the log of the shifted exponentials)."""
-    x, y = xlo + 0.5 * w, xlo2 - 0.5 * w
-    m = x if x >= y else y
-    if z > m:
-        m = z
-    lse_lo = -INF if m == -INF else m + math.log(math.exp(x - m) + math.exp(y - m) + math.exp(z - m))
-    x, y = xhi + 0.5 * w, xhi2 - 0.5 * w
-    m = x if x >= y else y
-    if z > m:
-        m = z
-    lse_hi = -INF if m == -INF else m + math.log(math.exp(x - m) + math.exp(y - m) + math.exp(z - m))
-    return 0.5 * (3.0 * a + 1.0) * (lse_lo + lse_hi)
+# parts h_ln, h_linear, h_tree, h_exp1, h_exp2 and -eta * gamma, assembled by
+# ``coupling_parts`` from u = (xlo + xhi)/2, e^{-x} and w = gamma + u2 - u, so
+# the sampler can cache them and recompute only the parts a move changes.
 
 
 def h_linear(u: float, u2: float, z: float, a: float) -> float:
@@ -141,40 +129,31 @@ def coupling_total(h_ln: float, h_linear: float, h_tree: float, h_exp1: float, h
     return h_ln + h_linear + h_tree + h_exp1 + h_exp2 + eta_term
 
 
-class MiddleParts(NamedTuple):
-    h_ln: float
-    h_linear: float
-    h_tree: float
-    h_exp1: float
-    h_exp2: float
-    eta_term: float
-    constrained: bool
-
-    @property
-    def total(self) -> float:
-        return INF if self.constrained else coupling_total(*self[:6])
-
-
-def middle_parts(
-    xlo: float, xhi: float, ss: int, t: int,
-    z: float, gamma: float,
-    xlo2: float, xhi2: float, ss2: int, t2: int,
-    a: float, eta: float,
-) -> MiddleParts:
-    """Named parts of the coupling energy between neighbouring cells across
-    one inner rung; ``constrained`` marks the forbidden tree pair (A, B)."""
-    u = 0.5 * (xlo + xhi)
-    u2 = 0.5 * (xlo2 + xhi2)
+def coupling_parts(xlo: float, xhi: float, u: float, elo: float, ehi: float,
+                   xlo2: float, xhi2: float, u2: float, elo2: float, ehi2: float,
+                   z: float, gamma: float, ss_prod: int, t: int, t2: int, a: float, eta: float):
+    """``(w, h_ln, h_linear, h_tree, h_exp1, h_exp2, total)`` of the coupling
+    across one inner rung, from the cell values u, e^{-xlo} and e^{-xhi} of
+    both cells and the product of their signs.  The log part is (3a + 1)/2
+    times a three-way log-sum-exp per rail, each written out (max shift,
+    then the log of the shifted exponentials)."""
     w = gamma + u2 - u
-    return MiddleParts(
-        h_ln(xlo, xhi, z, w, xlo2, xhi2, a),
-        h_linear(u, u2, z, a),
-        h_tree(t, xlo, xhi, u, z, w, t2, xlo2, xhi2, u2),
-        h_exp1(_exp(-xlo), _exp(-xhi), _exp(-xlo2), _exp(-xhi2)),
-        h_exp2(w, z, ss * ss2),
-        -eta * gamma,
-        t == 0 and t2 == 1,
-    )
+    x, y = xlo + 0.5 * w, xlo2 - 0.5 * w
+    m = x if x >= y else y
+    if z > m:
+        m = z
+    lse_lo = -INF if m == -INF else m + math.log(math.exp(x - m) + math.exp(y - m) + math.exp(z - m))
+    x, y = xhi + 0.5 * w, xhi2 - 0.5 * w
+    m = x if x >= y else y
+    if z > m:
+        m = z
+    lse_hi = -INF if m == -INF else m + math.log(math.exp(x - m) + math.exp(y - m) + math.exp(z - m))
+    ln = 0.5 * (3.0 * a + 1.0) * (lse_lo + lse_hi)
+    lin = h_linear(u, u2, z, a)
+    tr = h_tree(t, xlo, xhi, u, z, w, t2, xlo2, xhi2, u2)
+    e1 = h_exp1(elo, ehi, elo2, ehi2)
+    e2 = h_exp2(w, z, ss_prod)
+    return w, ln, lin, tr, e1, e2, coupling_total(ln, lin, tr, e1, e2, -eta * gamma)
 
 
 def middle_energy(
@@ -183,8 +162,13 @@ def middle_energy(
     xlo2: float, xhi2: float, ss2: int, t2: int,
     a: float, eta: float,
 ) -> float:
-    """Coupling energy between neighboring cells across one inner rung."""
-    return middle_parts(xlo, xhi, ss, t, z, gamma, xlo2, xhi2, ss2, t2, a, eta).total
+    """Coupling energy between neighboring cells across one inner rung;
+    infinite on the forbidden tree pair (A, B)."""
+    if t == 0 and t2 == 1:
+        return INF
+    return coupling_parts(xlo, xhi, 0.5 * (xlo + xhi), _exp(-xlo), _exp(-xhi),
+                          xlo2, xhi2, 0.5 * (xlo2 + xhi2), _exp(-xlo2), _exp(-xhi2),
+                          z, gamma, ss * ss2, t, t2, a, eta)[6]
 
 
 def left_energy(z0: float, xlo: float, xhi: float, t: int, a: float) -> float:
@@ -382,14 +366,12 @@ def psi_forward(omega: SpinConfig) -> EnvironmentPoint:
     if not omega.admissible():
         raise LadderError("configuration with adjacent AB has no environment image")
     yfield = omega.y()
-    # edge layout: left rung, then (lower, upper, rung) per cell; math.exp
-    # per entry (np.exp can differ in the last bit)
+    # math.exp per entry (np.exp can differ in the last bit)
     vals = np.empty(3 * omega.n + 1)
-    vals[0] = 1.0
-    vals[1::3] = [*map(math.exp, omega.xlo + yfield)]
-    vals[2::3] = [*map(math.exp, omega.xhi + yfield)]
-    vals[3:-1:3] = [*map(math.exp, omega.z + 0.5 * (yfield[:-1] + yfield[1:]))]
-    vals[-1] = math.exp(omega.zn + yfield[-1])
+    vals[LOWER] = [*map(math.exp, omega.xlo + yfield)]
+    vals[UPPER] = [*map(math.exp, omega.xhi + yfield)]
+    vals[RUNGS] = [1.0, *map(math.exp, omega.z + 0.5 * (yfield[:-1] + yfield[1:])),
+                   math.exp(omega.zn + yfield[-1])]
     yvec = omega.sigma * np.exp(0.5 * yfield)
     return EnvironmentPoint(
         x=EdgeWeights(vals, normalization="rung-zero-unit"),
@@ -401,7 +383,7 @@ def psi_forward(omega: SpinConfig) -> EnvironmentPoint:
 def psi_inverse(point: EnvironmentPoint) -> SpinConfig:
     """Environment weights back to spin coordinates."""
     v, y = point.x.values, point.y
-    lo, hi = v[1::3], v[2::3]  # the edge layout of ``psi_forward``
+    lo, hi, rungs = v[LOWER], v[UPPER], v[RUNGS]
     y2 = y * y
 
     def logs(q):
@@ -410,8 +392,8 @@ def psi_inverse(point: EnvironmentPoint) -> SpinConfig:
     xlo, xhi = logs(lo / y2), logs(hi / y2)
     sigma = np.where(y > 0, 1, -1).astype(np.int8)
     z0 = -math.log(y2[0])
-    z = logs(v[3:-1:3] / abs(y[:-1] * y[1:]))
-    zn = math.log(v[-1] / y2[-1])
+    z = logs(rungs[1:-1] / abs(y[:-1] * y[1:]))
+    zn = math.log(rungs[-1] / y2[-1])
     gamma = 0.5 * (logs(lo[:-1] / lo[1:]) + logs(hi[:-1] / hi[1:]))
     omega = SpinConfig(z0=z0, xlo=xlo, xhi=xhi, sigma=sigma, t=point.code.states, z=z, gamma=gamma, zn=zn)
     # internal consistency: the reconstructed chain centers match 2 ln|y|

@@ -4,10 +4,12 @@ The ladder with ``n`` cells has vertices ``(i, level)`` for ``i = 0..n`` and
 ``level in {1, 2}``.  Edges are indexed densely so weight vectors serialize
 stably:
 
-    index 0          -> left rung  (0,1)-(0,2)
-    index 3*(i-1)+1  -> lower horizontal (i-1,1)-(i,1)   "lower", cell i
-    index 3*(i-1)+2  -> upper horizontal (i-1,2)-(i,2)   "upper", cell i
-    index 3*(i-1)+3  -> rung (i,1)-(i,2)                 "rung",  cell i
+    index 3i-2  -> lower horizontal (i-1,1)-(i,1)   "lower", cell i = 1..n
+    index 3i-1  -> upper horizontal (i-1,2)-(i,2)   "upper", cell i = 1..n
+    index 3i    -> rung (i,1)-(i,2)                 "rung",  level i = 0..n
+
+so the slices ``LOWER``, ``UPPER`` and ``RUNGS`` of a weight vector hold
+its lower edges, upper edges and rungs in level order.
 
 Spanning trees are encoded by a word over ``ABCD`` with one letter per cell
 and no adjacent ``AB``; trees themselves are integer bit masks over edge
@@ -24,8 +26,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 TREE_STATES = "ABCD"
+LOWER, UPPER, RUNGS = slice(1, None, 3), slice(2, None, 3), slice(0, None, 3)
 
 __all__ = [
+    "InputRefused",
+    "LOWER",
+    "UPPER",
+    "RUNGS",
     "LadderGraph",
     "EdgeWeights",
     "SpanningTreeCode",
@@ -44,6 +51,10 @@ __all__ = [
 
 class LadderError(ValueError):
     """Domain error for ladder construction and tree coding."""
+
+
+class InputRefused(LadderError):
+    """An argument refused before any computation or check runs on it."""
 
 
 def vertex_index(i: int, level: int) -> int:
@@ -70,22 +81,22 @@ class LadderGraph:
     def rung_index(self, i: int) -> int:
         if not 0 <= i <= self.n:
             raise LadderError(f"rung level {i} outside 0..{self.n}")
-        return 0 if i == 0 else 3 * (i - 1) + 3
+        return 3 * i
 
     def lower_index(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise LadderError(f"lower edge level {i} outside 1..{self.n}")
-        return 3 * (i - 1) + 1
+        return 3 * i - 2
 
     def upper_index(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise LadderError(f"upper edge level {i} outside 1..{self.n}")
-        return 3 * (i - 1) + 2
+        return 3 * i - 1
 
     def vertex(self, i: int, level: int) -> int:
         if not 0 <= i <= self.n or level not in (1, 2):
-            raise LadderError(f"vertex ({i}, {level}) not on the ladder: "
-                              f"need level 0..{self.n} and rail 1 or 2")
+            raise InputRefused(f"vertex ({i}, {level}) not on the ladder: "
+                               f"need level 0..{self.n} and rail 1 or 2")
         return vertex_index(i, level)
 
     def edge_between(self, u: int, v: int) -> int:
@@ -154,13 +165,13 @@ class EdgeWeights:
         return (self.values.size - 1) // 3
 
     def lower(self, i: int) -> float:
-        return float(self.values[3 * (i - 1) + 1])
+        return float(self.values[build(self.n).lower_index(i)])
 
     def upper(self, i: int) -> float:
-        return float(self.values[3 * (i - 1) + 2])
+        return float(self.values[build(self.n).upper_index(i)])
 
     def rung(self, i: int) -> float:
-        return float(self.values[0] if i == 0 else self.values[3 * (i - 1) + 3])
+        return float(self.values[build(self.n).rung_index(i)])
 
 
 @dataclass(frozen=True)
@@ -352,9 +363,10 @@ def cycle_form(x: EdgeWeights | np.ndarray, y: Sequence[float]) -> float:
     n = x.n
     if y.shape != (n,):
         raise LadderError(f"y has shape {y.shape}, expected ({n},)")
-    total = y[0] ** 2 / x.rung(0) + y[n - 1] ** 2 / x.rung(n)
+    lower, upper, rungs = x.values[LOWER], x.values[UPPER], x.values[RUNGS]
+    total = y[0] ** 2 / rungs[0] + y[n - 1] ** 2 / rungs[n]
     for i in range(1, n + 1):
-        total += y[i - 1] ** 2 * (1.0 / x.lower(i) + 1.0 / x.upper(i))
+        total += y[i - 1] ** 2 * (1.0 / lower[i - 1] + 1.0 / upper[i - 1])
     for i in range(1, n):
-        total += (y[i - 1] - y[i]) ** 2 / x.rung(i)
+        total += (y[i - 1] - y[i]) ** 2 / rungs[i]
     return float(total)

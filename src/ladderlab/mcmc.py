@@ -3,12 +3,13 @@
 Single-site sweeps: random-walk proposals on every continuous field, plain
 sign flips, and tree-state redraws restricted to the locally admissible
 letters (so a forbidden adjacent ``AB`` is never proposed).  The sweep
-caches u = (xlo + xhi)/2, e^{-xlo} and e^{-xhi} per cell, the named parts of
-the coupling energy (``environment.h_ln`` ... ``h_exp2``) with w and the
-total per coupling, and the two boundary energies.  A move recomputes only
-the couplings it touches: an x move every part of both, reusing the
-neighbours' exponentials; a sign flip only h_exp2; a tree letter only
-h_tree; a z or gamma move every part of its one coupling.
+caches u = (xlo + xhi)/2, e^{-xlo} and e^{-xhi} per cell, the parts of the
+coupling energy with w and the total per coupling, as
+``environment.coupling_parts`` assembles them (the one composition that
+``middle_energy`` also reads), and the two boundary energies.  A move
+recomputes only the couplings it touches: an x move every part of both,
+reusing the neighbours' exponentials; a sign flip only h_exp2; a tree letter
+only h_tree; a z or gamma move every part of its one coupling.
 The z0/zn moves and the x and tree moves on an end cell recompute its
 boundary energy through this module's ``left_energy``/``right_energy``;
 perfbench traces those and ``middle_energy`` under their names here.
@@ -28,11 +29,9 @@ from ladderlab.environment import (  # noqa: F401 (middle_energy: see the module
     SpinConfig,
     T_TO_INT,
     _exp,
+    coupling_parts,
     coupling_total,
-    h_exp1,
     h_exp2,
-    h_linear,
-    h_ln,
     h_tree,
     left_energy,
     middle_energy,
@@ -166,14 +165,9 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
     def coupling(p):
         """Every part of coupling p (between cells p and p+1) from the cached cell values."""
         q = p + 1
-        zp, up, uq = z[p], u[p], u[q]
-        w = ga[p] + uq - up
-        ln = h_ln(xlo[p], xhi[p], zp, w, xlo[q], xhi[q], a)
-        lin = h_linear(up, uq, zp, a)
-        tr = h_tree(t[p], xlo[p], xhi[p], up, zp, w, t[q], xlo[q], xhi[q], uq)
-        e1 = h_exp1(elo[p], ehi[p], elo[q], ehi[q])
-        e2 = h_exp2(w, zp, sig[p] * sig[q])
-        return w, ln, lin, tr, e1, e2, coupling_total(ln, lin, tr, e1, e2, -eta[p] * ga[p])
+        return coupling_parts(xlo[p], xhi[p], u[p], elo[p], ehi[p],
+                              xlo[q], xhi[q], u[q], elo[q], ehi[q],
+                              z[p], ga[p], sig[p] * sig[q], t[p], t[q], a, eta[p])
 
     def with_sign(p):
         """Coupling p after a sign flip: only h_exp2 changes."""

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ladderlab.ladder import EdgeWeights, LadderError, build, check_cells
+from ladderlab.ladder import LOWER, UPPER, EdgeWeights, LadderError, build, check_cells
 
 __all__ = ["ResistanceResult", "effective_resistance", "shorted_resistance", "escape_probability"]
 
@@ -133,7 +133,7 @@ def shorted_resistance(x, n: int) -> float:
     become irrelevant and the levels act as resistors in series."""
     v = _as_weights(x, n).values
     # builtin sum, left to right over the levels: np.sum's pairwise order differs
-    return float(sum((1.0 / (v[1::3] + v[2::3])).tolist()))
+    return float(sum((1.0 / (v[LOWER] + v[UPPER])).tolist()))
 
 
 def escape_probability(x, n: int) -> float:

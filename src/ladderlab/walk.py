@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ladderlab.ladder import EdgeWeights, LadderError, LadderGraph, build
+from ladderlab.ladder import EdgeWeights, InputRefused, LadderError, LadderGraph, build
 from ladderlab.rng import RngSpec
 from ladderlab.stats import linear_fit
 
@@ -91,9 +91,9 @@ def _step_table(n: int, stops: tuple[int, ...] = ()) -> tuple[tuple[int, ...], .
 def _check_reinforced(a: float, steps: int) -> None:
     """Refuse a reinforced walk whose weights could pass ``_MAX_WEIGHT``."""
     if not a > 0:
-        raise LadderError(f"initial weight must be positive, got a={a}")
+        raise InputRefused(f"initial weight must be positive, got a={a}")
     if a > _MAX_WEIGHT - steps:
-        raise LadderError(f"a + steps = {a} + {steps} exceeds 2**50: reinforcement would stall")
+        raise InputRefused(f"a + steps = {a} + {steps} exceeds 2**50: reinforcement would stall")
 
 
 def _advance(table, w: list[float], acc: list, d, pos: int, budget: int,
@@ -357,19 +357,19 @@ def profile_experiment(n: int, a: float, steps: int, replicas: int, rng: RngSpec
     log ratios on the levels ``_ENVELOPE_LEVELS`` (clipped to ``n``);
     reports per level the fraction of replicas whose ratio sits below the
     envelope.  Replicas that never cross the left rung enter with infinite
-    ratios.  Raises ``LadderError`` before any walk runs unless
+    ratios.  Raises ``InputRefused`` before any walk runs unless
     ``replicas >= 1``, the fit range, clipped to ``n``, holds two or more
     levels of 1..n and ``a + steps`` is at most 2**50.
     """
     _check_reinforced(a, steps)
     if replicas < 1:
-        raise LadderError(f"need replicas >= 1, got {replicas}")
+        raise InputRefused(f"need replicas >= 1, got {replicas}")
     if representative not in ("rung", "lower", "upper"):
-        raise LadderError(f"unknown representative edge kind {representative!r}")
+        raise InputRefused(f"unknown representative edge kind {representative!r}")
     lo, hi = fit_levels[0], min(fit_levels[1], n)
     if not 1 <= lo < hi:
-        raise LadderError(f"fit range {lo}..{hi} (clipped to n={n}) "
-                          f"is not two or more levels in 1..{n}")
+        raise InputRefused(f"fit range {lo}..{hi} (clipped to n={n}) "
+                           f"is not two or more levels in 1..{n}")
     env_levels = np.arange(_ENVELOPE_LEVELS[0], min(_ENVELOPE_LEVELS[1], n) + 1)
     jobs = [(n, a, steps, rng.seed, rng.stream + r, representative) for r in range(replicas)]
     if workers > 1:

@@ -27,7 +27,7 @@ from ladderlab.certificates import (
     verify_linear_minorant,
 )
 from ladderlab.cli import run
-from ladderlab.environment import middle_parts
+from ladderlab.environment import _exp, coupling_parts
 from ladderlab.ladder import LadderError
 from ladderlab.rng import RngSpec
 
@@ -105,15 +105,22 @@ def test_minorant_identity_certifies_the_scan_tree_steps(monkeypatch):
     assert verify_linear_minorant().passed
 
 
+def _coupling(xlo, xhi, ss, t, z, gamma, xlo2, xhi2, ss2, t2, a, eta):
+    """``coupling_parts`` at a point given in ``middle_energy``'s argument order."""
+    return coupling_parts(xlo, xhi, 0.5 * (xlo + xhi), _exp(-xlo), _exp(-xhi),
+                          xlo2, xhi2, 0.5 * (xlo2 + xhi2), _exp(-xlo2), _exp(-xhi2),
+                          z, gamma, ss * ss2, t, t2, a, eta)
+
+
 def test_minorant_numeric_spot_check():
     # direct inequality at half initial weight on random 6-tuples
     rng = np.random.default_rng(2)
     for _ in range(1000):
         xlo, xhi, z, gamma, xlo2, xhi2 = rng.uniform(-20, 20, size=6)
         t, t2 = PAIRS[rng.integers(len(PAIRS))]
-        parts = middle_parts(xlo, xhi, 1, STATES.index(t), z, gamma,
-                             xlo2, xhi2, 1, STATES.index(t2), 0.5, 0.25)
-        lhs = parts.h_ln + parts.h_linear + parts.h_tree - 0.25 * gamma
+        _, ln, lin, tr, *_ = _coupling(xlo, xhi, 1, STATES.index(t), z, gamma,
+                                       xlo2, xhi2, 1, STATES.index(t2), 0.5, 0.25)
+        lhs = ln + lin + tr - 0.25 * gamma
         c = minorant_certificate(t, t2)
         rhs = (
             float(c.kappa_lo) * xlo + float(c.kappa_hi) * xhi
@@ -142,9 +149,9 @@ def test_middle_no_exp2_vec_matches_scalar():
         a = rng.uniform(0.6, 4)
         eta = rng.uniform(-0.25, 0.25)
         vec = _middle_no_exp2_vec([np.array([v]) for v in pt], t, t2, a, eta)
-        p = middle_parts(pt[0], pt[1], 1, STATES.index(t), pt[2], pt[3],
-                         pt[4], pt[5], 1, STATES.index(t2), a, eta)
-        scal = p.h_ln + p.h_linear + p.h_tree + p.h_exp1 + p.eta_term  # all parts but h_exp2
+        _, ln, lin, tr, e1, *_ = _coupling(pt[0], pt[1], 1, STATES.index(t), pt[2], pt[3],
+                                           pt[4], pt[5], 1, STATES.index(t2), a, eta)
+        scal = ln + lin + tr + e1 - eta * pt[3]  # all parts but h_exp2
         assert vec[0] == pytest.approx(scal, rel=1e-12, abs=1e-12)
 
 
@@ -204,10 +211,10 @@ def _derivative_excess(rng, a, count):
         t, t2 = (STATES.index(c) for c in PAIRS[rng.integers(len(PAIRS))])
         xlo, xhi, xlo2, xhi2, z, gamma = (rng.normal(scale=3) for _ in range(6))
         fields = (xlo, xhi, -1, t, z, gamma, xlo2, xhi2, 1, t2, a)
-        parts = middle_parts(*fields, 0.0)
+        e2 = _coupling(*fields, 0.0)[5]
         for g in (-1.0, -0.5, 0.0, 0.5, 1.0):
             d1, d2 = gamma_derivatives(*fields, g)
-            out = max(out, abs(d1) - parts.h_exp2, abs(d2) - parts.h_exp2)
+            out = max(out, abs(d1) - e2, abs(d2) - e2)
     return out
 
 

@@ -419,10 +419,12 @@ def test_json_output_is_strict(tmp_path, args):
     (["simulate", "--n", "1", "--steps", "10", "--a", "1e16"], "exceeds 2**50"),
 ])
 def test_out_of_range_values_write_a_failure_report(tmp_path, args, message):
+    # the library refuses these inputs before any check runs: exit 2, like a
+    # configuration error, but with a report that names the refusal
     out = tmp_path / "out.json"
-    assert run(args + ["--out", str(out)]) == 1
+    assert run(args + ["--out", str(out)]) == 2
     doc = read_strict_json(out)
-    assert doc["status"] == "check-failure" and message in doc["error"]
+    assert doc["status"] == "input-refused" and message in doc["error"]
 
 
 def test_workers_environment_variable_is_ignored(tmp_path, monkeypatch):

@@ -10,14 +10,16 @@ from ladderlab.environment import (
     EnvironmentPoint,
     LadderError,
     SpinConfig,
+    _exp,
     boundary_core_vec,
+    coupling_parts,
+    coupling_total,
     gibbs_identity_residual,
     h_total,
     left_energy,
     log_jacobian,
     log_phi,
     middle_energy,
-    middle_parts,
     psi_forward,
     psi_inverse,
     right_energy,
@@ -156,8 +158,17 @@ def test_middle_energy_reflection_symmetry(seed, eta, a):
         assert rhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
 
 
-def test_middle_parts_and_no_exp2():
-    # points in middle_energy's argument order, without a and eta
+def parts_at(xlo, xhi, ss, t, z, gamma, xlo2, xhi2, ss2, t2, a, eta):
+    """``coupling_parts`` at a point given in ``middle_energy``'s argument order."""
+    return coupling_parts(xlo, xhi, 0.5 * (xlo + xhi), _exp(-xlo), _exp(-xhi),
+                          xlo2, xhi2, 0.5 * (xlo2 + xhi2), _exp(-xlo2), _exp(-xhi2),
+                          z, gamma, ss * ss2, t, t2, a, eta)
+
+
+def coupling_points():
+    """Points in ``middle_energy``'s argument order, without a and eta: random
+    ones, then saturated exponentials (|x| > 700), a saturated sign term and
+    the forbidden pair (A, B)."""
     rng = np.random.default_rng(3)
 
     def cell():
@@ -168,28 +179,53 @@ def test_middle_parts_and_no_exp2():
     for _ in range(50):
         c1, c2 = cell(), cell()
         points.append((*c1, rng.normal(scale=4), rng.normal(scale=4), *c2))
-    # saturated exponentials (|x| > 700), a saturated sign term and the AB pair
-    points += [
+    return points + [
         (-720.0, 3.0, 1, 2, 0.5, -1.0, 1.0, 2.0, -1, 3),
         (2.0, 750.0, -1, 0, -1.0, 0.3, -705.0, 0.0, -1, 0),
         (0.2, -0.1, 1, 1, -710.0, 2.0, 0.4, 0.3, -1, 2),
         (0.2, -0.1, 1, 0, 0.1, -0.4, 0.4, 0.3, -1, 1),
     ]
+
+
+def allowed_points():
+    return [pt for pt in coupling_points() if (pt[3], pt[9]) != (0, 1)]
+
+
+def test_coupling_parts_total_is_middle_energy():
+    points = coupling_points()
+    assert any(math.isinf(_exp(-pt[0])) for pt in points)
     for pt in points:
-        parts = middle_parts(*pt, 1.0, 0.25)
-        total = middle_energy(*pt, 1.0, 0.25)
-        assert parts.total == total
-        if parts.constrained:
-            assert total == math.inf
-            continue
-        assert parts.h_exp2 >= 0.0
-        no_exp2 = parts.h_ln + parts.h_linear + parts.h_tree + parts.h_exp1 + parts.eta_term
+        if (pt[3], pt[9]) == (0, 1):
+            assert middle_energy(*pt, 1.0, 0.25) == math.inf
+        else:
+            assert parts_at(*pt, 1.0, 0.25)[6] == middle_energy(*pt, 1.0, 0.25)
+
+
+def test_coupling_parts_and_no_exp2():
+    for pt in allowed_points():
+        w, ln, lin, tr, e1, e2, total = parts = parts_at(*pt, 1.0, 0.25)
+        assert w == pt[5] + 0.5 * (pt[6] + pt[7]) - 0.5 * (pt[0] + pt[1])
+        assert e2 >= 0.0
         # the sign term is the only part that reads the signs
-        flipped = middle_parts(*pt[:2], -pt[2], *pt[3:], 1.0, 0.25)
-        assert flipped[:4] + flipped[5:] == parts[:4] + parts[5:]
+        flipped = parts_at(*pt[:2], -pt[2], *pt[3:], 1.0, 0.25)
+        assert flipped[:5] == parts[:5]
         if math.isfinite(total):
-            assert no_exp2 == pytest.approx(total - parts.h_exp2, rel=1e-10, abs=1e-10)
-    assert middle_parts(*points[-1], 1.0, 0.25).constrained
+            no_exp2 = ln + lin + tr + e1 - 0.25 * pt[5]
+            assert no_exp2 == pytest.approx(total - e2, rel=1e-10, abs=1e-10)
+
+
+def test_tree_letter_moves_only_h_tree_and_the_total():
+    # the sampler's tree move keeps the cached parts and re-totals them with
+    # the new h_tree: that must be the full recomputation, bit for bit
+    moves = 0
+    for pt in allowed_points():
+        parts = parts_at(*pt, 1.0, 0.25)
+        for t in {0, 1, 2, 3} - {pt[3]} - ({0} if pt[9] == 1 else set()):
+            moved = parts_at(*pt[:3], t, *pt[4:], 1.0, 0.25)
+            assert moved[:3] + moved[4:6] == parts[:3] + parts[4:6]
+            assert moved[6] == coupling_total(*parts[1:3], moved[3], *parts[4:6], -0.25 * pt[5])
+            moves += moved[3] != parts[3]
+    assert moves > 100
 
 
 def test_left_energy_zero_point():

@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from ladderlab import ladder
 from ladderlab.ladder import (
+    LOWER,
+    RUNGS,
+    UPPER,
     EdgeWeights,
+    InputRefused,
     LadderError,
     SpanningTreeCode,
     all_codes,
@@ -44,7 +48,7 @@ def test_vertex_rejects_points_off_the_ladder():
     g = build(2)
     assert [g.vertex(i, level) for i in (0, 2) for level in (1, 2)] == [0, 1, 4, 5]
     for i, level in [(-1, 1), (3, 1), (0, 0), (0, 3), (1, -1)]:
-        with pytest.raises(LadderError):
+        with pytest.raises(InputRefused):
             g.vertex(i, level)
 
 
@@ -210,3 +214,22 @@ def test_edge_weights_tags():
         EdgeWeights(np.array([0.9, 1.0, 1.0, 1.0]), normalization="rung-zero-unit")
     w = EdgeWeights(np.array([1.0, 2.0, 3.0, 4.0]), normalization="rung-zero-unit")
     assert w.normalization == "rung-zero-unit"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_edge_layout_slices_pick_the_labelled_edges(n):
+    kinds = np.array([kind for kind, _, _ in build(n).edges])
+    index = np.arange(3 * n + 1)
+    for part, kind in ((LOWER, "lower"), (UPPER, "upper"), (RUNGS, "rung")):
+        assert index[part].tolist() == np.flatnonzero(kinds == kind).tolist()
+
+
+def test_edge_weight_accessors_refuse_levels_off_the_ladder():
+    w = EdgeWeights(np.arange(1.0, 8.0))  # n = 2
+    assert [w.rung(i) for i in range(3)] == [1.0, 4.0, 7.0]
+    assert [w.lower(i) for i in (1, 2)] == [2.0, 5.0]
+    assert [w.upper(i) for i in (1, 2)] == [3.0, 6.0]
+    for read, bad in ((w.lower, (0, 3)), (w.upper, (0, 3)), (w.rung, (-1, 3))):
+        for i in bad:
+            with pytest.raises(LadderError, match="outside"):
+                read(i)

@@ -18,6 +18,9 @@ Reinforced runs whose weights could pass 2**50 are refused.  A step makes
 no stop check: the step table lists each stop vertex shifted past the last
 vertex, the failed table read after an arrival there ends the episode, and
 the uniforms left in its block (16 doubling to 8192) give the steps taken.
+Return and escape replicas read the stream ``RngSpec(seed, stream + r)``
+through one bit generator re-seeded per replica from bulk-computed states
+(``rng._stream_states``), the same uniforms as that spec's own generator.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from operator import length_hint
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ladderlab.ladder import EdgeWeights, InputRefused, LadderError, LadderGraph, build
-from ladderlab.rng import RngSpec
+from ladderlab.rng import RngSpec, _stream_states
 from ladderlab.stats import linear_fit
 
 __all__ = [
@@ -74,6 +77,18 @@ class _Uniforms:
     def refill(self) -> None:
         self.buf, self.ptr = self.gen.random(self.size).tolist(), 0
         self.size = min(2 * self.size, _BLOCK)
+
+
+def _replica_uniforms(rng: RngSpec, replicas: int) -> Iterator[_Uniforms]:
+    """Replica r's uniforms, the stream of ``RngSpec(rng.seed, rng.stream + r)``:
+    one bit generator is re-seeded in place per replica from the bulk states
+    of ``rng._stream_states``, so a replica's uniforms are valid only until
+    the next replica's are drawn."""
+    bits = np.random.PCG64()
+    gen = np.random.Generator(bits)
+    for state in _stream_states(rng.seed, rng.stream, replicas):
+        bits.state = state
+        yield _Uniforms(gen)
 
 
 @lru_cache(maxsize=16)
@@ -258,8 +273,7 @@ def returns_before_far_end_detailed(levels: Sequence[int], a: float, k_cap: int,
                                               if v <= 1 or v >> 1 >= lev))
               for lev in levels}
     out, undecided = np.empty((replicas, len(levels)), dtype=np.int64), 0
-    for r in range(replicas):
-        uniforms = _Uniforms(RngSpec(rng.seed, rng.stream + r).generator())
+    for r, uniforms in enumerate(_replica_uniforms(rng, replicas)):
         w = [float(a)] * graph.num_edges
         pos, returns, used = graph.vertex(0, 2), 0, 0
         pending, counts = sorted(levels), {}
@@ -287,8 +301,7 @@ def escape_frequency(graph: LadderGraph, x: EdgeWeights, rng: RngSpec, replicas:
     table = _step_table(graph.n, stops)
     w, k = x.values.tolist(), [0] * graph.num_edges  # crossings are not reported
     escapes = 0
-    for r in range(replicas):
-        uniforms = _Uniforms(RngSpec(rng.seed, rng.stream + r).generator())
+    for uniforms in _replica_uniforms(rng, replicas):
         pos, taken = _advance(table, w, k, 1, start, step_cap, uniforms)
         if taken == 0 or pos not in stops:
             raise LadderError(f"episode undecided after {step_cap} steps")

@@ -16,6 +16,7 @@ from ladderlab.transfer import (
     boundary_vector,
     build_grid,
     chain_expectation,
+    leading_triple,
     sigma_moment_profile,
     symmetry_defect,
 )
@@ -225,6 +226,13 @@ def test_boundary_vector_validation(grid):
         boundary_vector(grid, 0.7, "left")
     with pytest.raises(LadderError):
         boundary_vector(grid, A, "middle")
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.25])
+def test_leading_eigenvalue_is_even_in_eta(small_grid, eta):
+    # lambda1(eta) = lambda1(-eta), so Lambda(eta) = log lambda1(eta) needs no eta < 0 solves
+    plus, minus = (leading_triple(assemble_kernel(small_grid, A, s * eta)).value for s in (1, -1))
+    assert abs(plus - minus) <= 1e-13 * plus
 
 
 def test_operators_refuse_an_a_the_grid_was_not_built_for(small_grid):

@@ -26,7 +26,7 @@ import numpy as np
 from ladderlab import certificates, environment, ladder, mcmc, network, transfer, walk
 from ladderlab.ladder import EdgeWeights, InputRefused, LadderError
 from ladderlab.rng import RngSpec
-from ladderlab.stats import slope_interval, wilson_interval
+from ladderlab.stats import batch_means_error, slope_interval, wilson_interval
 
 CSV_SCHEMA_VERSION = 1
 
@@ -353,8 +353,6 @@ def cmd_chain_stats(cfg: dict):
             thinning=2, samples=m, rng=RngSpec(cfg["seed"], 101),
         ))
         col = batch.gamma[:, i - 1]
-        from ladderlab.stats import batch_means_error
-
         est = float(col.mean())
         err = batch_means_error(col)
         summary["mcmc_value"] = est
@@ -404,8 +402,9 @@ def cmd_returns(cfg: dict):
             lo, hi = wilson_interval(hits, p["replicas"])
             rows.append([lev, k, frac, lo, hi])
             fracs.append(frac)
-        table[str(k)] = fracs
-        ok = ok and all(fracs[m] <= fracs[m + 1] + 1e-12 for m in range(len(fracs) - 1))
+        table[str(k)] = fracs  # in the order of n_list; the check reads them in level order
+        by_level = [frac for _, frac in sorted(zip(levels, fracs))]
+        ok = ok and all(f <= g + 1e-12 for f, g in zip(by_level, by_level[1:]))
     summary = {"levels": levels, "k": ks, "fractions": table,
                "nondecreasing_in_n": ok, "undecided_replicas": undecided}
     return ok, {"rows": rows, "header": ["n", "k", "fraction", "ci_lo", "ci_hi"],

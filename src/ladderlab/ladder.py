@@ -218,7 +218,7 @@ def indices_from_mask(mask: int) -> list[int]:
     return out
 
 
-def tree_decode(code: SpanningTreeCode | str, n: int | None = None) -> int:
+def tree_decode(code: SpanningTreeCode | str) -> int:
     """Map a tree code to the edge bit mask of the spanning tree it names.
 
     Horizontals: state C drops the lower edge of its cell, D drops the upper
@@ -229,8 +229,6 @@ def tree_decode(code: SpanningTreeCode | str, n: int | None = None) -> int:
     """
     if not isinstance(code, SpanningTreeCode):
         code = SpanningTreeCode(code)
-    if n is not None and code.n != n:
-        raise LadderError(f"code length {code.n} does not match n={n}")
     n = code.n
     graph = build(n)
     mask = 0
@@ -250,36 +248,14 @@ def tree_decode(code: SpanningTreeCode | str, n: int | None = None) -> int:
     return mask
 
 
-def _is_spanning_tree(graph: LadderGraph, mask: int) -> bool:
-    edges = indices_from_mask(mask)
-    if len(edges) != 2 * graph.n + 1:
-        return False
-    adj: list[list[int]] = [[] for _ in range(graph.num_vertices)]
-    for e in edges:
-        _, u, v = graph.edges[e]
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * graph.num_vertices
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    # connected with |V| - 1 edges implies acyclic
-    return count == graph.num_vertices
-
-
 def tree_encode(tree: int | Iterable[int], n: int) -> SpanningTreeCode:
-    """Inverse of :func:`tree_decode`; rejects inputs that are not spanning trees."""
+    """Inverse of :func:`tree_decode`: the code whose tree is ``tree``.
+
+    Each cell's letter is read from its two horizontals and two rungs.  Every
+    code decodes to a spanning tree, so ``tree`` is one exactly when the code
+    read from it decodes back to it; any other edge set is refused."""
     mask = tree if isinstance(tree, int) else tree_mask_from_indices(tree)
     graph = build(n)
-    if not _is_spanning_tree(graph, mask):
-        raise LadderError("edge set is not a spanning tree of the ladder")
     letters = ""
     for i in range(1, n + 1):
         left, lower, upper, right = ((mask >> e) & 1 for e in (
@@ -292,9 +268,12 @@ def tree_encode(tree: int | Iterable[int], n: int) -> SpanningTreeCode:
             # A drops the cell's right rung and B its left one; AB is never
             # adjacent, so a left rung missing after an A is that A's
             letters += "A" if not right and (left or letters.endswith("A")) else "B"
-    code = SpanningTreeCode(letters)
-    if tree_decode(code) != mask:
-        raise LadderError("tree does not round-trip through its code")  # pragma: no cover
+    try:
+        code = SpanningTreeCode(letters)
+    except LadderError:  # an adjacent AB: the letters are no tree's code
+        code = None
+    if code is None or tree_decode(code) != mask:
+        raise LadderError("edge set is not a spanning tree of the ladder")
     return code
 
 

@@ -9,9 +9,10 @@ coupling energy with w and the total per coupling, as
 ``middle_energy`` also reads), and the two boundary energies.  A move
 recomputes only the couplings it touches: an x move every part of both,
 reusing the neighbours' exponentials; a sign flip only h_exp2; a tree letter
-only h_tree; a z or gamma move every part of its one coupling.
-The z0/zn moves and the x and tree moves on an end cell recompute its
-boundary energy through this module's ``left_energy``/``right_energy``;
+only h_tree; a z or gamma move every part of its one coupling.  A z0 or zn
+move takes the cell path of its end cell, with the couplings' cached parts
+as their refresh: it and the x and tree moves on an end cell recompute that
+cell's boundary energy through this module's ``left_energy``/``right_energy``;
 perfbench traces those and ``middle_energy`` under their names here.
 """
 
@@ -38,7 +39,7 @@ from ladderlab.environment import (  # noqa: F401 (middle_energy: see the module
     psi_forward,
     right_energy,
 )
-from ladderlab.ladder import EdgeWeights, LadderError
+from ladderlab.ladder import EdgeWeights, InputRefused, LadderError
 from ladderlab.rng import RngSpec
 from ladderlab.stats import batch_means_error, effective_sample_size, linear_fit
 
@@ -76,13 +77,13 @@ class McmcConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise LadderError("need n >= 1")
+            raise InputRefused("need n >= 1")
         if not 0 <= self.deform_j <= self.n - 1:
-            raise LadderError(f"deform_j={self.deform_j} outside 0..{self.n - 1}")
+            raise InputRefused(f"deform_j={self.deform_j} outside 0..{self.n - 1}")
         if self.burn_in < 0 or self.thinning < 1 or self.samples < 1:
-            raise LadderError("burn_in >= 0, thinning >= 1, samples >= 1 required")
+            raise InputRefused("burn_in >= 0, thinning >= 1, samples >= 1 required")
         if not self.a > 0:
-            raise LadderError("initial weight a must be positive")
+            raise InputRefused("initial weight a must be positive")
 
 
 @dataclass
@@ -234,18 +235,16 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
         return True
 
     def sweep():
-        nonlocal z0, zn, e_left, e_right, draw_u
+        nonlocal z0, zn, draw_u
         draw_n = iter(gen.standard_normal(4 * n).tolist()).__next__
         draw_u = iter(gen.random(7 * n).tolist()).__next__
         s_z0, s_x, s_z, s_gamma, s_zn = (scales[c] for c in _SCALED)
 
-        # left boundary field
+        # left boundary field: a move of the end cell whose couplings keep
+        # their cached parts, so only its boundary energy changes
         old = z0
         z0 = old + s_z0 * draw_n()
-        e_new = left_energy(z0, xlo[0], xhi[0], t[0], a)
-        if decide("z0", e_new - e_left, draw_u()):
-            e_left = e_new
-        else:
+        if not move_cell("z0", 0, parts.__getitem__, True):
             z0 = old
 
         for i in range(n):
@@ -297,13 +296,10 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
                 else:
                     fs[p] = old
 
-        # right boundary field
+        # right boundary field, moved like the left one
         old = zn
         zn = old + s_zn * draw_n()
-        e_new = right_energy(xlo[n1], xhi[n1], t[n1], zn, a)
-        if decide("zn", e_new - e_right, draw_u()):
-            e_right = e_new
-        else:
+        if not move_cell("zn", n1, parts.__getitem__, True):
             zn = old
 
     # burn-in with scale tuning toward 0.4 acceptance

@@ -99,7 +99,7 @@ import numpy as np
 
 from ladderlab.certificates import middle_growth_rate
 from ladderlab.environment import boundary_core_vec, tree_letter
-from ladderlab.ladder import LadderError
+from ladderlab.ladder import InputRefused, LadderError
 
 __all__ = [
     "GridParams",
@@ -971,7 +971,7 @@ def chain_expectation(ctx: TransferContext, n: int, j: int, i: int,
     which the ratio cancels; with ``tag='one'`` K_mid is K_i and the ratio is
     exactly 1."""
     if not (1 <= i <= n - 1 and 0 <= j <= n - 1 and n >= 2):
-        raise LadderError(f"need 1 <= i < n and 0 <= j < n, got n={n}, j={j}, i={i}")
+        raise InputRefused(f"need 1 <= i < n and 0 <= j < n, got n={n}, j={j}, i={i}")
     ops = [ctx.op(0.0 if m <= j else 0.25) for m in range(1, n)]
     k_i = ops[i - 1]
     k_mid = ctx.op(k_i.eta, tag)

@@ -25,7 +25,7 @@ through one bit generator re-seeded per replica from bulk-computed states
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from operator import length_hint
@@ -62,7 +62,6 @@ class WalkTrace:
     local_times: np.ndarray  # crossings per edge; sums to the steps taken
     position: int
     returns: int  # arrivals at the left rung pair at positive times
-    history: np.ndarray | None = field(default=None, repr=False)
 
 
 class _Uniforms:
@@ -166,18 +165,12 @@ def _advance(table, w: list[float], acc: list, d, pos: int, budget: int,
 
 
 def _trace_run(graph: LadderGraph, w: list[float], a: float | None, steps: int, start: int,
-               rng: RngSpec, stride: int) -> WalkTrace:
+               rng: RngSpec) -> WalkTrace:
     """A walk of ``steps`` steps from weights ``w``, reinforced unless ``a`` is None."""
     if not 0 <= start < graph.num_vertices:
         raise LadderError(f"start vertex {start} outside the graph")
-    table = _step_table(graph.n)
-    uniforms = _Uniforms(rng.generator())
     acc, d = (w, 1.0) if a is not None else ([0] * graph.num_edges, 1)
-    pos, hist = start, []
-    for _ in range(steps // stride if stride > 0 else 0):
-        pos, _ = _advance(table, w, acc, d, pos, stride, uniforms)
-        hist.append(pos)
-    pos, _ = _advance(table, w, acc, d, pos, steps - stride * len(hist), uniforms)
+    pos, _ = _advance(_step_table(graph.n), w, acc, d, start, steps, _Uniforms(rng.generator()))
     k = np.array(acc, dtype=np.int64) if a is None else np.rint(np.array(w) - a).astype(np.int64)
     if int(k.sum()) != steps:
         raise LadderError(f"local times sum to {int(k.sum())}, not to the {steps} steps taken")
@@ -185,24 +178,20 @@ def _trace_run(graph: LadderGraph, w: list[float], a: float | None, steps: int, 
     # arrivals plus departures, and departures = arrivals + [start there] - [end there]
     left = [e for v in (0, 1) for e, _ in graph.incident[v]]
     returns = (int(k[left].sum()) + (pos <= 1) - (start <= 1)) // 2
-    return WalkTrace(local_times=k, position=pos, returns=returns,
-                     history=np.array(hist, dtype=np.int32) if stride > 0 else None)
+    return WalkTrace(local_times=k, position=pos, returns=returns)
 
 
-def errw_run(graph: LadderGraph, a: float, steps: int, start: int, rng: RngSpec,
-             history_stride: int = 0) -> WalkTrace:
+def errw_run(graph: LadderGraph, a: float, steps: int, start: int, rng: RngSpec) -> WalkTrace:
     """Run the reinforced walk for ``steps`` steps (``a + steps <= 2**50``)."""
     _check_reinforced(a, steps)
-    return _trace_run(graph, [float(a)] * graph.num_edges, float(a), steps, start, rng,
-                      history_stride)
+    return _trace_run(graph, [float(a)] * graph.num_edges, float(a), steps, start, rng)
 
 
-def rwre_run(graph: LadderGraph, x: EdgeWeights, steps: int, start: int, rng: RngSpec,
-             history_stride: int = 0) -> WalkTrace:
+def rwre_run(graph: LadderGraph, x: EdgeWeights, steps: int, start: int, rng: RngSpec) -> WalkTrace:
     """Run the fixed-weight (reversible) walk for ``steps`` steps."""
     if x.n != graph.n:
         raise LadderError(f"weights are for n={x.n}, graph has n={graph.n}")
-    return _trace_run(graph, x.values.tolist(), None, steps, start, rng, history_stride)
+    return _trace_run(graph, x.values.tolist(), None, steps, start, rng)
 
 
 def path_probability_errw(graph: LadderGraph, path: Sequence, a) -> Fraction | float:

@@ -251,6 +251,20 @@ def test_returns_trend(tmp_path):
     assert doc["summary"]["nondecreasing_in_n"]
 
 
+def test_returns_checks_the_levels_in_level_order(tmp_path):
+    # the table keeps the order of --n-list; the monotonicity check reads level order
+    docs = []
+    for n_list in ("16,8,4", "4,8,16"):
+        out = tmp_path / f"ret{n_list}.json"
+        assert run(["returns", "--n-list", n_list, "--k-list", "1,2", "--replicas", "400",
+                    "--seed", "3", "--out", str(out)]) == 0
+        docs.append(read_json(out)["summary"])
+    given, ordered = docs
+    assert given["levels"] == [16, 8, 4] and given["nondecreasing_in_n"]
+    assert given["fractions"] == {k: v[::-1] for k, v in ordered["fractions"].items()}
+    assert given["fractions"]["1"] != sorted(given["fractions"]["1"])
+
+
 def test_spectrum_small_grid(tmp_path):
     out = tmp_path / "spec.json"
     code = run(["spectrum", "--grid", "small", "--a", "1.0", "--eta", "0.0",
@@ -417,6 +431,8 @@ def test_json_output_is_strict(tmp_path, args):
      "not two or more levels"),
     # at a >= 2**53 a step no longer raises the weight: the walk would run unreinforced
     (["simulate", "--n", "1", "--steps", "10", "--a", "1e16"], "exceeds 2**50"),
+    (["chain-stats", "--n", "8", "--i", "8", "--grid", "small"], "1 <= i < n"),
+    (["sample-env", "--n", "4", "--deform-j", "4", "--samples", "10"], "deform_j=4 outside"),
 ])
 def test_out_of_range_values_write_a_failure_report(tmp_path, args, message):
     # the library refuses these inputs before any check runs: exit 2, like a

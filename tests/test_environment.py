@@ -125,6 +125,52 @@ def test_log_phi_finite_on_positive_inputs():
         assert math.isfinite(log_phi(EdgeWeights(vals), y, "D" * n, 1.0))
 
 
+def _log_phi_one_cell(u1, u2, u3, a):
+    """log_phi of the one-cell ladder at y = 0 for each tree letter, with the
+    left rung pinned to 1 and log weights u1, u2, u3 on the lower edge, the
+    upper edge and the right rung (arrays broadcast)."""
+    x1, x2, x3 = np.exp(u1), np.exp(u2), np.exp(u3)
+    base = ((a - 1.5) * (u1 + u2 + u3) - (a + 0.5) * np.log1p(x1) - a * np.log1p(x2)
+            - (a + 0.5) * (np.log(x1 + x3) + np.log(x2 + x3)))
+    return {"A": base + u1 + u2, "B": base + u1 + u2 + u3, "C": base + u2 + u3, "D": base + u1 + u3}
+
+
+def _one_cell_mass(a, nodes=160, lo=-30.0, hi=24.0):
+    """The integral of phi over y and the three free weights of the one-cell
+    ladder, summed over the codes A-D: Gauss-Legendre nodes in the log
+    weights, y integrated in closed form (a Gaussian of precision
+    1 + 1/x1 + 1/x2 + 1/x3), one lower-edge node at a time."""
+    gl_n, gl_w = np.polynomial.legendre.leggauss(nodes)
+    u = 0.5 * (hi + lo) + 0.5 * (hi - lo) * gl_n
+    w = 0.5 * (hi - lo) * gl_w
+    u2, u3, w23 = u[:, None], u[None, :], w[:, None] * w[None, :]
+    total = 0.0
+    for u1, w1 in zip(u, w):
+        precision = 1.0 + np.exp(-u1) + np.exp(-u2) + np.exp(-u3)
+        log_rest = 0.5 * np.log(2.0 * np.pi / precision) + u1 + u2 + u3  # y and the log-axis measure
+        f = sum(np.exp(lp + log_rest) for lp in _log_phi_one_cell(u1, u2, u3, a).values())
+        total += w1 * float((w23 * f).sum())
+    return total
+
+
+@pytest.mark.parametrize("a", [0.8, 1.0, 2.0, 4.0])
+def test_one_cell_mass_is_the_keane_rolles_normalizer(a):
+    # the quadrature's integrand is the production density before it is trusted
+    gen = np.random.default_rng(11)
+    for _ in range(10):
+        u1, u2, u3 = gen.uniform(-3, 3, size=3)
+        y, b = gen.normal(), gen.uniform(0.8, 4.0)
+        x = EdgeWeights(np.exp([0.0, u1, u2, u3]))
+        precision = 1.0 + math.exp(-u1) + math.exp(-u2) + math.exp(-u3)
+        for code, lp in _log_phi_one_cell(u1, u2, u3, b).items():
+            assert log_phi(x, [y], code, b) == pytest.approx(lp - 0.5 * precision * y * y, rel=1e-12)
+    # 2^{7/2-4a} pi^2 Gamma(a)^3 / Gamma(a+1/2)^3: half the chain's mass Z_1,
+    # since exp(-H) = 2^n phi J and psi is a bijection
+    exact = ((3.5 - 4 * a) * math.log(2.0) + 2 * math.log(math.pi)
+             + 3 * (math.lgamma(a) - math.lgamma(a + 0.5)))
+    assert abs(math.log(_one_cell_mass(a)) - exact) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # local energies
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderlab import ladder
 from ladderlab.ladder import (
     LOWER,
     RUNGS,
@@ -92,12 +91,37 @@ def test_tree_decode_rejects_forbidden_code():
         SpanningTreeCode("CABD")
 
 
+def _is_spanning_tree(graph, mask):
+    """Brute-force oracle: ``mask`` has |V| - 1 edges and connects every vertex."""
+    edges = indices_from_mask(mask)
+    if len(edges) != 2 * graph.n + 1:
+        return False
+    adj = [[] for _ in range(graph.num_vertices)]
+    for e in edges:
+        _, u, v = graph.edges[e]
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * graph.num_vertices
+    stack = [0]
+    seen[0] = True
+    count = 1
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                count += 1
+                stack.append(v)
+    # connected with |V| - 1 edges implies acyclic
+    return count == graph.num_vertices
+
+
 def test_tree_decode_is_spanning_tree():
     for n in (1, 2, 3, 4):
         g = build(n)
         for code in all_codes(n):
             mask = tree_decode(code)
-            assert ladder._is_spanning_tree(g, mask)
+            assert _is_spanning_tree(g, mask)
 
 
 def test_tree_encode_examples():
@@ -115,17 +139,34 @@ def test_tree_encode_rejects_non_trees():
     cyc = [g.rung_index(0), g.lower_index(1), g.upper_index(1), g.rung_index(1), g.lower_index(2)]
     with pytest.raises(LadderError):
         tree_encode(tree_mask_from_indices(cyc), 2)
+    # a tree with its left rung moved to a bit past the last edge
+    with pytest.raises(LadderError, match="not a spanning tree"):
+        tree_encode(tree_decode("CC") ^ 1 << g.rung_index(0) | 1 << g.num_edges, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tree_encode_accepts_exactly_the_spanning_trees(n):
+    # the round trip is the whole check: every edge subset against the oracle,
+    # including those whose cells read as the forbidden pair AB
+    g = build(n)
+    for mask in range(1 << g.num_edges):
+        try:
+            code = tree_encode(mask, n)
+        except LadderError as err:
+            assert not _is_spanning_tree(g, mask) and "not a spanning tree" in str(err)
+        else:
+            assert _is_spanning_tree(g, mask) and tree_decode(code) == mask
 
 
 def test_bijection_on_two_cells():
     # oracle: brute-force enumeration of all spanning trees of build(2)
     g = build(2)
     trees = [mask for subset in itertools.combinations(range(g.num_edges), 5)
-             if ladder._is_spanning_tree(g, mask := tree_mask_from_indices(subset))]
+             if _is_spanning_tree(g, mask := tree_mask_from_indices(subset))]
     assert len(trees) == 15
     codes = {tree_encode(mask, 2).states for mask in trees}
     assert len(codes) == 15
-    decoded = {tree_decode(c, 2) for c in codes}
+    decoded = {tree_decode(c) for c in codes}
     assert decoded == set(trees)
 
 

@@ -259,16 +259,6 @@ def test_profile_experiment_worker_invariance():
     assert np.array_equal(r1.log_ratios, r2.log_ratios)
 
 
-def test_history_thinning():
-    g = build(2)
-    trace = errw_run(g, 1.0, 1000, g.vertex(0, 2), RngSpec(53), history_stride=100)
-    assert trace.history is not None
-    assert trace.history.size == 10
-    trace2 = errw_run(g, 1.0, 1000, g.vertex(0, 2), RngSpec(53))
-    assert trace2.history is None
-    assert np.array_equal(trace.local_times, trace2.local_times)
-
-
 # Fixed-seed outputs of the walk entry points; any change in the step rule's
 # floating-point order or in the uniform stream shows here.
 GOLDEN = json.loads((Path(__file__).parent / "walk_golden.json").read_text())
@@ -278,20 +268,19 @@ def _assert_trace(trace, golden):
     assert trace.local_times.tolist() == golden["local_times"]
     assert trace.position == golden["position"]
     assert trace.returns == golden["returns"]
-    assert trace.history.tolist() == golden["history"]
 
 
 @pytest.mark.parametrize("a", [1.0, 0.3])
 def test_errw_run_golden(a):
     g = build(16)
-    trace = errw_run(g, a, 200_000, g.vertex(0, 2), RngSpec(61), history_stride=1000)
+    trace = errw_run(g, a, 200_000, g.vertex(0, 2), RngSpec(61))
     _assert_trace(trace, GOLDEN[f"errw_a{a}"])
 
 
 def test_rwre_run_golden():
     g = build(16)
     x = EdgeWeights(np.random.default_rng(5).uniform(0.5, 2.0, size=49))
-    trace = rwre_run(g, x, 200_000, g.vertex(0, 2), RngSpec(67), history_stride=1000)
+    trace = rwre_run(g, x, 200_000, g.vertex(0, 2), RngSpec(67))
     _assert_trace(trace, GOLDEN["rwre"])
 
 
@@ -347,10 +336,10 @@ def test_step_kernel_matches_reference_loop(n, a, start):
     steps = 200_000 if n == 1 else 40_000
     x = EdgeWeights(np.random.default_rng(n).uniform(0.2, 3.0, size=3 * n + 1))
     if a is None:
-        trace = rwre_run(g, x, steps, start, RngSpec(79, n), history_stride=999)
+        trace = rwre_run(g, x, steps, start, RngSpec(79, n))
         ref = _reference_run(g, x.values.tolist(), steps, start, RngSpec(79, n).generator(), 0.0)
     else:
-        trace = errw_run(g, a, steps, start, RngSpec(79, n), history_stride=999)
+        trace = errw_run(g, a, steps, start, RngSpec(79, n))
         ref = _reference_run(g, [a] * g.num_edges, steps, start, RngSpec(79, n).generator(), 1.0)
     assert (trace.local_times.tolist(), trace.position, trace.returns) == ref
 

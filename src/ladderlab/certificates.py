@@ -12,8 +12,12 @@ The energies come from ``environment``: the boundary margins from
 terms).  The exact identity folds the same tree steps over rational linear
 forms, so it certifies exactly the arithmetic the float scan runs.  Both
 bound checks share one scan driver, ``_scan``: uniform points, then the
-grid, then any extra points, in cache-sized blocks, each block reduced to
-one margin per point by the check's own minimum over its letters.
+grid, then any extra points, in blocks sized for the L2 cache, each block
+reduced to one margin per point by the check's own minimum over its
+letters.  The uniform points are streamed: each coordinate reads its slice
+of the one seeded stream through its own copy of the generator, jumped
+ahead to the slice (O'Neill's PCG ``advance``), so a scan holds a fixed
+working set of about 2 MB whatever its sample count.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from ladderlab.environment import boundary_core_vec, h_exp1, h_linear, middle_energy
-from ladderlab.ladder import LadderError
+from ladderlab.ladder import InputRefused, LadderError
 from ladderlab.rng import RngSpec
 
 STATES = "ABCD"
@@ -213,16 +217,43 @@ def verify_linear_minorant() -> BoundReport:
 # vectorized energy pieces (blocks of sample points)
 
 # Points per block of the bound scans.  A block's coordinates, cell terms and
-# margins (about twenty arrays of 256 KB) stay in cache while the letter
-# pairs run over them.
-_BLOCK = 1 << 15
+# margins are about twenty arrays of 64 KB, which fit a 2 MB L2 cache while
+# the letter pairs run over them.
+_BLOCK = 1 << 13
 
 
-def _point_blocks(points):
-    """The points (one array per coordinate) in blocks of at most ``_BLOCK``,
-    as views."""
-    for lo in range(0, points[0].size, _BLOCK):
-        yield [p[lo:lo + _BLOCK] for p in points]
+def _uniform_blocks(rng: RngSpec, samples: int, radius: float, dims: int):
+    """``samples`` uniform points of the radius box in ``dims`` coordinates,
+    in blocks of at most ``_BLOCK``: coordinate d is draws d * samples ..
+    (d + 1) * samples - 1 of ``rng.generator()``, the values of one
+    ``uniform(-radius, radius, size=samples)`` call per coordinate.  Each
+    coordinate draws from its own copy of the generator's PCG64, advanced
+    by d * samples (``uniform`` takes one 64-bit draw per value), so no
+    coordinate is ever drawn whole."""
+    state = rng.generator().bit_generator.state
+    gens = []
+    for d in range(dims):
+        bits = np.random.PCG64()
+        bits.state = state
+        gens.append(np.random.Generator(bits.advance(d * samples)))
+    for lo in range(0, samples, _BLOCK):
+        size = min(_BLOCK, samples - lo)
+        yield [g.uniform(-radius, radius, size=size) for g in gens]
+
+
+def _extra_blocks(extra_points, dims: int):
+    """``extra_points`` (one array per coordinate) in blocks of at most
+    ``_BLOCK``, as views; anything but ``dims`` finite 1-D float arrays of
+    one length is refused, before the scan starts."""
+    try:
+        points = [np.asarray(p, dtype=float) for p in extra_points]
+    except (TypeError, ValueError) as exc:
+        raise InputRefused(f"extra_points: {exc}") from None
+    if (len(points) != dims or any(p.ndim != 1 or p.size != points[0].size for p in points)
+            or not all(np.isfinite(p).all() for p in points)):
+        raise InputRefused(f"extra_points must be {dims} finite 1-D arrays of one length, got "
+                           f"shapes {[p.shape for p in points]}")
+    return ([p[lo:lo + _BLOCK] for p in points] for lo in range(0, points[0].size, _BLOCK))
 
 
 def _grid_blocks(radius: float, step: float, dims: int):
@@ -323,16 +354,20 @@ def _scan(name: str, details: dict, block_min, per_point: int, dims: int,
     check's ``per_point`` letters (or letter pairs), and ``label(k)``, the
     worst-point entry naming the first letter that attains the minimum at
     point k.  Ties go to the first point in scan order.  ``samples`` in the
-    report counts point-letter evaluations.  A margin below -1e-6 raises;
-    the check passes when the minimum stays above -1e-9 (floating-point
-    slack)."""
-    gen = (rng or RngSpec(0)).generator()
-    uniform = [gen.uniform(-radius, radius, size=samples) for _ in range(dims)]
-    sources = [("uniform", _point_blocks(uniform))]
+    report counts point-letter evaluations.  A NaN margin raises, naming
+    its point; a margin below -1e-6 raises; the check passes when the
+    minimum stays above -1e-9 (floating-point slack).
+
+    The uniform points are streamed by ``_uniform_blocks``, one block at a
+    time, and the grid by ``_grid_blocks``: the scan holds one block of
+    points and the check's arrays over it, whatever ``samples`` is."""
+    if samples < 0:
+        raise InputRefused(f"{name}: samples must be >= 0, got {samples}")
+    sources = [("uniform", _uniform_blocks(rng or RngSpec(0), samples, radius, dims))]
     if grid_step > 0:
         sources.append(("grid", _grid_blocks(_GRID_RADIUS, grid_step, dims)))
     if extra_points is not None:
-        sources.append(("extra", _point_blocks([np.asarray(p, dtype=float) for p in extra_points])))
+        sources.append(("extra", _extra_blocks(extra_points, dims)))
     min_margin = math.inf
     worst = {}
     total = 0
@@ -340,7 +375,10 @@ def _scan(name: str, details: dict, block_min, per_point: int, dims: int,
         for points in blocks:
             margins, label = block_min(points)
             total += per_point * margins.size
-            k = int(np.argmin(margins))
+            k = int(np.argmin(margins))  # the first NaN, if there is one
+            if math.isnan(margins[k]):
+                raise LadderError(f"{name}: NaN margin at {origin} point "
+                                  f"{[float(p[k]) for p in points]}")
             if margins[k] < min_margin:
                 min_margin = float(margins[k])
                 worst = {**label(k), "point": [float(p[k]) for p in points], "origin": origin}

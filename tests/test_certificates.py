@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from ladderlab.certificates import (
 )
 from ladderlab.cli import run
 from ladderlab.environment import _exp, coupling_parts
-from ladderlab.ladder import LadderError
+from ladderlab.ladder import InputRefused, LadderError
 from ladderlab.rng import RngSpec
 
 
@@ -171,6 +172,63 @@ def test_boundary_bound_zero_point():
     # margin of the left bound at the zero point with T = C and a = 1
     report = check_boundary_bound(100, 1.0, "left", rng=RngSpec(5), radius=1e-12, grid_step=0)
     assert report.min_margin == pytest.approx(2.5 * math.log(2.0) + 1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("target,check,args,dims", [
+    ("h_exp1", check_middle_bound, (1.0, 0.0), 6),
+    ("boundary_core_vec", check_boundary_bound, (1.0, "left"), 3),
+])
+def test_nan_margin_raises_naming_its_point(monkeypatch, target, check, args, dims):
+    # one NaN margin in a block of finite ones: the scan must not skip the block
+    energy = getattr(certificates, target)
+
+    def poisoned(*energy_args):
+        out = np.array(energy(*energy_args), dtype=float)
+        out[5] = np.nan
+        return out
+
+    monkeypatch.setattr(certificates, target, poisoned)
+    gen = RngSpec(5).generator()
+    point = [float(gen.uniform(-50.0, 50.0, size=100)[5]) for _ in range(dims)]
+    with pytest.raises(LadderError, match=r"NaN margin at uniform point") as err:
+        check(100, *args, rng=RngSpec(5), grid_step=0)
+    assert str(point) in str(err.value)
+
+
+@pytest.mark.parametrize("extra", [
+    [np.array([0.0, np.nan])] * 6,  # a NaN coordinate
+    [np.array([0.0, np.inf])] * 6,
+    [np.zeros(3)] * 5 + [np.zeros(1)],  # coordinates of different lengths
+    [np.zeros(3)] * 5,  # five coordinates of a six-coordinate point
+    np.zeros((6, 2, 2)),  # 2-D coordinates
+    [[0.0, "x"]] * 6,
+])
+def test_malformed_extra_points_are_refused(extra):
+    with pytest.raises(InputRefused, match="extra_points"):
+        check_middle_bound(1, 1.0, 0.0, rng=RngSpec(3), grid_step=0, extra_points=extra)
+
+
+@pytest.mark.parametrize("check,args", [(check_middle_bound, (1.0, 0.0)),
+                                        (check_boundary_bound, (1.0, "left"))])
+def test_negative_sample_counts_are_refused(check, args):
+    with pytest.raises(InputRefused, match="samples must be >= 0"):
+        check(-1, *args, grid_step=0)
+
+
+@pytest.mark.parametrize("check,args", [(check_middle_bound, (1.0, 0.0)),
+                                        (check_boundary_bound, (1.0, "left"))])
+def test_scan_working_set_is_independent_of_the_sample_count(check, args):
+    # the uniform points are streamed block by block: 10^6 samples hold what 10^4 do
+    peaks = []
+    for samples in (10**4, 10**6):
+        tracemalloc.start()
+        try:
+            assert check(samples, *args, rng=RngSpec(1), grid_step=0).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 4e6
+    assert peaks[1] - peaks[0] <= 1e6
 
 
 def test_bound_violation_raises(monkeypatch):
@@ -396,10 +454,10 @@ def test_margin_terms_match_the_chunked_arithmetic_bit_for_bit():
     assert _middle_base_vec(tuple(points), terms, 1.3, 0.1, 0.02).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("grid_step", [0.0, 7.5, 10.0, 15.0])
+@pytest.mark.parametrize("grid_step", [0.0, 7.5, 10.0, 15.0, 20.0])
 def test_block_scan_matches_chunked_oracle(grid_step):
-    # steps 7.5, 10 and 15 give 9, 7 and 5 points per axis: two, one and no
-    # leading axes are filled per block
+    # steps 7.5, 10, 15 and 20 give 9, 7, 5 and 4 points per axis: two, two,
+    # one and no leading axes are filled per block
     gen = np.random.default_rng(int(4 * grid_step) + 600)
     for _ in range(3):
         a = float(gen.uniform(0.55, 6.0))
@@ -416,8 +474,11 @@ def test_block_scan_matches_chunked_oracle(grid_step):
         assert oracle_margin_at(report.worst_point, a, eta) == margin
 
 
+# two leading axes per block in the first three cases, one in the fourth and
+# none in the last two; the scans' default grid (step 5, six axes) fills
+# three and is pinned by the goldens
 @pytest.mark.parametrize("radius,step,dims", [(30.0, 7.5, 6), (30.0, 6.0, 5), (30.0, 10.0, 6),
-                                              (30.0, 15.0, 6), (30.0, 5.0, 3)])
+                                              (30.0, 15.0, 6), (30.0, 5.0, 3), (30.0, 20.0, 6)])
 def test_grid_blocks_are_the_grid_in_c_order(radius, step, dims):
     blocks = list(_grid_blocks(radius, step, dims))
     assert all(len(b) == dims and b[0].size <= _BLOCK for b in blocks)

@@ -17,6 +17,7 @@ from ladderlab.transfer import (
     build_grid,
     chain_expectation,
     leading_triple,
+    log_mass,
     sigma_moment_profile,
     symmetry_defect,
 )
@@ -347,6 +348,57 @@ def test_sigma_moment_profile_matches_dense_brackets(small_ctx):
     for j in range(n):
         want = _dense_bracket(small_ctx, [0.0] * j + [0.25] * (n - j - 1)) / den
         assert math.exp(prof[j]) == pytest.approx(want, rel=1e-12)
+
+
+def _weighted_pair(ctx, eta):
+    """The leading triple at ``eta`` and its left and right eigenvectors in
+    weighted form, as ``symmetry_defect`` pairs them."""
+    triple = ctx.triple(eta)
+    return triple, triple.left * ctx.grid.sqrt_w, triple.right * ctx.grid.sqrt_w
+
+
+def test_separation_moment_constant_is_the_triples_plateau(ctx):
+    # log C_n = max_j (profile_n[j] + rho j) rises with n to a plateau that the
+    # two leading triples give in closed form; the last point has its own form
+    t0, l0, r0 = _weighted_pair(ctx, 0.0)
+    tq, lq, rq = _weighted_pair(ctx, 0.25)
+    gl, gr = ctx.gl_u, ctx.gr_u
+    rho = math.log(tq.value / t0.value)
+    plateau = math.log((gl @ r0) * (l0 @ rq) / ((gl @ rq) * (l0 @ r0)))
+    end = math.log((gl @ r0) * (l0 @ gr) * (lq @ rq) / ((gl @ rq) * (lq @ gr) * (l0 @ r0)))
+    prof = sigma_moment_profile(ctx, 128)
+    assert abs(prof[64] + 64 * rho - plateau) < 1e-10
+    assert abs(prof[127] + 127 * rho - end) < 1e-10
+    log_c = [float(np.max(sigma_moment_profile(ctx, n) + rho * np.arange(n)))
+             for n in (2, 4, 8, 16, 32, 64, 128)]
+    # nondecreasing up to the rounding of the profile's log scales; on the
+    # plateau successive values differ by about 1e-13
+    assert np.all(np.diff(log_c) > -1e-12)
+    assert max(log_c) <= plateau + 1e-10
+
+
+def test_hellmann_feynman_slope_is_the_bulk_gamma_mean(small_ctx):
+    # <l, K_gamma r> / (lambda1 <l, r>) is the mean of gamma deep inside a
+    # chain with every coupling at 1/4
+    triple, left, right = _weighted_pair(small_ctx, 0.25)
+    slope = float(small_ctx.op(0.25, "gamma").vecmat(left) @ right) / (triple.value
+                                                                        * float(left @ right))
+    assert slope == pytest.approx(chain_expectation(small_ctx, 40, 0, 20, "gamma"), rel=1e-12)
+
+
+@pytest.mark.parametrize("a, ratio", [(1.0, 7.874805), (2.0, 0.08912456), (0.8, 22.81347),
+                                      (0.7, 40.67912)])
+def test_log_mass_ratio_is_the_exact_leading_eigenvalue(a, ratio):
+    # Z_{n+1} / Z_n = lambda1(1/4) does not depend on n
+    ratios = [math.exp(log_mass(n + 1, a) - log_mass(n, a)) for n in range(1, 9)]
+    assert max(ratios) - min(ratios) <= 1e-12 * ratios[0]
+    assert ratios[0] == pytest.approx(ratio, rel=1e-6)
+
+
+def test_log_mass_validation():
+    for n, a in ((0, 1.0), (1, 0.0), (1, -1.0), (1, math.nan)):
+        with pytest.raises(LadderError, match="n >= 1 and a > 0"):
+            log_mass(n, a)
 
 
 def test_symmetry_defect(ctx):

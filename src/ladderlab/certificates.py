@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from ladderlab.environment import boundary_core_vec, h_exp1, h_linear, middle_energy
-from ladderlab.ladder import InputRefused, LadderError
+from ladderlab.ladder import InputRefused, LadderError, is_integer
 from ladderlab.rng import RngSpec
 
 STATES = "ABCD"
@@ -360,9 +360,16 @@ def _scan(name: str, details: dict, block_min, per_point: int, dims: int,
 
     The uniform points are streamed by ``_uniform_blocks``, one block at a
     time, and the grid by ``_grid_blocks``: the scan holds one block of
-    points and the check's arrays over it, whatever ``samples`` is."""
-    if samples < 0:
-        raise InputRefused(f"{name}: samples must be >= 0, got {samples}")
+    points and the check's arrays over it, whatever ``samples`` is.  A
+    non-integer or negative ``samples``, a ``radius`` that is not finite and
+    positive and a ``grid_step`` that is NaN, negative or infinite are
+    refused before any point is drawn."""
+    if not is_integer(samples) or samples < 0:
+        raise InputRefused(f"{name}: samples must be >= 0 and an integer, got {samples!r}")
+    if not 0 < radius < math.inf:
+        raise InputRefused(f"{name}: radius must be finite and > 0, got {radius!r}")
+    if not 0 <= grid_step < math.inf:
+        raise InputRefused(f"{name}: grid_step must be finite and >= 0 (0: no grid), got {grid_step!r}")
     sources = [("uniform", _uniform_blocks(rng or RngSpec(0), samples, radius, dims))]
     if grid_step > 0:
         sources.append(("grid", _grid_blocks(_GRID_RADIUS, grid_step, dims)))

@@ -77,6 +77,9 @@ _LN2 = math.log(2.0)
 # parts h_ln, h_linear, h_tree, h_exp1, h_exp2 and -eta * gamma, assembled by
 # ``coupling_parts`` from u = (xlo + xhi)/2, e^{-x} and w = gamma + u2 - u, so
 # the sampler can cache them and recompute only the parts a move changes.
+# ``coupling_parts`` writes out the one-line parts in the floating-point
+# order of ``h_linear``, ``h_exp1`` and ``tree_letter`` below, which the
+# bound scan and the transfer kernels call on arrays.
 
 
 def h_linear(u: float, u2: float, z: float, a: float) -> float:
@@ -99,7 +102,24 @@ def tree_letter(t: int, xlo, xhi, u, r, joined: int):
 
 def h_tree(t: int, xlo: float, xhi: float, u: float, z: float, w: float,
            t2: int, xlo2: float, xhi2: float, u2: float) -> float:
-    return tree_letter(t, xlo, xhi, u, z - 0.5 * w, 0) + tree_letter(t2, xlo2, xhi2, u2, z + 0.5 * w, 1)
+    """The tree letters' part: ``tree_letter`` of the left cell with the
+    rung term z - w/2 (joined letter A) plus that of the right cell with
+    z + w/2 (joined letter B), its branches written out."""
+    if t == 2:
+        tr = 0.5 * xlo
+    elif t == 3:
+        tr = 0.5 * xhi
+    elif t == 0:
+        tr = z - 0.5 * w - 0.5 * u
+    else:
+        tr = 0.5 * u
+    if t2 == 2:
+        return tr + 0.5 * xlo2
+    if t2 == 3:
+        return tr + 0.5 * xhi2
+    if t2 == 1:
+        return tr + (z + 0.5 * w - 0.5 * u2)
+    return tr + 0.5 * u2
 
 
 def h_exp1(elo: float, ehi: float, elo2: float, ehi2: float) -> float:
@@ -123,12 +143,6 @@ def h_exp2(w: float, z: float, ss_prod: float) -> float:
     return INF if v > _EXP_CAP else math.exp(v)  # _exp, written out
 
 
-def coupling_total(h_ln: float, h_linear: float, h_tree: float, h_exp1: float, h_exp2: float,
-                   eta_term: float) -> float:
-    """The coupling energy from its parts; ``eta_term`` is ``-eta * gamma``."""
-    return h_ln + h_linear + h_tree + h_exp1 + h_exp2 + eta_term
-
-
 def coupling_parts(xlo: float, xhi: float, u: float, elo: float, ehi: float,
                    xlo2: float, xhi2: float, u2: float, elo2: float, ehi2: float,
                    z: float, gamma: float, ss_prod: int, t: int, t2: int, a: float, eta: float):
@@ -136,24 +150,42 @@ def coupling_parts(xlo: float, xhi: float, u: float, elo: float, ehi: float,
     across one inner rung, from the cell values u, e^{-xlo} and e^{-xhi} of
     both cells and the product of their signs.  The log part is (3a + 1)/2
     times a three-way log-sum-exp per rail, each written out (max shift,
-    then the log of the shifted exponentials)."""
+    then the log of the shifted exponentials); ``h_linear``, ``h_tree``,
+    ``h_exp1`` and the total, the parts summed in that order, are written
+    out too, in those functions' floating-point order."""
     w = gamma + u2 - u
-    x, y = xlo + 0.5 * w, xlo2 - 0.5 * w
+    hw = 0.5 * w
+    x, y = xlo + hw, xlo2 - hw
     m = x if x >= y else y
     if z > m:
         m = z
     lse_lo = -INF if m == -INF else m + math.log(math.exp(x - m) + math.exp(y - m) + math.exp(z - m))
-    x, y = xhi + 0.5 * w, xhi2 - 0.5 * w
+    x, y = xhi + hw, xhi2 - hw
     m = x if x >= y else y
     if z > m:
         m = z
     lse_hi = -INF if m == -INF else m + math.log(math.exp(x - m) + math.exp(y - m) + math.exp(z - m))
     ln = 0.5 * (3.0 * a + 1.0) * (lse_lo + lse_hi)
-    lin = h_linear(u, u2, z, a)
-    tr = h_tree(t, xlo, xhi, u, z, w, t2, xlo2, xhi2, u2)
-    e1 = h_exp1(elo, ehi, elo2, ehi2)
+    lin = -(a + 0.5) * (u + u2 + z)
+    if t == 2:
+        tr = 0.5 * xlo
+    elif t == 3:
+        tr = 0.5 * xhi
+    elif t == 0:
+        tr = z - hw - 0.5 * u
+    else:
+        tr = 0.5 * u
+    if t2 == 2:
+        tr += 0.5 * xlo2
+    elif t2 == 3:
+        tr += 0.5 * xhi2
+    elif t2 == 1:
+        tr += z + hw - 0.5 * u2
+    else:
+        tr += 0.5 * u2
+    e1 = 0.25 * (elo + ehi + elo2 + ehi2)
     e2 = h_exp2(w, z, ss_prod)
-    return w, ln, lin, tr, e1, e2, coupling_total(ln, lin, tr, e1, e2, -eta * gamma)
+    return w, ln, lin, tr, e1, e2, ln + lin + tr + e1 + e2 - eta * gamma
 
 
 def middle_energy(

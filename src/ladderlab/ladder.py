@@ -106,10 +106,16 @@ class LadderGraph:
         raise LadderError(f"vertices {u} and {v} are not adjacent")
 
 
+def is_integer(v) -> bool:
+    """True for a Python or NumPy integer that is not a bool: the counts
+    every entry point accepts."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def check_cells(n: int) -> int:
     """``n`` as a plain int, or :class:`LadderError` unless it is an integer
     (not a bool) of at least one cell."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    if not is_integer(n) or n < 1:
         raise LadderError(f"ladder needs at least one cell, got n={n!r}")
     return int(n)
 

@@ -2,17 +2,21 @@
 
 Single-site sweeps: random-walk proposals on every continuous field, plain
 sign flips, and tree-state redraws restricted to the locally admissible
-letters (so a forbidden adjacent ``AB`` is never proposed).  The sweep
-caches u = (xlo + xhi)/2, e^{-xlo} and e^{-xhi} per cell, the parts of the
-coupling energy with w and the total per coupling, as
-``environment.coupling_parts`` assembles them (the one composition that
-``middle_energy`` also reads), and the two boundary energies.  A move
-recomputes only the couplings it touches: an x move every part of both,
-reusing the neighbours' exponentials; a sign flip only h_exp2; a tree letter
-only h_tree; a z or gamma move every part of its one coupling.  A z0 or zn
-move takes the cell path of its end cell, with the couplings' cached parts
-as their refresh: it and the x and tree moves on an end cell recompute that
-cell's boundary energy through this module's ``left_energy``/``right_energy``;
+letters (so a forbidden adjacent ``AB`` is never proposed).  A sweep draws
+its 4n normals and 7n uniforms up front and reads them by index.  It caches
+u = (xlo + xhi)/2, e^{-xlo} and e^{-xhi} per cell, the parts of each
+coupling as ``environment.coupling_parts`` returns them (the one
+composition that ``middle_energy`` also reads), and the two boundary
+energies.  Each move is written out in the sweep and refreshes only the
+couplings it touches, by direct calls: an x move calls ``coupling_parts``
+for both couplings of its cell, reusing the neighbours' exponentials; a
+sign flip recomputes only their h_exp2 and a tree letter only their
+h_tree, re-totalling the cached parts in ``coupling_parts``' order; a z or
+gamma move calls ``coupling_parts`` for its one coupling; a z0 or zn move
+recomputes only its boundary energy.  Every move, the single-cell sign
+coin included, passes one Metropolis decision point, which writes the
+``debug_log_moves`` record only while logging is on.  The boundary
+energies are called through this module's ``left_energy``/``right_energy``;
 perfbench traces those and ``middle_energy`` under their names here.
 """
 
@@ -31,7 +35,6 @@ from ladderlab.environment import (  # noqa: F401 (middle_energy: see the module
     T_TO_INT,
     _exp,
     coupling_parts,
-    coupling_total,
     h_exp2,
     h_tree,
     left_energy,
@@ -39,7 +42,7 @@ from ladderlab.environment import (  # noqa: F401 (middle_energy: see the module
     psi_forward,
     right_energy,
 )
-from ladderlab.ladder import EdgeWeights, InputRefused, LadderError
+from ladderlab.ladder import EdgeWeights, InputRefused, LadderError, is_integer
 from ladderlab.rng import RngSpec
 from ladderlab.stats import batch_means_error, effective_sample_size, linear_fit
 
@@ -58,6 +61,7 @@ _CLASSES = ("z0", "x", "z", "gamma", "zn", "sigma", "tree")
 _SCALED = _CLASSES[:5]  # the classes with a tuned proposal scale
 # tree letters allowed by (right neighbour is B) + 2 * (left neighbour is A)
 _LETTERS = ((0, 1, 2, 3), (1, 2, 3), (0, 2, 3), (2, 3))
+_NO_COUPLING = (0.0,) * 7  # the parts beyond an end cell: no coupling, total 0
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,9 @@ class McmcConfig:
     debug_log_moves: int = 0
 
     def __post_init__(self):
+        for name in ("n", "deform_j", "burn_in", "thinning", "samples", "debug_log_moves"):
+            if not is_integer(getattr(self, name)):
+                raise InputRefused(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1:
             raise InputRefused("need n >= 1")
         if not 0 <= self.deform_j <= self.n - 1:
@@ -148,6 +155,16 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
     ehi = [_exp(-v) for v in xhi]
     e_left = left_energy(z0, xlo[0], xhi[0], t[0], a)
     e_right = right_energy(xlo[n1], xhi[n1], t[n1], zn, a)
+    # parts[p + 1] = (w, h_ln, h_linear, h_tree, h_exp1, h_exp2, total) of coupling p,
+    # between cells p and p + 1; the ends hold a total of 0, so cell i reads
+    # its couplings at parts[i] and parts[i + 1] wherever it sits
+    parts = [_NO_COUPLING, *(coupling_parts(xlo[p], xhi[p], u[p], elo[p], ehi[p],
+                                            xlo[p + 1], xhi[p + 1], u[p + 1], elo[p + 1], ehi[p + 1],
+                                            z[p], ga[p], sig[p] * sig[p + 1], t[p], t[p + 1], a, eta[p])
+                             for p in range(n1)), _NO_COUPLING]
+    if not all(map(math.isfinite, [e_left, e_right] + [part[6] for part in parts])):
+        # every move out of a zero-density start computes inf - inf and is rejected
+        raise LadderError("init configuration has a non-finite boundary or coupling energy")
 
     gen = cfg.rng.generator()
     scales = dict.fromkeys(_SCALED, 1.0)  # initial proposal scales, tuned during burn-in
@@ -155,38 +172,12 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
     per_sweep = {"z0": 1, "x": 2 * n, "z": n1, "gamma": n1, "zn": 1, "sigma": n, "tree": n}
     budget = 0  # moves still to log; none during burn-in
     proposal_log: list[dict] = []
-    draw_u = None
 
     def spin() -> SpinConfig:
         return SpinConfig(
             z0=z0, xlo=np.array(xlo), xhi=np.array(xhi), sigma=np.array(sig),
             t="".join(INT_TO_T[v] for v in t), z=np.array(z), gamma=np.array(ga), zn=zn,
         )
-
-    def coupling(p):
-        """Every part of coupling p (between cells p and p+1) from the cached cell values."""
-        q = p + 1
-        return coupling_parts(xlo[p], xhi[p], u[p], elo[p], ehi[p],
-                              xlo[q], xhi[q], u[q], elo[q], ehi[q],
-                              z[p], ga[p], sig[p] * sig[q], t[p], t[q], a, eta[p])
-
-    def with_sign(p):
-        """Coupling p after a sign flip: only h_exp2 changes."""
-        w, ln, lin, tr, e1, _, _ = parts[p]
-        e2 = h_exp2(w, z[p], sig[p] * sig[p + 1])
-        return w, ln, lin, tr, e1, e2, coupling_total(ln, lin, tr, e1, e2, -eta[p] * ga[p])
-
-    def with_tree(p):
-        """Coupling p after a tree-letter move: only h_tree changes."""
-        w, ln, lin, _, e1, e2, _ = parts[p]
-        q = p + 1
-        tr = h_tree(t[p], xlo[p], xhi[p], u[p], z[p], w, t[q], xlo[q], xhi[q], u[q])
-        return w, ln, lin, tr, e1, e2, coupling_total(ln, lin, tr, e1, e2, -eta[p] * ga[p])
-
-    parts = [coupling(p) for p in range(n1)]  # (w, h_ln, h_linear, h_tree, h_exp1, h_exp2, total)
-    if not all(map(math.isfinite, [e_left, e_right] + [part[6] for part in parts])):
-        # every move out of a zero-density start computes inf - inf and is rejected
-        raise LadderError("init configuration has a non-finite boundary or coupling energy")
 
     def decide(kind: str, delta: float, uniform: float) -> bool:
         """Accept or reject an applied move: every state change passes here."""
@@ -203,103 +194,158 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
                 logged = proposed
         return ok
 
-    def move_cell(kind: str, i: int, refresh, bounds: bool) -> bool:
-        """Accept or reject a move already applied to cell i: ``refresh``
-        gives the new parts of the couplings i-1 and i, and ``bounds``
-        recomputes the boundary energy of an end cell."""
-        nonlocal e_left, e_right
-        e_new = e_old = 0
-        if i > 0:
-            new_l = refresh(i - 1)
-            e_new += new_l[6]
-            e_old += parts[i - 1][6]
-        if i < n1:
-            new_r = refresh(i)
-            e_new += new_r[6]
-            e_old += parts[i][6]
-        delta = e_new - e_old
-        e_l, e_r = e_left, e_right
-        if bounds and i == 0:
-            e_l = left_energy(z0, xlo[0], xhi[0], t[0], a)
-            delta += e_l - e_left
-        if bounds and i == n1:
-            e_r = right_energy(xlo[n1], xhi[n1], t[n1], zn, a)
-            delta += e_r - e_right
-        if not decide(kind, delta, draw_u()):
-            return False
-        if i > 0:
-            parts[i - 1] = new_l
-        if i < n1:
-            parts[i] = new_r
-        e_left, e_right = e_l, e_r
-        return True
-
     def sweep():
-        nonlocal z0, zn, draw_u
-        draw_n = iter(gen.standard_normal(4 * n).tolist()).__next__
-        draw_u = iter(gen.random(7 * n).tolist()).__next__
+        """One sweep: z0, then per cell its two x moves, the sign and the tree
+        letter, then per rung z and gamma, then zn.  Normal k and uniform k
+        of the sweep's draws belong to fixed moves: z0 takes the first of
+        each and zn the last; cell i its normals 1 + 2i and 2 + 2i and its
+        uniforms 1 + 5i .. 5 + 5i; rung p its normals 1 + 2n + 2p, 2 + 2n +
+        2p and its uniforms 1 + 5n + 2p, 2 + 5n + 2p."""
+        nonlocal z0, zn, e_left, e_right
+        normal = gen.standard_normal(4 * n).tolist()
+        uniform = gen.random(7 * n).tolist()
         s_z0, s_x, s_z, s_gamma, s_zn = (scales[c] for c in _SCALED)
 
-        # left boundary field: a move of the end cell whose couplings keep
-        # their cached parts, so only its boundary energy changes
+        # left boundary field: only the left boundary energy moves
         old = z0
-        z0 = old + s_z0 * draw_n()
-        if not move_cell("z0", 0, parts.__getitem__, True):
+        z0 = old + s_z0 * normal[0]
+        e_l = left_energy(z0, xlo[0], xhi[0], t[0], a)
+        if decide("z0", e_l - e_left, uniform[0]):
+            e_left = e_l
+        else:
             z0 = old
 
+        # Each cell move sums the totals of its couplings p = i - 1 and i,
+        # new and old, takes the difference and adds the change of the
+        # boundary energy of an end cell, in that order (the goldens pin it).
         for i in range(n):
+            p, r = i - 1, i + 1
+            left, right = parts[i], parts[r]
+            kn, ku = 1 + 2 * i, 1 + 5 * i
+
             # x move: every part of both couplings; the new exponential is
             # shared by them and the neighbours' cached ones are reused
             for xs, es in ((xlo, elo), (xhi, ehi)):
                 old, e_old, u_old = xs[i], es[i], u[i]
-                xs[i] = old + s_x * draw_n()
+                xs[i] = old + s_x * normal[kn]
                 es[i] = _exp(-xs[i])
                 u[i] = 0.5 * (xlo[i] + xhi[i])
-                if not move_cell("x", i, coupling, True):
+                new_l = coupling_parts(xlo[p], xhi[p], u[p], elo[p], ehi[p],
+                                       xlo[i], xhi[i], u[i], elo[i], ehi[i],
+                                       z[p], ga[p], sig[p] * sig[i], t[p], t[i], a,
+                                       eta[p]) if i else left
+                new_r = coupling_parts(xlo[i], xhi[i], u[i], elo[i], ehi[i],
+                                       xlo[r], xhi[r], u[r], elo[r], ehi[r],
+                                       z[i], ga[i], sig[i] * sig[r], t[i], t[r], a,
+                                       eta[i]) if i < n1 else right
+                delta = (new_l[6] + new_r[6]) - (left[6] + right[6])
+                if i == 0:
+                    e_l = left_energy(z0, xlo[0], xhi[0], t[0], a)
+                    delta += e_l - e_left
+                if i == n1:
+                    e_r = right_energy(xlo[n1], xhi[n1], t[n1], zn, a)
+                    delta += e_r - e_right
+                if decide("x", delta, uniform[ku]):
+                    parts[i] = left = new_l
+                    parts[r] = right = new_r
+                    if i == 0:
+                        e_left = e_l
+                    if i == n1:
+                        e_right = e_r
+                else:
                     xs[i], es[i], u[i] = old, e_old, u_old
+                kn += 1
+                ku += 1
 
-            # sign flip: only the adjacent sign terms move (the boundary
-            # energies do not depend on the sign); for a single cell the
+            # sign flip: only h_exp2 of the adjacent couplings moves (the
+            # boundary energies do not read the sign); for a single cell the
             # measure is symmetric in the sign, so flip a fair coin and accept
             if n > 1:
                 sig[i] = -sig[i]
-                if not move_cell("sigma", i, with_sign, False):
+                if i:
+                    w, ln, lin, tr, e1, _, _ = left
+                    e2 = h_exp2(w, z[p], sig[p] * sig[i])
+                    new_l = w, ln, lin, tr, e1, e2, ln + lin + tr + e1 + e2 - eta[p] * ga[p]
+                else:
+                    new_l = left
+                if i < n1:
+                    w, ln, lin, tr, e1, _, _ = right
+                    e2 = h_exp2(w, z[i], sig[i] * sig[r])
+                    new_r = w, ln, lin, tr, e1, e2, ln + lin + tr + e1 + e2 - eta[i] * ga[i]
+                else:
+                    new_r = right
+                if decide("sigma", (new_l[6] + new_r[6]) - (left[6] + right[6]), uniform[ku]):
+                    parts[i] = left = new_l
+                    parts[r] = right = new_r
+                else:
                     sig[i] = -sig[i]
             else:
-                coin = draw_u()
-                if coin < 0.5:
+                if uniform[ku] < 0.5:
                     sig[i] = -sig[i]
-                decide("sigma", 0.0, coin)
+                decide("sigma", 0.0, uniform[ku])
 
             # tree letter: uniform over the locally admissible states; the
             # admissible set does not depend on the current letter, so the
             # proposal is symmetric
-            letters = _LETTERS[(i < n1 and t[i + 1] == 1) + 2 * (i > 0 and t[i - 1] == 0)]
+            letters = _LETTERS[(i < n1 and t[r] == 1) + 2 * (i > 0 and t[p] == 0)]
             old_t = t[i]
-            new_t = letters[int(draw_u() * len(letters)) % len(letters)]
-            if new_t != old_t:
-                t[i] = new_t
-                if not move_cell("tree", i, with_tree, True):
-                    t[i] = old_t
-            else:
+            new_t = letters[int(uniform[ku + 1] * len(letters)) % len(letters)]
+            if new_t == old_t:
                 accept["tree"] += 1
-                draw_u()
+                continue
+            t[i] = new_t
+            if i:
+                w, ln, lin, _, e1, e2, _ = left
+                tr = h_tree(t[p], xlo[p], xhi[p], u[p], z[p], w, new_t, xlo[i], xhi[i], u[i])
+                new_l = w, ln, lin, tr, e1, e2, ln + lin + tr + e1 + e2 - eta[p] * ga[p]
+            else:
+                new_l = left
+            if i < n1:
+                w, ln, lin, _, e1, e2, _ = right
+                tr = h_tree(new_t, xlo[i], xhi[i], u[i], z[i], w, t[r], xlo[r], xhi[r], u[r])
+                new_r = w, ln, lin, tr, e1, e2, ln + lin + tr + e1 + e2 - eta[i] * ga[i]
+            else:
+                new_r = right
+            delta = (new_l[6] + new_r[6]) - (left[6] + right[6])
+            if i == 0:
+                e_l = left_energy(z0, xlo[0], xhi[0], new_t, a)
+                delta += e_l - e_left
+            if i == n1:
+                e_r = right_energy(xlo[n1], xhi[n1], new_t, zn, a)
+                delta += e_r - e_right
+            if decide("tree", delta, uniform[ku + 2]):
+                parts[i], parts[r] = new_l, new_r
+                if i == 0:
+                    e_left = e_l
+                if i == n1:
+                    e_right = e_r
+            else:
+                t[i] = old_t
 
         # inner rung fields: a z or gamma move refreshes its one coupling
+        kn, ku = 1 + 2 * n, 1 + 5 * n
         for p in range(n1):
+            q = p + 1
             for fs, step, kind in ((z, s_z, "z"), (ga, s_gamma, "gamma")):
                 old = fs[p]
-                fs[p] = old + step * draw_n()
-                new = coupling(p)
-                if decide(kind, new[6] - parts[p][6], draw_u()):
-                    parts[p] = new
+                fs[p] = old + step * normal[kn]
+                new = coupling_parts(xlo[p], xhi[p], u[p], elo[p], ehi[p],
+                                     xlo[q], xhi[q], u[q], elo[q], ehi[q],
+                                     z[p], ga[p], sig[p] * sig[q], t[p], t[q], a, eta[p])
+                if decide(kind, new[6] - parts[q][6], uniform[ku]):
+                    parts[q] = new
                 else:
                     fs[p] = old
+                kn += 1
+                ku += 1
 
         # right boundary field, moved like the left one
         old = zn
-        zn = old + s_zn * draw_n()
-        if not move_cell("zn", n1, parts.__getitem__, True):
+        zn = old + s_zn * normal[kn]
+        e_r = right_energy(xlo[n1], xhi[n1], t[n1], zn, a)
+        if decide("zn", e_r - e_right, uniform[ku]):
+            e_right = e_r
+        else:
             zn = old
 
     # burn-in with scale tuning toward 0.4 acceptance
@@ -410,11 +456,14 @@ class TailCurve:
 def tail_estimate(batch: SampleBatch, name: str, thresholds: Sequence[float],
                   i: int | None = None) -> TailCurve:
     """Tail curve of |observable| with a least-squares slope over the
-    uncensored buckets.  Empty buckets are reported censored, not zero."""
+    uncensored buckets.  Empty buckets are reported censored, not zero;
+    a non-finite threshold is refused."""
     if batch.size == 0:
         raise LadderError("empty batch")
     vals = np.abs(observable(batch, name, i))
     thresholds = np.asarray(sorted(thresholds), dtype=float)
+    if not np.isfinite(thresholds).all():
+        raise InputRefused(f"thresholds must be finite, got {thresholds.tolist()}")
     m = batch.size
     counts = np.array([(vals >= t).sum() for t in thresholds], dtype=np.int64)
     freq = counts / m

@@ -8,6 +8,10 @@ own quadrature.  Matrices are stored in the quadrature-weighted
 of weighted vectors are plain dot products and the operator and its adjoint
 act by plain matrix products (``vecmat``, ``matvec``).
 
+A kernel's coupling eta enters its energy as -eta * gamma: eta = 1/4 is the
+undeformed environment (every coupling of ``h_total(deform_j=0)``) and
+eta = 0 the deformation (the couplings a sampler's ``deform_j`` relaxes).
+
 S is never stored dense.  Its block between tree letters t, t2 and signs
 s, s2 is diag(left[t]) C[t == A, t2 == B, s == s2] diag(right[t2]): six
 nx²×nx² cores C (an A cell is never followed by a B cell, so the A->B
@@ -99,7 +103,7 @@ import numpy as np
 
 from ladderlab.certificates import middle_growth_rate
 from ladderlab.environment import boundary_core_vec, tree_letter
-from ladderlab.ladder import InputRefused, LadderError
+from ladderlab.ladder import InputRefused, LadderError, is_integer
 
 __all__ = [
     "GridParams",
@@ -925,13 +929,20 @@ def log_mass(n: int, a: float) -> float:
     Gamma((3a+1)/2)^2 exactly.  n = 1 is checked against a tensor
     quadrature of the one-cell density (to 1e-6 in log at a = 0.8 .. 4);
     n = 2 and 3 were checked only by importance sampling, to 5e-4 in log
-    at a = 1 and 2."""
-    if n < 1 or not a > 0:
-        raise InputRefused(f"need n >= 1 and a > 0, got n={n}, a={a}")
-    return ((3.5 * n + 1 - (3 * n + 1) * a) * math.log(2.0)
-            + 0.5 * (3 * n + 1) * math.log(math.pi)
-            + 3 * n * math.lgamma(a) - 3 * math.lgamma(a + 0.5)
-            - (2 * n - 2) * math.lgamma(0.5 * (3 * a + 1)))
+    at a = 1 and 2.  A non-integer n, a non-finite a and a log Z_n beyond
+    the float range are refused."""
+    if not is_integer(n) or n < 1 or not 0 < a < math.inf:
+        raise InputRefused(f"need n >= 1 and a > 0, n an integer and a finite, got n={n!r}, a={a!r}")
+    try:
+        out = ((3.5 * n + 1 - (3 * n + 1) * a) * math.log(2.0)
+               + 0.5 * (3 * n + 1) * math.log(math.pi)
+               + 3 * n * math.lgamma(a) - 3 * math.lgamma(a + 0.5)
+               - (2 * n - 2) * math.lgamma(0.5 * (3 * a + 1)))
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise InputRefused(f"log Z_n is not a finite float at n={n}, a={a}")
+    return out
 
 
 def _scaled_images(v: np.ndarray, products) -> tuple[list[np.ndarray], list[float]]:

@@ -217,6 +217,29 @@ def test_negative_sample_counts_are_refused(check, args):
 
 @pytest.mark.parametrize("check,args", [(check_middle_bound, (1.0, 0.0)),
                                         (check_boundary_bound, (1.0, "left"))])
+@pytest.mark.parametrize("bad,match", [
+    (dict(samples=2.5), "samples must be >= 0 and an integer"),  # was a TypeError from PCG64.advance
+    (dict(samples=True), "samples must be >= 0 and an integer"),
+    (dict(radius=0.0), "radius must be finite and > 0"),
+    (dict(radius=-1.0), "radius must be finite and > 0"),
+    (dict(radius=math.inf), "radius must be finite and > 0"),  # was NumPy's OverflowError
+    (dict(radius=math.nan), "radius must be finite and > 0"),
+    (dict(grid_step=math.nan), "grid_step must be finite and >= 0"),  # silently meant no grid
+    (dict(grid_step=-5.0), "grid_step must be finite and >= 0"),
+    (dict(grid_step=math.inf), "grid_step must be finite and >= 0"),
+])
+def test_bad_scan_arguments_are_refused_before_the_scan(monkeypatch, check, args, bad, match):
+    def no_scan(*_):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(certificates, "_uniform_blocks", no_scan)
+    kwargs = {"samples": 10, "rng": RngSpec(5), **bad}
+    with pytest.raises(InputRefused, match=match):
+        check(kwargs.pop("samples"), *args, **kwargs)
+
+
+@pytest.mark.parametrize("check,args", [(check_middle_bound, (1.0, 0.0)),
+                                        (check_boundary_bound, (1.0, "left"))])
 def test_scan_working_set_is_independent_of_the_sample_count(check, args):
     # the uniform points are streamed block by block: 10^6 samples hold what 10^4 do
     peaks = []

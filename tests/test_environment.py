@@ -13,9 +13,12 @@ from ladderlab.environment import (
     _exp,
     boundary_core_vec,
     coupling_parts,
-    coupling_total,
     gibbs_identity_residual,
+    h_exp1,
+    h_exp2,
+    h_linear,
     h_total,
+    h_tree,
     left_energy,
     log_jacobian,
     log_phi,
@@ -23,6 +26,7 @@ from ladderlab.environment import (
     psi_forward,
     psi_inverse,
     right_energy,
+    tree_letter,
 )
 from ladderlab.ladder import EdgeWeights, SpanningTreeCode
 from ladderlab.transfer import log_mass
@@ -267,9 +271,44 @@ def test_tree_letter_moves_only_h_tree_and_the_total():
         for t in {0, 1, 2, 3} - {pt[3]} - ({0} if pt[9] == 1 else set()):
             moved = parts_at(*pt[:3], t, *pt[4:], 1.0, 0.25)
             assert moved[:3] + moved[4:6] == parts[:3] + parts[4:6]
-            assert moved[6] == coupling_total(*parts[1:3], moved[3], *parts[4:6], -0.25 * pt[5])
+            assert moved[6] == parts[1] + parts[2] + moved[3] + parts[4] + parts[5] - 0.25 * pt[5]
             moves += moved[3] != parts[3]
     assert moves > 100
+
+
+def _parts_from_helpers(xlo, xhi, ss, t, z, gamma, xlo2, xhi2, ss2, t2, a, eta):
+    """The coupling's parts from the one-line part functions, in the order
+    ``coupling_parts`` writes them out."""
+    u, u2 = 0.5 * (xlo + xhi), 0.5 * (xlo2 + xhi2)
+    w = gamma + u2 - u
+    lin = h_linear(u, u2, z, a)
+    tr = tree_letter(t, xlo, xhi, u, z - 0.5 * w, 0) + tree_letter(t2, xlo2, xhi2, u2, z + 0.5 * w, 1)
+    e1 = h_exp1(_exp(-xlo), _exp(-xhi), _exp(-xlo2), _exp(-xhi2))
+    e2 = h_exp2(w, z, ss * ss2)
+    assert tr == h_tree(t, xlo, xhi, u, z, w, t2, xlo2, xhi2, u2)
+    return w, lin, tr, e1, e2
+
+
+def test_coupling_parts_match_the_part_functions_bit_for_bit():
+    """``coupling_parts`` writes out h_linear, the tree letters, h_exp1 and
+    the total: on every branch they must be the part functions' bits."""
+    points = [pt[:3] + (t,) + pt[4:9] + (t2,) for pt in coupling_points()
+              for t in range(4) for t2 in range(4)]  # all 16 letter pairs
+    # w = 0 with agreeing signs (h_exp2 = 0), h_exp2 overflowing to inf and
+    # z the maximum of both rails' log-sum-exp
+    points += [(1.0, 3.0, 1, 2, 0.5, 0.0, 1.0, 3.0, 1, 3), (1.0, 3.0, -1, 0, -760.0, 0.0, 1.0, 3.0, 1, 3),
+               (-2.0, 0.5, 1, 3, 9.0, 1.5, 0.25, -1.0, -1, 0)]
+    kinds = set()
+    for pt in points:
+        for a, eta in ((1.0, 0.25), (0.7, 0.0)):
+            w, ln, lin, tr, e1, e2, total = parts_at(*pt, a, eta)
+            want = _parts_from_helpers(*pt, a, eta)
+            want += (ln + want[1] + want[2] + want[3] + want[4] + -eta * pt[5],)
+            assert [v.hex() for v in (w, lin, tr, e1, e2, total)] == [v.hex() for v in want], pt
+            kinds |= {("w0", w == 0.0 and pt[2] == pt[8]), ("inf", e2 == math.inf)}
+            hw = 0.5 * w
+            kinds.add(("z max", pt[4] >= max(pt[0] + hw, pt[6] - hw, pt[1] + hw, pt[7] - hw)))
+    assert {("w0", True), ("inf", True), ("z max", True)} <= kinds
 
 
 def test_left_energy_zero_point():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ladderlab.environment import SpinConfig, h_total
-from ladderlab.ladder import LadderError
+from ladderlab.ladder import InputRefused, LadderError
 from ladderlab.mcmc import (
     McmcConfig,
     environment_from_spin,
@@ -145,6 +145,18 @@ def test_move_log_is_a_chain(n):
         assert _same_spin(rec["before"], outcome), (prev["kind"], rec["kind"])
 
 
+def test_logging_leaves_the_chain_unchanged():
+    """The decision point writes a record only while logging is on: a chain
+    that logs nothing, 60 moves or more than all of its moves is the same
+    chain, bit for bit."""
+    plain, some, every = (small_batch(n=3, samples=30, seed=13, debug_log_moves=m)
+                          for m in (0, 60, 10**6))
+    assert (len(plain.proposal_log), len(some.proposal_log)) == (0, 60)
+    assert 60 < len(every.proposal_log) < 10**6
+    for batch in (some, every):
+        assert golden_summary(batch) == golden_summary(plain)
+
+
 def test_observable_refuses_indices_outside_the_chain():
     batch = small_batch(n=3, samples=50, seed=5)
     assert np.array_equal(observable(batch, "Xhi", 3), batch.xhi[:, 2])
@@ -190,6 +202,13 @@ def test_tail_estimate_censoring_and_degeneracy():
     zero.gamma[:] = 0.7
     deg2 = tail_estimate(zero, "Gamma", [0.1, 0.5], i=1)
     assert deg2.degenerate
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tail_estimate_refuses_non_finite_thresholds(bad):
+    batch = small_batch(n=2, samples=50, seed=23)
+    with pytest.raises(InputRefused, match="thresholds must be finite"):
+        tail_estimate(batch, "Gamma", [1.0, bad], i=1)
 
 
 def _split_rhat(v1, v2):
@@ -263,6 +282,22 @@ def test_config_validation():
         McmcConfig(n=4, a=1.0, deform_j=4)
     with pytest.raises(LadderError):
         McmcConfig(n=4, a=-1.0)
+
+
+@pytest.mark.parametrize("name", ["n", "deform_j", "burn_in", "thinning", "samples",
+                                  "debug_log_moves"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+def test_config_refuses_non_integer_counts(name, bad):
+    # samples=2.5 used to pass the config and fail inside NumPy; thinning=True ran
+    with pytest.raises(InputRefused, match=f"{name} must be an integer"):
+        McmcConfig(**{"n": 4, "a": 1.0, name: bad})
+
+
+def test_config_accepts_numpy_integers():
+    counts = dict(n=np.int64(3), deform_j=np.int32(1), burn_in=np.int64(20),
+                  thinning=np.int16(1), samples=np.uint8(10), debug_log_moves=np.int64(5))
+    batch = sample_chain(McmcConfig(a=1.0, rng=RngSpec(3), **counts))
+    assert batch.size == 10 and len(batch.proposal_log) == 5
 
 
 @pytest.mark.parametrize("field, value", [

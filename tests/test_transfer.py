@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ladderlab.environment import left_energy, middle_energy, right_energy
-from ladderlab.ladder import LadderError
+from ladderlab.ladder import InputRefused, LadderError
 from ladderlab.stats import linear_fit
 from ladderlab.transfer import (
     GridParams,
@@ -236,6 +236,17 @@ def test_leading_eigenvalue_is_even_in_eta(small_grid, eta):
     assert abs(plus - minus) <= 1e-13 * plus
 
 
+def test_cumulant_curve_is_even_and_convex(small_grid):
+    # Lambda(eta) = log lambda1(eta) on a grid in [-1/4, 1/4]: even to the
+    # last bits, and its chord slopes increase
+    etas = (-0.25, -0.1, 0.0, 0.1, 0.25)
+    lam = [math.log(leading_triple(assemble_kernel(small_grid, A, eta)).value) for eta in etas]
+    for k in range(2):
+        assert abs(lam[k] - lam[-1 - k]) <= 1e-13 * abs(lam[k])
+    slopes = [(lam[k + 1] - lam[k]) / (etas[k + 1] - etas[k]) for k in range(4)]
+    assert all(s1 < s2 for s1, s2 in zip(slopes, slopes[1:])), slopes
+
+
 def test_operators_refuse_an_a_the_grid_was_not_built_for(small_grid):
     # build_grid refuses the default box at a = 0.8; a grid built at a = 1
     # must not carry an a = 0.8 operator past that truncation check
@@ -396,9 +407,14 @@ def test_log_mass_ratio_is_the_exact_leading_eigenvalue(a, ratio):
 
 
 def test_log_mass_validation():
-    for n, a in ((0, 1.0), (1, 0.0), (1, -1.0), (1, math.nan)):
-        with pytest.raises(LadderError, match="n >= 1 and a > 0"):
+    # 2.5 cells used to return 6.09 and a = inf NaN
+    for n, a in ((0, 1.0), (1, 0.0), (1, -1.0), (1, math.nan), (2.5, 1.0), (True, 1.0),
+                 (2, math.inf)):
+        with pytest.raises(InputRefused, match="n >= 1 and a > 0"):
             log_mass(n, a)
+    with pytest.raises(InputRefused, match="not a finite float"):  # was an OverflowError
+        log_mass(2, 1e308)
+    assert log_mass(np.int64(2), 1.0) == log_mass(2, 1.0)
 
 
 def test_symmetry_defect(ctx):

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from ladderlab.environment import boundary_core_vec, h_exp1, h_linear, middle_energy
-from ladderlab.ladder import InputRefused, LadderError, is_integer
+from ladderlab.ladder import InputRefused, LadderError, check_coupling, check_weight, is_integer
 from ladderlab.rng import RngSpec
 
 STATES = "ABCD"
@@ -55,16 +55,12 @@ __all__ = [
 
 def middle_growth_rate(a: float) -> float:
     """Linear growth rate of the coupling energy: min(a - 1/2, 1) / 16."""
-    if not a > 0.5:
-        raise LadderError(f"coupling bound needs a > 1/2, got {a}")
-    return min(a - 0.5, 1.0) / 16.0
+    return min(check_weight(a, 0.5) - 0.5, 1.0) / 16.0
 
 
 def boundary_growth_rate(a: float) -> float:
     """Linear growth rate of the boundary energies: min(a - 3/4, 1/6) / 2."""
-    if not a > 0.75:
-        raise LadderError(f"boundary bound needs a > 3/4, got {a}")
-    return 0.5 * min(a - 0.75, 1.0 / 6.0)
+    return 0.5 * min(check_weight(a, 0.75) - 0.75, 1.0 / 6.0)
 
 
 @dataclass(frozen=True)
@@ -415,8 +411,7 @@ def check_middle_bound(
     bit for bit.  At the worst point, ties go to the first pair in ``PAIRS``
     order.  The report records the minimum margin; below -1e-6 raises.
     """
-    if not -0.25 <= eta <= 0.25:
-        raise LadderError(f"eta={eta} outside [-1/4, 1/4]")
+    check_coupling(eta)
     rate = middle_growth_rate(a)
 
     def block_min(points):
@@ -449,16 +444,15 @@ def check_boundary_bound(
     """Sampled verification of the boundary energy lower bounds.
 
     At ``a = 3/4`` the quarter-slope bound (energy minus its exponential
-    part at least z/4) is checked; for larger ``a`` the linear-growth bound
-    with the closed-form rate.  The uniform points and the grid are scanned
-    by ``_scan``; per block the exponential part and the l1 term are
-    computed once and the four letter margins folded by an elementwise
-    minimum.  At the worst point, ties go to the first letter.
+    part at least z/4) is checked; for larger finite ``a`` the linear-growth
+    bound with the closed-form rate, whose gate refuses any other ``a``.
+    The uniform points and the grid are scanned by ``_scan``; per block the
+    exponential part and the l1 term are computed once and the four letter
+    margins folded by an elementwise minimum.  At the worst point, ties go to
+    the first letter.
     """
     if side not in ("left", "right"):
         raise LadderError(f"side must be left or right, got {side!r}")
-    if a < 0.75:
-        raise LadderError(f"boundary bounds need a >= 3/4, got {a}")
     at_critical = a == 0.75
     rate = None if at_critical else boundary_growth_rate(a)
 

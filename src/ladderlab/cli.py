@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ladderlab import certificates, environment, ladder, mcmc, network, transfer, walk
-from ladderlab.ladder import EdgeWeights, InputRefused, LadderError
+from ladderlab.ladder import EdgeWeights, InputRefused, LadderError, check_weights
 from ladderlab.rng import RngSpec
 from ladderlab.stats import batch_means_error, slope_interval, wilson_interval
 
@@ -178,12 +178,9 @@ def _load_weights(spec: str | None, n: int) -> EdgeWeights:
     if spec is None or spec == "unit":
         return EdgeWeights(np.ones(3 * n + 1))
     try:
-        x = EdgeWeights(np.asarray(json.loads(Path(spec).read_text())["x"], dtype=float))
+        return EdgeWeights(check_weights(json.loads(Path(spec).read_text())["x"], n))
     except (OSError, ValueError, KeyError, TypeError, LadderError) as err:
         raise ConfigError(f"cannot read weights file {spec!r}: {type(err).__name__}: {err}") from err
-    if x.n != n:
-        raise ConfigError(f"weights file {spec!r} holds a ladder with n={x.n}, not n={n}")
-    return x
 
 
 def cmd_simulate(cfg: dict):

@@ -23,6 +23,8 @@ from ladderlab.ladder import (
     LadderError,
     SpanningTreeCode,
     build,
+    check_weight,
+    check_weights,
     cycle_form,
     indices_from_mask,
     tree_decode,
@@ -310,8 +312,8 @@ class EnvironmentPoint:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
         object.__setattr__(self, "y", y)
-        if self.x.normalization != "rung-zero-unit":
-            raise LadderError("environment weights must carry the rung-zero-unit tag")
+        if self.x.values[0] != 1.0:
+            raise LadderError("environment weights must have left rung weight exactly 1")
         n = self.x.n
         if y.size != n or self.code.n != n:
             raise LadderError("weights, y and code must agree on n")
@@ -350,19 +352,19 @@ def h_total(omega: SpinConfig, a: float, deform_j: int = 0) -> float:
 
 def log_phi(x: EdgeWeights | np.ndarray, y: Sequence[float], code: SpanningTreeCode | str, a: float) -> float:
     """Log of the unnormalized environment density (normalizer never applied)."""
-    if not isinstance(x, EdgeWeights):
-        x = EdgeWeights(np.asarray(x, dtype=float))
+    x = check_weights(x)
+    check_weight(a)
     if not isinstance(code, SpanningTreeCode):
         code = SpanningTreeCode(code)
-    n = x.n
+    n = (x.size - 1) // 3
     if code.n != n:
         raise LadderError(f"code length {code.n} does not match weights with n={n}")
     y = np.asarray(y, dtype=float)
     graph = build(n)
-    logx = np.log(x.values)
+    logx = np.log(x)
     out = (a - 1.5) * float(np.sum(logx))
     out += sum(logx[e] for e in indices_from_mask(tree_decode(code)))
-    vals = x.values.tolist()
+    vals = x.tolist()
     logv = np.log([sum(vals[e] for e, _ in incident) for incident in graph.incident])
     out -= (a + 0.5) * logv[graph.vertex(0, 1)] + a * logv[graph.vertex(0, 2)]
     for i in range(1, n):
@@ -386,8 +388,8 @@ def scaling_law_residual(gen: np.random.Generator, count: int) -> float:
         y = gen.normal(size=n)
         c = float(gen.uniform(0.05, 20.0))
         a = float(gen.uniform(0.76, 3.0))
-        base = log_phi(EdgeWeights(vals), y, "D" * n, a)
-        scaled = log_phi(EdgeWeights(c * vals), math.sqrt(c) * y, "D" * n, a)
+        base = log_phi(vals, y, "D" * n, a)
+        scaled = log_phi(c * vals, math.sqrt(c) * y, "D" * n, a)
         drop = -(3.5 * n + 1.0) * math.log(c)
         worst = max(worst, abs(scaled - base - drop) / max(1.0, abs(base)))
     return worst
@@ -406,7 +408,7 @@ def psi_forward(omega: SpinConfig) -> EnvironmentPoint:
                    math.exp(omega.zn + yfield[-1])]
     yvec = omega.sigma * np.exp(0.5 * yfield)
     return EnvironmentPoint(
-        x=EdgeWeights(vals, normalization="rung-zero-unit"),
+        x=EdgeWeights(vals),
         y=yvec,
         code=SpanningTreeCode(omega.t),
     )

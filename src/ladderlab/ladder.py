@@ -26,10 +26,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 TREE_STATES = "ABCD"
+ETA_MAX = 0.25  # largest |eta| of a coupling: 1/4 is the undeformed environment
 LOWER, UPPER, RUNGS = slice(1, None, 3), slice(2, None, 3), slice(0, None, 3)
 
 __all__ = [
     "InputRefused",
+    "ETA_MAX",
     "LOWER",
     "UPPER",
     "RUNGS",
@@ -38,6 +40,9 @@ __all__ = [
     "SpanningTreeCode",
     "build",
     "check_cells",
+    "check_weight",
+    "check_coupling",
+    "check_weights",
     "tree_decode",
     "tree_encode",
     "count_codes",
@@ -143,28 +148,46 @@ def _build(n: int) -> LadderGraph:
     )
 
 
+def check_weight(a: float, above: float = 0.0) -> float:
+    """``a``, or :class:`InputRefused` unless it is a finite initial weight
+    strictly above ``above``: 0 for the walk and the density, 1/2 for the
+    coupling kernel and its growth bound, 3/4 for the boundary vectors and
+    their bound."""
+    if not above < a < np.inf:
+        raise InputRefused(f"initial weight a must be finite and > {above}, got a={a!r}")
+    return a
+
+
+def check_coupling(eta: float) -> float:
+    """``eta``, or :class:`InputRefused` unless it is a coupling in
+    [-ETA_MAX, ETA_MAX]."""
+    if not -ETA_MAX <= eta <= ETA_MAX:
+        raise InputRefused(f"coupling eta must be in [-1/4, 1/4], got eta={eta!r}")
+    return eta
+
+
+def check_weights(x, n: int | None = None) -> np.ndarray:
+    """The weight vector ``x`` (an :class:`EdgeWeights` or array-like) as a
+    float array, or :class:`InputRefused` unless it holds finite, strictly
+    positive weights for some ladder, one with ``n`` cells if ``n`` is given."""
+    vals = np.asarray(x.values if isinstance(x, EdgeWeights) else x, dtype=float)
+    if vals.ndim != 1 or (vals.size - 1) % 3 != 0 or vals.size < 4:
+        raise InputRefused(f"weight vector length {vals.size} does not fit any ladder")
+    if not ((vals > 0.0) & (vals < np.inf)).all():
+        raise InputRefused("edge weights must be finite and strictly positive")
+    if n is not None and vals.size != 3 * n + 1:
+        raise InputRefused(f"weights are for n={(vals.size - 1) // 3}, requested n={n}")
+    return vals
+
+
 @dataclass(frozen=True)
 class EdgeWeights:
-    """Finite positive weights per edge plus a normalization tag.
-
-    Tags: ``rung-zero-unit`` (left rung has weight exactly 1) or ``none``.
-    """
+    """Finite positive weights per edge, 3n + 1 of them for ``n`` cells."""
 
     values: np.ndarray
-    normalization: str = "none"
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or (vals.size - 1) % 3 != 0 or vals.size < 4:
-            raise LadderError(f"weight vector length {vals.size} does not fit any ladder")
-        if not ((vals > 0.0) & (vals < np.inf)).all():
-            raise LadderError("edge weights must be finite and strictly positive")
-        if self.normalization == "rung-zero-unit":
-            if vals[0] != 1.0:
-                raise LadderError("rung-zero-unit weights must have left rung weight exactly 1")
-        elif self.normalization != "none":
-            raise LadderError(f"unknown normalization tag {self.normalization!r}")
+        object.__setattr__(self, "values", check_weights(self.values))
 
     @property
     def n(self) -> int:
@@ -342,13 +365,12 @@ def matrix_tree_count(n: int) -> int:
 
 def cycle_form(x: EdgeWeights | np.ndarray, y: Sequence[float]) -> float:
     """Quadratic form ``y A(x) y^t`` evaluated as an explicit sum of squares."""
-    if not isinstance(x, EdgeWeights):
-        x = EdgeWeights(np.asarray(x, dtype=float))
+    x = check_weights(x)
     y = np.asarray(y, dtype=float)
-    n = x.n
+    n = (x.size - 1) // 3
     if y.shape != (n,):
         raise LadderError(f"y has shape {y.shape}, expected ({n},)")
-    lower, upper, rungs = x.values[LOWER], x.values[UPPER], x.values[RUNGS]
+    lower, upper, rungs = x[LOWER], x[UPPER], x[RUNGS]
     total = y[0] ** 2 / rungs[0] + y[n - 1] ** 2 / rungs[n]
     for i in range(1, n + 1):
         total += y[i - 1] ** 2 * (1.0 / lower[i - 1] + 1.0 / upper[i - 1])

@@ -42,7 +42,7 @@ from ladderlab.environment import (  # noqa: F401 (middle_energy: see the module
     psi_forward,
     right_energy,
 )
-from ladderlab.ladder import EdgeWeights, InputRefused, LadderError, is_integer
+from ladderlab.ladder import EdgeWeights, InputRefused, LadderError, check_weight, is_integer
 from ladderlab.rng import RngSpec
 from ladderlab.stats import batch_means_error, effective_sample_size, linear_fit
 
@@ -87,10 +87,9 @@ class McmcConfig:
             raise InputRefused("need n >= 1")
         if not 0 <= self.deform_j <= self.n - 1:
             raise InputRefused(f"deform_j={self.deform_j} outside 0..{self.n - 1}")
-        if self.burn_in < 0 or self.thinning < 1 or self.samples < 1:
-            raise InputRefused("burn_in >= 0, thinning >= 1, samples >= 1 required")
-        if not self.a > 0:
-            raise InputRefused("initial weight a must be positive")
+        if self.burn_in < 0 or self.thinning < 1 or self.samples < 1 or self.debug_log_moves < 0:
+            raise InputRefused("burn_in >= 0, thinning >= 1, samples >= 1, debug_log_moves >= 0 required")
+        check_weight(self.a)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ladderlab.ladder import LOWER, UPPER, EdgeWeights, LadderError, build, check_cells
+from ladderlab.ladder import LOWER, UPPER, LadderError, build, check_cells, check_weights
 
 __all__ = ["ResistanceResult", "effective_resistance", "shorted_resistance", "escape_probability"]
 
@@ -38,15 +38,6 @@ class ResistanceResult:
     potentials: np.ndarray  # one entry per reduced node, far end last (grounded)
     harmonic_defect: float  # worst violation of current balance at interior nodes
     escape: float  # escape probability: conductance over the start vertex weight
-
-
-def _as_weights(x, n: int) -> EdgeWeights:
-    n = check_cells(n)
-    if not isinstance(x, EdgeWeights):
-        x = EdgeWeights(np.asarray(x, dtype=float))
-    if x.n != n:
-        raise LadderError(f"weights are for n={x.n}, requested n={n}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -94,10 +85,11 @@ def _plan(n: int) -> _Plan:
 
 def effective_resistance(x, n: int) -> ResistanceResult:
     """Resistance between the top-left corner and the shorted far end."""
-    x = _as_weights(x, n)
-    plan = _plan(x.n)
+    n = check_cells(n)
+    x = check_weights(x, n)
+    plan = _plan(n)
     size, source = plan.size, plan.source
-    lap = np.bincount(plan.flat, weights=x.values[plan.edge] * plan.sign,
+    lap = np.bincount(plan.flat, weights=x[plan.edge] * plan.sign,
                       minlength=size * size).reshape(size, size)
     rhs = np.zeros(size - 1)
     rhs[source] = 1.0
@@ -116,7 +108,7 @@ def effective_resistance(x, n: int) -> ResistanceResult:
     residual[-1] = 0.0
     defect = float(np.max(np.abs(residual)))
     conductance = 1.0 / resistance
-    escape = conductance / (x.values[plan.corner[0]] + x.values[plan.corner[1]])
+    escape = conductance / (x[plan.corner[0]] + x[plan.corner[1]])
     if not -1e-10 <= escape <= 1.0 + 1e-10:
         raise LadderError(f"escape probability {escape} outside [0, 1]")
     return ResistanceResult(
@@ -131,7 +123,7 @@ def effective_resistance(x, n: int) -> ResistanceResult:
 def shorted_resistance(x, n: int) -> float:
     """Resistance after also shorting every intermediate rung: the rungs
     become irrelevant and the levels act as resistors in series."""
-    v = _as_weights(x, n).values
+    v = check_weights(x, check_cells(n))
     # builtin sum, left to right over the levels: np.sum's pairwise order differs
     return float(sum((1.0 / (v[LOWER] + v[UPPER])).tolist()))
 

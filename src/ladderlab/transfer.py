@@ -103,7 +103,7 @@ import numpy as np
 
 from ladderlab.certificates import middle_growth_rate
 from ladderlab.environment import boundary_core_vec, tree_letter
-from ladderlab.ladder import InputRefused, LadderError, is_integer
+from ladderlab.ladder import ETA_MAX, InputRefused, LadderError, check_coupling, check_weight, is_integer
 
 __all__ = [
     "GridParams",
@@ -123,7 +123,6 @@ __all__ = [
 ]
 
 _STATE_BLOCKS = 8  # four tree letters times two signs
-_ETA_MAX = 0.25  # largest |eta| that assemble_kernel accepts
 
 
 def axis_rates(a: float) -> dict:
@@ -133,14 +132,13 @@ def axis_rates(a: float) -> dict:
     The negative cell side decays double-exponentially and is handled
     separately.
     """
-    if not a > 0.5:
-        raise LadderError(f"kernel truncation needs a > 1/2, got a={a}")
+    check_weight(a, 0.5)
     return {
-        "x_plus": 0.5 * (3 * a + 1) - 0.5 * (a + 0.5) - 0.25 - 0.5 * _ETA_MAX,
+        "x_plus": 0.5 * (3 * a + 1) - 0.5 * (a + 0.5) - 0.25 - 0.5 * ETA_MAX,
         "z_plus": (3 * a + 1) - (a + 0.5),
         "z_minus": a - 0.5,
-        "w": 0.5 * (3 * a + 1) - 0.5 - _ETA_MAX,
-        "x_minus_gain": 0.75 + 0.5 * _ETA_MAX,  # linear growth the tail must beat
+        "w": 0.5 * (3 * a + 1) - 0.5 - ETA_MAX,
+        "x_minus_gain": 0.75 + 0.5 * ETA_MAX,  # linear growth the tail must beat
     }
 
 
@@ -773,8 +771,7 @@ def assemble_kernel(grid: TransferGrid, a: float, eta: float, tag: str = "one",
     """
     if a != grid.a:  # build_grid checked the truncation box for grid.a only
         raise LadderError(f"a={a} on a grid built for a={grid.a}")
-    if not -_ETA_MAX <= eta <= _ETA_MAX:
-        raise LadderError(f"eta={eta} outside [-1/4, 1/4]")
+    check_coupling(eta)
     if tag not in ("one", "gamma"):
         raise LadderError(f"unknown kernel tag {tag!r}")
     if tag == "one":
@@ -896,9 +893,7 @@ def boundary_vector(grid: TransferGrid, a: float, side: str) -> np.ndarray:
     rung field, at every grid state (sign-independent)."""
     if side not in ("left", "right"):
         raise LadderError(f"side must be left or right, got {side!r}")
-    if not a > 0.75:
-        raise LadderError(f"boundary vectors need a > 3/4, got a={a}")
-    if a != grid.a:  # build_grid checked the truncation box for grid.a only
+    if check_weight(a, 0.75) != grid.a:  # build_grid checked the truncation box for grid.a only
         raise LadderError(f"a={a} on a grid built for a={grid.a}")
     x = grid.x_nodes
     xlo = x[:, None, None]
@@ -931,8 +926,9 @@ def log_mass(n: int, a: float) -> float:
     n = 2 and 3 were checked only by importance sampling, to 5e-4 in log
     at a = 1 and 2.  A non-integer n, a non-finite a and a log Z_n beyond
     the float range are refused."""
-    if not is_integer(n) or n < 1 or not 0 < a < math.inf:
-        raise InputRefused(f"need n >= 1 and a > 0, n an integer and a finite, got n={n!r}, a={a!r}")
+    if not is_integer(n) or n < 1:
+        raise InputRefused(f"need an integer n >= 1, got n={n!r}")
+    check_weight(a)
     try:
         out = ((3.5 * n + 1 - (3 * n + 1) * a) * math.log(2.0)
                + 0.5 * (3 * n + 1) * math.log(math.pi)

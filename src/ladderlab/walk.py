@@ -33,7 +33,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ladderlab.ladder import EdgeWeights, InputRefused, LadderError, LadderGraph, build
+from ladderlab.ladder import (EdgeWeights, InputRefused, LadderError, LadderGraph, build, check_weight,
+                              check_weights)
 from ladderlab.rng import RngSpec, _stream_states
 from ladderlab.stats import linear_fit
 
@@ -104,9 +105,7 @@ def _step_table(n: int, stops: tuple[int, ...] = ()) -> tuple[tuple[int, ...], .
 
 def _check_reinforced(a: float, steps: int) -> None:
     """Refuse a reinforced walk whose weights could pass ``_MAX_WEIGHT``."""
-    if not a > 0:
-        raise InputRefused(f"initial weight must be positive, got a={a}")
-    if a > _MAX_WEIGHT - steps:
+    if check_weight(a) > _MAX_WEIGHT - steps:
         raise InputRefused(f"a + steps = {a} + {steps} exceeds 2**50: reinforcement would stall")
 
 
@@ -189,9 +188,7 @@ def errw_run(graph: LadderGraph, a: float, steps: int, start: int, rng: RngSpec)
 
 def rwre_run(graph: LadderGraph, x: EdgeWeights, steps: int, start: int, rng: RngSpec) -> WalkTrace:
     """Run the fixed-weight (reversible) walk for ``steps`` steps."""
-    if x.n != graph.n:
-        raise LadderError(f"weights are for n={x.n}, graph has n={graph.n}")
-    return _trace_run(graph, x.values.tolist(), None, steps, start, rng)
+    return _trace_run(graph, check_weights(x, graph.n).tolist(), None, steps, start, rng)
 
 
 def path_probability_errw(graph: LadderGraph, path: Sequence, a) -> Fraction | float:
@@ -281,14 +278,13 @@ def escape_frequency(graph: LadderGraph, x: EdgeWeights, rng: RngSpec, replicas:
                      step_cap: int = 10_000_000) -> float:
     """Monte Carlo frequency of reaching the far end before returning to the
     start vertex, for the fixed-weight walk started at the top-left corner."""
-    if x.n != graph.n:
-        raise LadderError(f"weights are for n={x.n}, graph has n={graph.n}")
+    w = check_weights(x, graph.n).tolist()
     if replicas < 1:
         raise LadderError(f"need replicas >= 1, got {replicas}")
     start = graph.vertex(0, 2)
     stops = (start,) + tuple(v for v in range(graph.num_vertices) if v >> 1 >= graph.n)
     table = _step_table(graph.n, stops)
-    w, k = x.values.tolist(), [0] * graph.num_edges  # crossings are not reported
+    k = [0] * graph.num_edges  # crossings are not reported
     escapes = 0
     for uniforms in _replica_uniforms(rng, replicas):
         pos, taken = _advance(table, w, k, 1, start, step_cap, uniforms)

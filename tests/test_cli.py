@@ -433,6 +433,9 @@ def test_json_output_is_strict(tmp_path, args):
     (["simulate", "--n", "1", "--steps", "10", "--a", "1e16"], "exceeds 2**50"),
     (["chain-stats", "--n", "8", "--i", "8", "--grid", "small"], "1 <= i < n"),
     (["sample-env", "--n", "4", "--deform-j", "4", "--samples", "10"], "deform_j=4 outside"),
+    # the coupling kernel needs a > 1/2: the weight's gate refuses 0.4 before any grid is built
+    (["spectrum", "--grid", "small", "--a", "0.4"], "a must be finite and > 0.5"),
+    (["chain-stats", "--grid", "small", "--a", "0.4"], "a must be finite and > 0.5"),
 ])
 def test_out_of_range_values_write_a_failure_report(tmp_path, args, message):
     # the library refuses these inputs before any check runs: exit 2, like a

@@ -391,7 +391,7 @@ def test_psi_forward_zero_config():
     p = psi_forward(zero_spin(2))
     assert np.allclose(p.x.values, 1.0)
     assert np.allclose(p.y, 1.0)
-    assert p.x.normalization == "rung-zero-unit"
+    assert p.x.values[0] == 1.0
 
 
 def test_psi_forward_example():
@@ -411,7 +411,7 @@ def test_psi_forward_rejects_forbidden():
 
 
 def test_psi_inverse_unit_point():
-    x = EdgeWeights(np.ones(7), normalization="rung-zero-unit")
+    x = EdgeWeights(np.ones(7))
     p = EnvironmentPoint(x=x, y=np.ones(2), code=SpanningTreeCode("CC"))
     omega = psi_inverse(p)
     assert omega.z0 == 0.0
@@ -496,11 +496,11 @@ def test_w_accessor_matches_y_ratio():
 
 
 def test_environment_point_validation():
-    x = EdgeWeights(np.ones(4), normalization="rung-zero-unit")
+    x = EdgeWeights(np.ones(4))
     with pytest.raises(LadderError):
         EnvironmentPoint(x=x, y=np.zeros(1), code=SpanningTreeCode("A"))
-    bad = EdgeWeights(np.ones(4))
-    with pytest.raises(LadderError):
+    bad = EdgeWeights(np.array([0.9, 1.0, 1.0, 1.0]))  # the left rung is pinned to 1
+    with pytest.raises(LadderError, match="left rung weight exactly 1"):
         EnvironmentPoint(x=bad, y=np.ones(1), code=SpanningTreeCode("A"))
 
 

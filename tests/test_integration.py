@@ -77,10 +77,9 @@ def test_sampled_environment_decay(batch_n8):
     assert np.all(np.diff(med) < 0)
 
 
-def test_environment_weights_always_tagged(batch_n8):
+def test_environment_weights_always_pin_the_left_rung(batch_n8):
     for k in (0, 7, 123):
         x = mcmc.environment_from_spin(batch_n8.spin(k))
-        assert x.normalization == "rung-zero-unit"
         assert x.values[0] == 1.0
 
 

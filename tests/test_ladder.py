@@ -1,4 +1,6 @@
 import itertools
+import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -248,15 +250,6 @@ def test_edge_weights_reject_non_finite_values(bad):
         EdgeWeights(np.array([1.0, bad, 1.0, 1.0]))
 
 
-def test_edge_weights_tags():
-    with pytest.raises(LadderError):
-        EdgeWeights(np.full(4, 0.25), normalization="simplex")
-    with pytest.raises(LadderError):
-        EdgeWeights(np.array([0.9, 1.0, 1.0, 1.0]), normalization="rung-zero-unit")
-    w = EdgeWeights(np.array([1.0, 2.0, 3.0, 4.0]), normalization="rung-zero-unit")
-    assert w.normalization == "rung-zero-unit"
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 def test_edge_layout_slices_pick_the_labelled_edges(n):
     kinds = np.array([kind for kind, _, _ in build(n).edges])
@@ -274,3 +267,113 @@ def test_edge_weight_accessors_refuse_levels_off_the_ladder():
         for i in bad:
             with pytest.raises(LadderError, match="outside"):
                 read(i)
+
+
+# ---------------------------------------------------------------------------
+# one gate per model input: every entry point refuses the same parameters
+
+
+@lru_cache(maxsize=1)
+def _small_grid():
+    from ladderlab.transfer import GridParams, build_grid
+    return build_grid(GridParams(nx_core=8, nx_tail=4, nz_core=24, nz_tail=8, nv=24, nzb=48), a=1.0)
+
+
+def _initial_weight_entry(name):
+    """The call of entry point ``name`` with initial weight a, and its gate."""
+    from ladderlab import certificates, environment, mcmc, transfer, walk
+    from ladderlab.rng import RngSpec
+
+    return {
+        "McmcConfig": (lambda a: mcmc.McmcConfig(n=2, a=a), 0.0),
+        "errw_run": (lambda a: walk.errw_run(build(2), a, 10, 0, RngSpec(1)), 0.0),
+        "returns_before_far_end_detailed":
+            (lambda a: walk.returns_before_far_end_detailed([2], a, 1, RngSpec(1), 2), 0.0),
+        "log_phi": (lambda a: environment.log_phi(np.ones(4), [1.0], "C", a), 0.0),
+        "log_mass": (lambda a: transfer.log_mass(2, a), 0.0),
+        "axis_rates": (transfer.axis_rates, 0.5),
+        "build_grid": (lambda a: transfer.build_grid(a=a), 0.5),
+        "middle_growth_rate": (certificates.middle_growth_rate, 0.5),
+        "check_middle_bound": (lambda a: certificates.check_middle_bound(10, a, 0.0), 0.5),
+        "boundary_vector": (lambda a: transfer.boundary_vector(_small_grid(), a, "left"), 0.75),
+        "boundary_growth_rate": (certificates.boundary_growth_rate, 0.75),
+        "check_boundary_bound": (lambda a: certificates.check_boundary_bound(10, a, "left"), 0.75),
+    }[name]
+
+
+def _coupling_entry(name):
+    from ladderlab import certificates, transfer
+
+    return {
+        "assemble_kernel": lambda eta: transfer.assemble_kernel(_small_grid(), 1.0, eta),
+        "check_middle_bound": lambda eta: certificates.check_middle_bound(10, 1.0, eta),
+    }[name]
+
+
+def _weight_vector_entry(name):
+    """The call of entry point ``name`` with a weight vector."""
+    from ladderlab import environment, network, walk
+    from ladderlab.rng import RngSpec
+
+    return {
+        "EdgeWeights": EdgeWeights,
+        "cycle_form": lambda x: cycle_form(x, [1.0]),
+        "log_phi": lambda x: environment.log_phi(x, [1.0], "C", 1.0),
+        "effective_resistance": lambda x: network.effective_resistance(x, 1),
+        "shorted_resistance": lambda x: network.shorted_resistance(x, 1),
+        "escape_probability": lambda x: network.escape_probability(x, 1),
+        "rwre_run": lambda x: walk.rwre_run(build(1), x, 10, 0, RngSpec(1)),
+        "escape_frequency": lambda x: walk.escape_frequency(build(1), x, RngSpec(1), 5),
+    }[name]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every scan, kernel assembly and walk step fails the test if it starts."""
+    from ladderlab import certificates, transfer, walk
+
+    def fail(*_):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(certificates, "_uniform_blocks", fail)
+    monkeypatch.setattr(transfer, "_cell_pair_table", fail)
+    monkeypatch.setattr(walk, "_advance", fail)
+
+
+@pytest.mark.parametrize("name", ["McmcConfig", "errw_run", "returns_before_far_end_detailed", "log_phi",
+                                  "log_mass", "axis_rates", "build_grid", "middle_growth_rate",
+                                  "check_middle_bound", "boundary_vector", "boundary_growth_rate",
+                                  "check_boundary_bound"])
+@pytest.mark.parametrize("a", [math.nan, math.inf, -1.0, 0.0, "gate", "below the gate"])
+def test_entry_points_refuse_the_same_parameters(no_work, name, a):
+    # a = inf used to pass McmcConfig, build_grid, log_phi and both bound scans
+    call, gate = _initial_weight_entry(name)
+    a = {"gate": gate, "below the gate": math.nextafter(gate, -math.inf)}.get(a, a)
+    if name == "check_boundary_bound" and a == 0.75:
+        with pytest.raises(AssertionError, match="work started"):  # the critical case's scan
+            call(a)
+        return
+    with pytest.raises(InputRefused, match=f"initial weight a must be finite and > {gate}"):
+        call(a)
+
+
+@pytest.mark.parametrize("name", ["assemble_kernel", "check_middle_bound"])
+@pytest.mark.parametrize("eta", [math.nan, -0.26, 0.26, math.inf])
+def test_entry_points_refuse_the_same_couplings(no_work, name, eta):
+    with pytest.raises(InputRefused, match="coupling eta must be in"):
+        _coupling_entry(name)(eta)
+
+
+_BAD_VECTORS = [[1.0, math.nan, 1.0, 1.0], [1.0, math.inf, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0],
+                [1.0, -1.0, 1.0, 1.0], np.ones(5), np.ones((2, 4))]
+
+
+@pytest.mark.parametrize("name, x", [
+    *((name, x) for name in ("EdgeWeights", "cycle_form", "log_phi") for x in _BAD_VECTORS),
+    # the calls that name the ladder size (n = 1) also refuse valid weights for n = 2
+    *((name, x) for name in ("effective_resistance", "shorted_resistance", "escape_probability",
+                             "rwre_run", "escape_frequency") for x in _BAD_VECTORS + [np.ones(7)]),
+])
+def test_entry_points_refuse_the_same_weight_vectors(no_work, name, x):
+    with pytest.raises(InputRefused):
+        _weight_vector_entry(name)(x)

@@ -267,12 +267,10 @@ def test_environment_from_spin():
         t="CCC", z=np.zeros(2), gamma=np.zeros(2), zn=0.0,
     )
     w = environment_from_spin(zero)
-    assert w.normalization == "rung-zero-unit"
     assert np.allclose(w.values, 1.0)
     batch = small_batch(n=3, samples=20, seed=53)
     w2 = environment_from_spin(batch.spin(5))
-    assert w2.normalization == "rung-zero-unit"
-    assert np.all(w2.values > 0)
+    assert w2.values[0] == 1.0 and np.all(w2.values > 0)
 
 
 def test_config_validation():
@@ -282,6 +280,9 @@ def test_config_validation():
         McmcConfig(n=4, a=1.0, deform_j=4)
     with pytest.raises(LadderError):
         McmcConfig(n=4, a=-1.0)
+    # a negative move-log length used to pass and log nothing
+    with pytest.raises(InputRefused, match="debug_log_moves >= 0"):
+        McmcConfig(n=2, a=1.0, debug_log_moves=-3)
 
 
 @pytest.mark.parametrize("name", ["n", "deform_j", "burn_in", "thinning", "samples",

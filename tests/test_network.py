@@ -119,7 +119,7 @@ def test_inequality_chain_unit_start():
         n = int(rng.integers(1, 10))
         vals = np.exp(rng.uniform(-2.5, 2.5, size=3 * n + 1))
         vals[0] = 1.0
-        x = EdgeWeights(vals, normalization="rung-zero-unit")
+        x = EdgeWeights(vals)
         q = escape_probability(x, n)
         c = effective_resistance(x, n).conductance
         inv_short = 1.0 / shorted_resistance(x, n)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ladderlab.ladder import EdgeWeights, LadderError, build
+from ladderlab.ladder import EdgeWeights, InputRefused, LadderError, build
 from ladderlab.network import escape_probability
 from ladderlab.rng import RngSpec
 from ladderlab.walk import (
@@ -381,9 +381,11 @@ def test_return_episodes_match_reference_loop(a):
 def test_reinforcement_past_2_to_the_50_is_refused():
     # at a >= 2**53, w + 1.0 == w: the walk would run unreinforced
     g = build(1)
-    for a, steps in ((2.0 ** 53, 10), (2.0 ** 50 - 9, 10), (math.inf, 0)):
+    for a, steps in ((2.0 ** 53, 10), (2.0 ** 50 - 9, 10)):
         with pytest.raises(LadderError, match=r"exceeds 2\*\*50"):
             errw_run(g, a, steps, 0, RngSpec(1))
+    with pytest.raises(InputRefused, match="a must be finite"):  # the weight's own gate
+        errw_run(g, math.inf, 0, 0, RngSpec(1))
     trace = errw_run(g, 2.0 ** 50 - 10, 10, 0, RngSpec(1))  # the largest weight is 2**50
     assert trace.local_times.sum() == 10
     assert trace.local_times.tolist() == _reference_run(
@@ -411,7 +413,7 @@ def test_escape_frequency_refuses_weights_for_another_ladder(monkeypatch):
 
     monkeypatch.setattr(walk, "_advance", no_walk)
     for n in (4, 10):  # shorter and longer weight vectors than n = 8 needs
-        with pytest.raises(LadderError, match=f"weights are for n={n}, graph has n=8"):
+        with pytest.raises(LadderError, match=f"weights are for n={n}, requested n=8"):
             escape_frequency(build(8), EdgeWeights(np.ones(3 * n + 1)), RngSpec(71), 5)
 
 

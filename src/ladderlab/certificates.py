@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from ladderlab.environment import boundary_core_vec, h_exp1, h_linear, middle_energy
-from ladderlab.ladder import InputRefused, LadderError, check_coupling, check_weight, is_integer
+from ladderlab.ladder import InputRefused, LadderError, check_coupling, check_int, check_weight
 from ladderlab.rng import RngSpec
 
 STATES = "ABCD"
@@ -360,8 +360,7 @@ def _scan(name: str, details: dict, block_min, per_point: int, dims: int,
     non-integer or negative ``samples``, a ``radius`` that is not finite and
     positive and a ``grid_step`` that is NaN, negative or infinite are
     refused before any point is drawn."""
-    if not is_integer(samples) or samples < 0:
-        raise InputRefused(f"{name}: samples must be >= 0 and an integer, got {samples!r}")
+    samples = check_int(samples, "samples", 0)
     if not 0 < radius < math.inf:
         raise InputRefused(f"{name}: radius must be finite and > 0, got {radius!r}")
     if not 0 <= grid_step < math.inf:

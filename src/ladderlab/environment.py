@@ -23,6 +23,7 @@ from ladderlab.ladder import (
     LadderError,
     SpanningTreeCode,
     build,
+    check_int,
     check_weight,
     check_weights,
     cycle_form,
@@ -329,8 +330,7 @@ def h_total(omega: SpinConfig, a: float, deform_j: int = 0) -> float:
     """Total chain energy; the first ``deform_j`` couplings lose the
     separation term (coupling 0 instead of 1/4)."""
     n = omega.n
-    if not 0 <= deform_j <= n - 1:
-        raise LadderError(f"deform_j={deform_j} outside 0..{n - 1}")
+    deform_j = check_int(deform_j, "deform_j", 0, n - 1)
     total = left_energy(omega.z0, float(omega.xlo[0]), float(omega.xhi[0]), T_TO_INT[omega.t[0]], a)
     for i in range(n - 1):
         eta = 0.0 if i < deform_j else 0.25

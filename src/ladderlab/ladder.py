@@ -39,7 +39,7 @@ __all__ = [
     "EdgeWeights",
     "SpanningTreeCode",
     "build",
-    "check_cells",
+    "check_int",
     "check_weight",
     "check_coupling",
     "check_weights",
@@ -84,25 +84,16 @@ class LadderGraph:
         return 3 * self.n + 1
 
     def rung_index(self, i: int) -> int:
-        if not 0 <= i <= self.n:
-            raise LadderError(f"rung level {i} outside 0..{self.n}")
-        return 3 * i
+        return 3 * check_int(i, "i", 0, self.n)
 
     def lower_index(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise LadderError(f"lower edge level {i} outside 1..{self.n}")
-        return 3 * i - 2
+        return 3 * check_int(i, "i", 1, self.n) - 2
 
     def upper_index(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise LadderError(f"upper edge level {i} outside 1..{self.n}")
-        return 3 * i - 1
+        return 3 * check_int(i, "i", 1, self.n) - 1
 
     def vertex(self, i: int, level: int) -> int:
-        if not 0 <= i <= self.n or level not in (1, 2):
-            raise InputRefused(f"vertex ({i}, {level}) not on the ladder: "
-                               f"need level 0..{self.n} and rail 1 or 2")
-        return vertex_index(i, level)
+        return vertex_index(check_int(i, "i", 0, self.n), check_int(level, "level", 1, 2))
 
     def edge_between(self, u: int, v: int) -> int:
         for e, w in self.incident[u]:
@@ -111,23 +102,20 @@ class LadderGraph:
         raise LadderError(f"vertices {u} and {v} are not adjacent")
 
 
-def is_integer(v) -> bool:
-    """True for a Python or NumPy integer that is not a bool: the counts
-    every entry point accepts."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def check_cells(n: int) -> int:
-    """``n`` as a plain int, or :class:`LadderError` unless it is an integer
-    (not a bool) of at least one cell."""
-    if not is_integer(n) or n < 1:
-        raise LadderError(f"ladder needs at least one cell, got n={n!r}")
-    return int(n)
+def check_int(value, name: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as a plain int, or :class:`InputRefused` unless it is a
+    Python or NumPy integer (not a bool) in ``lo..hi`` (``>= lo`` when ``hi``
+    is None): the one rule for every count and index an entry point takes."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if lo <= value and (hi is None or value <= hi):
+            return int(value)
+    span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    raise InputRefused(f"{name}={value!r} outside the range: {name} must be {span} and an integer")
 
 
 def build(n: int) -> LadderGraph:
     """The ladder with ``n`` cells (``n >= 1``), built once per size."""
-    return _build(check_cells(n))
+    return _build(check_int(n, "n", 1))
 
 
 @lru_cache(maxsize=64)
@@ -308,8 +296,7 @@ def tree_encode(tree: int | Iterable[int], n: int) -> SpanningTreeCode:
 
 def count_codes(n: int) -> int:
     """Number of valid tree codes of length ``n`` (exact integer)."""
-    if n < 1:
-        raise LadderError(f"need n >= 1, got {n}")
+    n = check_int(n, "n", 1)
     # counts by final letter; only the pair AB is forbidden
     per_state = {s: 1 for s in TREE_STATES}
     for _ in range(n - 1):

@@ -42,7 +42,7 @@ from ladderlab.environment import (  # noqa: F401 (middle_energy: see the module
     psi_forward,
     right_energy,
 )
-from ladderlab.ladder import EdgeWeights, InputRefused, LadderError, check_weight, is_integer
+from ladderlab.ladder import EdgeWeights, InputRefused, LadderError, check_int, check_weight
 from ladderlab.rng import RngSpec
 from ladderlab.stats import batch_means_error, effective_sample_size, linear_fit
 
@@ -80,15 +80,10 @@ class McmcConfig:
     debug_log_moves: int = 0
 
     def __post_init__(self):
-        for name in ("n", "deform_j", "burn_in", "thinning", "samples", "debug_log_moves"):
-            if not is_integer(getattr(self, name)):
-                raise InputRefused(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n < 1:
-            raise InputRefused("need n >= 1")
-        if not 0 <= self.deform_j <= self.n - 1:
-            raise InputRefused(f"deform_j={self.deform_j} outside 0..{self.n - 1}")
-        if self.burn_in < 0 or self.thinning < 1 or self.samples < 1 or self.debug_log_moves < 0:
-            raise InputRefused("burn_in >= 0, thinning >= 1, samples >= 1, debug_log_moves >= 0 required")
+        object.__setattr__(self, "n", check_int(self.n, "n", 1))
+        for name, lo, hi in (("deform_j", 0, self.n - 1), ("burn_in", 0, None), ("thinning", 1, None),
+                             ("samples", 1, None), ("debug_log_moves", 0, None)):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, lo, hi))
         check_weight(self.a)
 
 
@@ -429,9 +424,7 @@ def observable(batch: SampleBatch, name: str, i: int | None = None) -> np.ndarra
                "log_y_ratio": batch.gamma}
     if name not in columns:
         raise LadderError(f"unknown observable {name!r}")
-    last = columns[name].shape[1]  # n per cell field; n - 1 per rung field and log_y_ratio
-    if i is None or not 1 <= i <= last:
-        raise LadderError(f"{name} index {i} outside 1..{last}")
+    i = check_int(i, "i", 1, columns[name].shape[1])  # to n on a cell field, n - 1 on a rung field
     if name == "log_y_ratio":
         u = 0.5 * (batch.xlo + batch.xhi)
         return -0.5 * (batch.gamma[:, i - 1] + u[:, i] - u[:, i - 1])
@@ -484,9 +477,7 @@ def sign_disagreement_rate(batch: SampleBatch, i: int) -> dict:
     """Sign disagreement rate across rung ``i`` plus the residual of the
     exact flip identity: the rate equals the mean of a double-exponential
     weight on sign agreement."""
-    n = batch.config.n
-    if not 1 <= i <= n - 1:
-        raise LadderError(f"rung index {i} outside 1..{n - 1}")
+    i = check_int(i, "i", 1, batch.config.n - 1)
     dis = (batch.sigma[:, i - 1] != batch.sigma[:, i]).astype(float)
     agree = 1.0 - dis
     weight = np.exp(-2.0 * np.exp(-batch.z[:, i - 1]))

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ladderlab.ladder import LOWER, UPPER, LadderError, build, check_cells, check_weights
+from ladderlab.ladder import LOWER, UPPER, LadderError, build, check_int, check_weights
 
 __all__ = ["ResistanceResult", "effective_resistance", "shorted_resistance", "escape_probability"]
 
@@ -85,7 +85,7 @@ def _plan(n: int) -> _Plan:
 
 def effective_resistance(x, n: int) -> ResistanceResult:
     """Resistance between the top-left corner and the shorted far end."""
-    n = check_cells(n)
+    n = check_int(n, "n", 1)
     x = check_weights(x, n)
     plan = _plan(n)
     size, source = plan.size, plan.source
@@ -123,7 +123,7 @@ def effective_resistance(x, n: int) -> ResistanceResult:
 def shorted_resistance(x, n: int) -> float:
     """Resistance after also shorting every intermediate rung: the rungs
     become irrelevant and the levels act as resistors in series."""
-    v = check_weights(x, check_cells(n))
+    v = check_weights(x, check_int(n, "n", 1))
     # builtin sum, left to right over the levels: np.sum's pairwise order differs
     return float(sum((1.0 / (v[LOWER] + v[UPPER])).tolist()))
 

@@ -62,8 +62,6 @@ def batch_means_error(samples) -> float:
     b = max(2, int(math.sqrt(m)))
     nblocks = m // b
     blocks = x[: nblocks * b].reshape(nblocks, b).mean(axis=1)
-    if nblocks < 2:
-        return float("inf")
     return float(blocks.std(ddof=1) / math.sqrt(nblocks))
 
 

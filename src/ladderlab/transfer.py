@@ -103,7 +103,7 @@ import numpy as np
 
 from ladderlab.certificates import middle_growth_rate
 from ladderlab.environment import boundary_core_vec, tree_letter
-from ladderlab.ladder import ETA_MAX, InputRefused, LadderError, check_coupling, check_weight, is_integer
+from ladderlab.ladder import ETA_MAX, InputRefused, LadderError, check_coupling, check_int, check_weight
 
 __all__ = [
     "GridParams",
@@ -186,10 +186,13 @@ class GridParams:
         )
 
 
+_NODE_COUNTS = ("nx_core", "nx_tail", "nz_core", "nz_tail", "nv", "nzb")
+
+
 def _panel_gauss(panels) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = [], []
     for lo, hi, count in panels:
-        if hi <= lo or count < 1:
+        if hi <= lo:
             raise LadderError(f"bad quadrature panel ({lo}, {hi}, {count})")
         n, w = np.polynomial.legendre.leggauss(count)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -247,8 +250,9 @@ def build_grid(params: GridParams | None = None, a: float = 1.0) -> TransferGrid
     per-axis decay rates; too-small radii are rejected with the minimal
     admissible radius in the message."""
     params = params or GridParams()
+    params = replace(params, **{name: check_int(getattr(params, name), name, 1) for name in _NODE_COUNTS})
     if params.nx < 8 or params.nz < 8 or params.nv < 8:
-        raise LadderError("need at least 8 nodes per continuous axis")
+        raise InputRefused("need at least 8 nodes per continuous axis")
     eps = params.eps
     budget = math.log(1.0 / eps) + 2.0  # two extra e-folds of safety
     rates = axis_rates(a)
@@ -278,7 +282,7 @@ def build_grid(params: GridParams | None = None, a: float = 1.0) -> TransferGrid
         elif have < need:
             problems.append(f"{key} >= {need:.2f}")
     if problems:
-        raise LadderError("truncation too small for eps=%g; need %s" % (eps, ", ".join(problems)))
+        raise InputRefused("truncation too small for eps=%g; need %s" % (eps, ", ".join(problems)))
     if not params.x_lo < params.x_break < params.x_hi:
         raise LadderError("cell panel break must sit inside the box")
     if not params.z_lo < params.z_break < params.z_hi:
@@ -769,11 +773,11 @@ def assemble_kernel(grid: TransferGrid, a: float, eta: float, tag: str = "one",
     plain operator at the same (grid, a, eta), passed as ``plain``: the
     commutator reads its cores, and the side profiles are its own.
     """
+    if tag not in ("one", "gamma"):
+        raise InputRefused(f"unknown kernel tag {tag!r}")
     if a != grid.a:  # build_grid checked the truncation box for grid.a only
         raise LadderError(f"a={a} on a grid built for a={grid.a}")
     check_coupling(eta)
-    if tag not in ("one", "gamma"):
-        raise LadderError(f"unknown kernel tag {tag!r}")
     if tag == "one":
         return OperatorMatrix(grid=grid, a=a, eta=eta, tag=tag, sym=_core_sums(grid, a, eta, 0),
                               left=_side_profiles(grid, a, eta, primed=False),
@@ -926,8 +930,7 @@ def log_mass(n: int, a: float) -> float:
     n = 2 and 3 were checked only by importance sampling, to 5e-4 in log
     at a = 1 and 2.  A non-integer n, a non-finite a and a log Z_n beyond
     the float range are refused."""
-    if not is_integer(n) or n < 1:
-        raise InputRefused(f"need an integer n >= 1, got n={n!r}")
+    n = check_int(n, "n", 1)
     check_weight(a)
     try:
         out = ((3.5 * n + 1 - (3 * n + 1) * a) * math.log(2.0)
@@ -1001,11 +1004,11 @@ def chain_expectation(ctx: TransferContext, n: int, j: int, i: int,
     n products in all.  The images are scaled by their max norms on the way,
     which the ratio cancels; with ``tag='one'`` K_mid is K_i and the ratio is
     exactly 1."""
-    if not (1 <= i <= n - 1 and 0 <= j <= n - 1 and n >= 2):
-        raise InputRefused(f"need 1 <= i < n and 0 <= j < n, got n={n}, j={j}, i={i}")
+    n = check_int(n, "n", 2)
+    j, i = check_int(j, "j", 0, n - 1), check_int(i, "i", 1, n - 1)
+    k_mid = ctx.op(0.0 if i <= j else 0.25, tag)  # first: assemble_kernel refuses an unknown tag
     ops = [ctx.op(0.0 if m <= j else 0.25) for m in range(1, n)]
     k_i = ops[i - 1]
-    k_mid = ctx.op(k_i.eta, tag)
     prefix = _scaled_images(ctx.gl_u, [op.vecmat for op in ops[:i - 1]])[0][-1]
     suffix = _scaled_images(ctx.gr_u, [op.matvec for op in reversed(ops[i:])])[0][-1]
     den = float(k_i.vecmat(prefix) @ suffix)
@@ -1018,8 +1021,7 @@ def sigma_moment_profile(ctx: TransferContext, n: int) -> np.ndarray:
     """log separation moment for every j in 0..n-1, in one pass: the mean of
     the exponential separation weight over the first j rungs is
     exp(profile[j])."""
-    if n < 1:
-        raise LadderError(f"need n >= 1, got n={n}")
+    n = check_int(n, "n", 1)
     pre_vecs, pre_logs = _scaled_images(ctx.gl_u, [ctx.op(0.0).vecmat] * (n - 1))
     suf_vecs, suf_logs = _scaled_images(ctx.gr_u, [ctx.op(0.25).matvec] * (n - 1))
     out = np.empty(n)

@@ -33,8 +33,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ladderlab.ladder import (EdgeWeights, InputRefused, LadderError, LadderGraph, build, check_weight,
-                              check_weights)
+from ladderlab.ladder import (EdgeWeights, InputRefused, LadderError, LadderGraph, build, check_int,
+                              check_weight, check_weights)
 from ladderlab.rng import RngSpec, _stream_states
 from ladderlab.stats import linear_fit
 
@@ -166,8 +166,7 @@ def _advance(table, w: list[float], acc: list, d, pos: int, budget: int,
 def _trace_run(graph: LadderGraph, w: list[float], a: float | None, steps: int, start: int,
                rng: RngSpec) -> WalkTrace:
     """A walk of ``steps`` steps from weights ``w``, reinforced unless ``a`` is None."""
-    if not 0 <= start < graph.num_vertices:
-        raise LadderError(f"start vertex {start} outside the graph")
+    start = check_int(start, "start", 0, graph.num_vertices - 1)
     acc, d = (w, 1.0) if a is not None else ([0] * graph.num_edges, 1)
     pos, _ = _advance(_step_table(graph.n), w, acc, d, start, steps, _Uniforms(rng.generator()))
     k = np.array(acc, dtype=np.int64) if a is None else np.rint(np.array(w) - a).astype(np.int64)
@@ -182,19 +181,24 @@ def _trace_run(graph: LadderGraph, w: list[float], a: float | None, steps: int, 
 
 def errw_run(graph: LadderGraph, a: float, steps: int, start: int, rng: RngSpec) -> WalkTrace:
     """Run the reinforced walk for ``steps`` steps (``a + steps <= 2**50``)."""
+    steps = check_int(steps, "steps", 0)
     _check_reinforced(a, steps)
     return _trace_run(graph, [float(a)] * graph.num_edges, float(a), steps, start, rng)
 
 
 def rwre_run(graph: LadderGraph, x: EdgeWeights, steps: int, start: int, rng: RngSpec) -> WalkTrace:
     """Run the fixed-weight (reversible) walk for ``steps`` steps."""
+    steps = check_int(steps, "steps", 0)
     return _trace_run(graph, check_weights(x, graph.n).tolist(), None, steps, start, rng)
 
 
 def path_probability_errw(graph: LadderGraph, path: Sequence, a) -> Fraction | float:
     """Exact probability that the reinforced walk follows the given vertex
-    path; rational arithmetic when ``a`` is rational and the path is short."""
-    verts = [v if isinstance(v, (int, np.integer)) else graph.vertex(*v) for v in path]
+    path, given as vertex indices or ``(i, level)`` pairs; rational
+    arithmetic when ``a`` is rational and the path is short."""
+    last = graph.num_vertices - 1
+    verts = [graph.vertex(*v) if isinstance(v, (tuple, list)) else check_int(v, "vertex", 0, last)
+             for v in path]
     if len(verts) < 2:
         return Fraction(1) if isinstance(a, (int, Fraction)) else 1.0
     exact = isinstance(a, (int, Fraction)) and len(verts) <= 33
@@ -249,9 +253,11 @@ def returns_before_far_end_detailed(levels: Sequence[int], a: float, k_cap: int,
     pending levels, the conservative resolution; one that reached ``k_cap``
     returns is decided even on its last allowed step, as no later step can
     change a capped count.  ``a + step_cap`` may be at most 2**50."""
-    levels = [int(v) for v in levels]
-    if not levels or min(levels) < 1 or k_cap < 1 or replicas < 1:
-        raise LadderError("need one or more levels, all >= 1, k_cap >= 1 and replicas >= 1")
+    levels = [check_int(v, "level", 1) for v in levels]
+    if not levels:
+        raise InputRefused("need one or more levels")
+    k_cap, replicas = check_int(k_cap, "k_cap", 1), check_int(replicas, "replicas", 1)
+    step_cap = check_int(step_cap, "step_cap", 1)
     _check_reinforced(a, step_cap)
     graph = build(max(levels))
     # stop at every return and on first reaching the lowest pending level
@@ -279,8 +285,7 @@ def escape_frequency(graph: LadderGraph, x: EdgeWeights, rng: RngSpec, replicas:
     """Monte Carlo frequency of reaching the far end before returning to the
     start vertex, for the fixed-weight walk started at the top-left corner."""
     w = check_weights(x, graph.n).tolist()
-    if replicas < 1:
-        raise LadderError(f"need replicas >= 1, got {replicas}")
+    replicas, step_cap = check_int(replicas, "replicas", 1), check_int(step_cap, "step_cap", 1)
     start = graph.vertex(0, 2)
     stops = (start,) + tuple(v for v in range(graph.num_vertices) if v >> 1 >= graph.n)
     table = _step_table(graph.n, stops)
@@ -359,13 +364,14 @@ def profile_experiment(n: int, a: float, steps: int, replicas: int, rng: RngSpec
     ``replicas >= 1``, the fit range, clipped to ``n``, holds two or more
     levels of 1..n and ``a + steps`` is at most 2**50.
     """
+    n, steps = check_int(n, "n", 1), check_int(steps, "steps", 0)
     _check_reinforced(a, steps)
-    if replicas < 1:
-        raise InputRefused(f"need replicas >= 1, got {replicas}")
+    replicas = check_int(replicas, "replicas", 1)
     if representative not in ("rung", "lower", "upper"):
         raise InputRefused(f"unknown representative edge kind {representative!r}")
-    lo, hi = fit_levels[0], min(fit_levels[1], n)
-    if not 1 <= lo < hi:
+    lo = check_int(fit_levels[0], "fit_levels[0]", 1)
+    hi = min(check_int(fit_levels[1], "fit_levels[1]", 1), n)
+    if not lo < hi:
         raise InputRefused(f"fit range {lo}..{hi} (clipped to n={n}) "
                            f"is not two or more levels in 1..{n}")
     env_levels = np.arange(_ENVELOPE_LEVELS[0], min(_ENVELOPE_LEVELS[1], n) + 1)

@@ -423,19 +423,21 @@ def test_json_output_is_strict(tmp_path, args):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["simulate", "--n", "4", "--start", "0,3", "--steps", "10"], "not on the ladder"),
-    (["simulate", "--n", "4", "--start", "5,1", "--steps", "10"], "not on the ladder"),
+    (["simulate", "--n", "4", "--start", "0,3", "--steps", "10"], "level=3 outside the range"),
+    (["simulate", "--n", "4", "--start", "5,1", "--steps", "10"], "i=5 outside the range"),
     (["profile", "--n", "4", "--steps", "2000", "--replicas", "4", "--fit-lo", "3", "--fit-hi", "3"],
      "not two or more levels"),
     (["profile", "--n", "4", "--steps", "2000", "--replicas", "4", "--fit-lo", "6", "--fit-hi", "9"],
      "not two or more levels"),
     # at a >= 2**53 a step no longer raises the weight: the walk would run unreinforced
     (["simulate", "--n", "1", "--steps", "10", "--a", "1e16"], "exceeds 2**50"),
-    (["chain-stats", "--n", "8", "--i", "8", "--grid", "small"], "1 <= i < n"),
+    (["chain-stats", "--n", "8", "--i", "8", "--grid", "small"], "i must be in 1..7"),
     (["sample-env", "--n", "4", "--deform-j", "4", "--samples", "10"], "deform_j=4 outside"),
     # the coupling kernel needs a > 1/2: the weight's gate refuses 0.4 before any grid is built
     (["spectrum", "--grid", "small", "--a", "0.4"], "a must be finite and > 0.5"),
     (["chain-stats", "--grid", "small", "--a", "0.4"], "a must be finite and > 0.5"),
+    # the small grid's truncation box is built for a = 1: a = 0.6 needs a larger box
+    (["spectrum", "--grid", "small", "--a", "0.6"], "truncation too small"),
 ])
 def test_out_of_range_values_write_a_failure_report(tmp_path, args, message):
     # the library refuses these inputs before any check runs: exit 2, like a

@@ -1,6 +1,7 @@
 import itertools
 import math
-from functools import lru_cache
+import re
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ladderlab.ladder import (
     SpanningTreeCode,
     all_codes,
     build,
+    check_int,
     count_codes,
     cycle_form,
     indices_from_mask,
@@ -273,10 +275,13 @@ def test_edge_weight_accessors_refuse_levels_off_the_ladder():
 # one gate per model input: every entry point refuses the same parameters
 
 
+_SMALL_COUNTS = dict(nx_core=8, nx_tail=4, nz_core=24, nz_tail=8, nv=24, nzb=48)
+
+
 @lru_cache(maxsize=1)
 def _small_grid():
     from ladderlab.transfer import GridParams, build_grid
-    return build_grid(GridParams(nx_core=8, nx_tail=4, nz_core=24, nz_tail=8, nv=24, nzb=48), a=1.0)
+    return build_grid(GridParams(**_SMALL_COUNTS), a=1.0)
 
 
 def _initial_weight_entry(name):
@@ -329,8 +334,8 @@ def _weight_vector_entry(name):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Every scan, kernel assembly and walk step fails the test if it starts."""
-    from ladderlab import certificates, transfer, walk
+    """Every scan, kernel assembly, walk step and sampler run fails the test if it starts."""
+    from ladderlab import certificates, mcmc, transfer, walk
 
     def fail(*_):
         raise AssertionError("work started")
@@ -338,6 +343,7 @@ def no_work(monkeypatch):
     monkeypatch.setattr(certificates, "_uniform_blocks", fail)
     monkeypatch.setattr(transfer, "_cell_pair_table", fail)
     monkeypatch.setattr(walk, "_advance", fail)
+    monkeypatch.setattr(mcmc, "sample_chain", fail)
 
 
 @pytest.mark.parametrize("name", ["McmcConfig", "errw_run", "returns_before_far_end_detailed", "log_phi",
@@ -377,3 +383,144 @@ _BAD_VECTORS = [[1.0, math.nan, 1.0, 1.0], [1.0, math.inf, 1.0, 1.0], [1.0, 0.0,
 def test_entry_points_refuse_the_same_weight_vectors(no_work, name, x):
     with pytest.raises(InputRefused):
         _weight_vector_entry(name)(x)
+
+
+def test_unknown_kernel_tag_is_refused_before_assembly(no_work):
+    # chain_expectation used to assemble both plain kernels before refusing the tag
+    from ladderlab import transfer
+
+    ctx = transfer.TransferContext(_small_grid(), 1.0)
+    for call in (lambda: transfer.assemble_kernel(_small_grid(), 1.0, 0.0, tag="gama"),
+                 lambda: ctx.op(0.0, "gama"),
+                 lambda: transfer.chain_expectation(ctx, 8, 6, 3, tag="gama")):
+        with pytest.raises(InputRefused, match="unknown kernel tag 'gama'"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# one gate per integer argument: every count and index goes through check_int
+
+
+@lru_cache(maxsize=1)
+def _small_batch():
+    from ladderlab import mcmc
+    from ladderlab.rng import RngSpec
+
+    return mcmc.sample_chain(mcmc.McmcConfig(n=3, a=1.0, burn_in=10, thinning=1, samples=20, rng=RngSpec(5)))
+
+
+@lru_cache(maxsize=1)
+def _small_context():
+    from ladderlab.transfer import TransferContext
+    return TransferContext(_small_grid(), 1.0)
+
+
+@lru_cache(maxsize=1)
+def _integer_entry() -> dict:
+    """``(entry point, argument) -> (call, lo, hi, good)``: ``call(v)`` runs the
+    entry point with that argument set to ``v``, ``lo..hi`` is the range it
+    accepts (``hi`` None: unbounded) and ``good`` a value in it that runs
+    quickly.  Building the table draws the small batch, so it must happen
+    before ``no_work`` stops the sampler."""
+    from dataclasses import replace
+
+    from ladderlab import certificates, environment, mcmc, network, transfer, walk
+    from ladderlab.rng import RngSpec
+
+    def config(arg, v):
+        counts = {**dict(n=3, deform_j=0, burn_in=4, thinning=1, samples=5, debug_log_moves=0), arg: v}
+        return mcmc.sample_chain(mcmc.McmcConfig(a=1.0, rng=RngSpec(7), **counts)).xlo
+
+    def returns(level=2, k_cap=2, replicas=3, step_cap=1000):
+        return walk.returns_before_far_end_detailed([level], 1.0, k_cap, RngSpec(9), replicas, step_cap)
+
+    def profile(n=3, steps=20_000, replicas=2):
+        return walk.profile_experiment(n, 1.0, steps, replicas, RngSpec(47), fit_levels=(1, 2)).median_log_ratio
+
+    def chain(n=3, j=1, i=1):
+        return transfer.chain_expectation(_small_context(), n, j, i)
+
+    def grid(count, v):
+        return transfer.build_grid(replace(_small_grid().params, **{count: v})).x_nodes
+
+    g2 = build(2)
+    x2 = np.linspace(0.5, 2.0, 7)
+    batch = _small_batch()
+    return {
+        ("build", "n"): (lambda v: build(v).edges, 1, None, 2),
+        ("vertex", "i"): (lambda v: g2.vertex(v, 1), 0, 2, 1),
+        ("vertex", "level"): (lambda v: g2.vertex(1, v), 1, 2, 2),
+        ("rung_index", "i"): (g2.rung_index, 0, 2, 1),
+        ("lower_index", "i"): (g2.lower_index, 1, 2, 1),
+        ("upper_index", "i"): (g2.upper_index, 1, 2, 1),
+        ("count_codes", "n"): (count_codes, 1, None, 3),
+        ("effective_resistance", "n"): (lambda v: network.effective_resistance(x2, v).resistance, 1, None, 2),
+        ("shorted_resistance", "n"): (lambda v: network.shorted_resistance(x2, v), 1, None, 2),
+        **{("McmcConfig", count): (partial(config, count), lo, hi, good) for count, lo, hi, good in (
+            ("n", 1, None, 2), ("deform_j", 0, 2, 1), ("burn_in", 0, None, 3), ("thinning", 1, None, 2),
+            ("samples", 1, None, 4), ("debug_log_moves", 0, None, 6))},
+        ("observable", "i"): (lambda v: mcmc.observable(batch, "Xlo", v), 1, 3, 2),
+        ("tail_estimate", "i"): (lambda v: mcmc.tail_estimate(batch, "Gamma", [0.5, 1.0], i=v).counts, 1, 2, 1),
+        ("sign_disagreement_rate", "i"): (lambda v: mcmc.sign_disagreement_rate(batch, v), 1, 2, 2),
+        ("h_total", "deform_j"): (lambda v: environment.h_total(batch.spin(0), 1.0, deform_j=v), 0, 2, 1),
+        ("errw_run", "steps"): (lambda v: walk.errw_run(g2, 1.0, v, 0, RngSpec(3)).local_times, 0, None, 50),
+        ("errw_run", "start"): (lambda v: walk.errw_run(g2, 1.0, 50, v, RngSpec(3)).local_times, 0, 5, 3),
+        ("rwre_run", "steps"): (lambda v: walk.rwre_run(g2, x2, v, 0, RngSpec(3)).local_times, 0, None, 50),
+        ("rwre_run", "start"): (lambda v: walk.rwre_run(g2, x2, 50, v, RngSpec(3)).local_times, 0, 5, 3),
+        ("path_probability_errw", "vertex"): (lambda v: walk.path_probability_errw(g2, [v, 2], 1), 0, 5, 0),
+        ("returns_before_far_end_detailed", "level"): (lambda v: returns(level=v)[0], 1, None, 2),
+        ("returns_before_far_end_detailed", "k_cap"): (lambda v: returns(k_cap=v)[0], 1, None, 2),
+        ("returns_before_far_end_detailed", "replicas"): (lambda v: returns(replicas=v)[0], 1, None, 3),
+        ("returns_before_far_end_detailed", "step_cap"): (lambda v: returns(step_cap=v)[0], 1, None, 30),
+        ("escape_frequency", "replicas"): (lambda v: walk.escape_frequency(g2, x2, RngSpec(4), v), 1, None, 5),
+        ("escape_frequency", "step_cap"):
+            (lambda v: walk.escape_frequency(g2, x2, RngSpec(4), 5, step_cap=v), 1, None, 10_000),
+        ("profile_experiment", "n"): (lambda v: profile(n=v), 1, None, 3),
+        ("profile_experiment", "steps"): (lambda v: profile(steps=v), 0, None, 20_000),
+        ("profile_experiment", "replicas"): (lambda v: profile(replicas=v), 1, None, 2),
+        ("log_mass", "n"): (lambda v: transfer.log_mass(v, 1.0), 1, None, 3),
+        ("chain_expectation", "n"): (lambda v: chain(n=v), 2, None, 3),
+        ("chain_expectation", "j"): (lambda v: chain(j=v), 0, 2, 1),
+        ("chain_expectation", "i"): (lambda v: chain(i=v), 1, 2, 2),
+        ("sigma_moment_profile", "n"): (lambda v: transfer.sigma_moment_profile(_small_context(), v), 1, None, 3),
+        **{("build_grid", count): (partial(grid, count), 1, None, good) for count, good in _SMALL_COUNTS.items()},
+        ("check_middle_bound", "samples"):
+            (lambda v: certificates.check_middle_bound(v, 1.0, 0.0, grid_step=0).min_margin, 0, None, 40),
+        ("check_boundary_bound", "samples"):
+            (lambda v: certificates.check_boundary_bound(v, 1.0, "left", grid_step=0).min_margin, 0, None, 40),
+    }
+
+
+@pytest.mark.parametrize("name, arg", list(_integer_entry()))
+def test_entry_points_refuse_the_same_integers(no_work, name, arg):
+    # level 2.5, k_cap 1.5 and replicas 2.5 used to run as 2, 2 and 0 replicas, deform_j 0.5
+    # as 1, rung_index(1.5) and vertex(1.5, 1) returned 4.5 and 3.0, and steps=True walked
+    call, lo, hi, _ = _integer_entry()[name, arg]
+    for bad in [0.5, 1.5, 2.5, 2.0, True, "2", None, lo - 1] + ([] if hi is None else [hi + 1]):
+        with pytest.raises(InputRefused, match=f"^{arg}=.* outside the range: {arg} must be"):
+            call(bad)
+
+
+@pytest.mark.parametrize("name, arg", list(_integer_entry()))
+def test_entry_points_read_numpy_integers_as_python_ints(name, arg):
+    call, _, _, good = _integer_entry()[name, arg]
+    want = call(good)
+    for kind in (np.int64, np.int32):
+        np.testing.assert_equal(call(kind(good)), want)
+
+
+@given(st.integers(-40, 40), st.integers(-40, 40), st.one_of(st.none(), st.integers(-40, 40)))
+@settings(max_examples=200, deadline=None)
+def test_integer_gate_passes_exactly_the_integers_in_range(value, lo, hi):
+    span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    for v in (value, np.int64(value), np.int32(value)):
+        if lo <= value and (hi is None or value <= hi):
+            got = check_int(v, "k", lo, hi)
+            assert type(got) is int and got == value
+        else:
+            message = f"k={v!r} outside the range: k must be {span} and an integer"
+            with pytest.raises(InputRefused, match=f"^{re.escape(message)}$"):
+                check_int(v, "k", lo, hi)
+    for v in (float(value), np.float64(value), bool(value % 2), str(value), None):
+        with pytest.raises(InputRefused):
+            check_int(v, "k", lo, hi)

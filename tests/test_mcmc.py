@@ -90,6 +90,13 @@ def test_mean_matches_quadrature_oracle():
     assert err < 0.1
 
 
+@pytest.mark.parametrize("m", [4, 5, 8, 9, 16])
+def test_batch_means_error_is_finite_from_four_samples(m):
+    # from m = 4 on, blocks of max(2, floor(sqrt(m))) samples leave at least two blocks
+    err = batch_means_error(np.random.default_rng(m).standard_normal(m))
+    assert math.isfinite(err) and err > 0
+
+
 def test_reproducibility():
     b1 = small_batch(samples=500, seed=11)
     b2 = small_batch(samples=500, seed=11)
@@ -281,7 +288,7 @@ def test_config_validation():
     with pytest.raises(LadderError):
         McmcConfig(n=4, a=-1.0)
     # a negative move-log length used to pass and log nothing
-    with pytest.raises(InputRefused, match="debug_log_moves >= 0"):
+    with pytest.raises(InputRefused, match="debug_log_moves must be >= 0"):
         McmcConfig(n=2, a=1.0, debug_log_moves=-3)
 
 
@@ -290,7 +297,7 @@ def test_config_validation():
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
 def test_config_refuses_non_integer_counts(name, bad):
     # samples=2.5 used to pass the config and fail inside NumPy; thinning=True ran
-    with pytest.raises(InputRefused, match=f"{name} must be an integer"):
+    with pytest.raises(InputRefused, match=f"^{name}=.* outside the range: {name} must be"):
         McmcConfig(**{"n": 4, "a": 1.0, name: bad})
 
 

@@ -338,7 +338,7 @@ def test_chain_expectation_makes_n_products(small_ctx, monkeypatch):
 def test_sigma_moment_j_zero_exact(ctx):
     assert sigma_moment_profile(ctx, 1).tolist() == [0.0]
     for n in (0, -2):
-        with pytest.raises(LadderError, match="n >= 1"):
+        with pytest.raises(InputRefused, match="n must be >= 1"):
             sigma_moment_profile(ctx, n)
 
 
@@ -409,7 +409,7 @@ def test_log_mass_ratio_is_the_exact_leading_eigenvalue(a, ratio):
 def test_log_mass_validation():
     # 2.5 cells used to return 6.09 and a = inf NaN
     for n in (0, 2.5, True):
-        with pytest.raises(InputRefused, match="integer n >= 1"):
+        with pytest.raises(InputRefused, match="n must be >= 1 and an integer"):
             log_mass(n, 1.0)
     for a in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InputRefused, match="a must be finite and > 0"):

@@ -183,9 +183,9 @@ def test_return_statistics_single_cell_oracle():
 
 def test_return_statistics_k_zero():
     # a zero return target or no level at all is refused before any walk runs
-    with pytest.raises(LadderError, match="k_cap >= 1"):
+    with pytest.raises(InputRefused, match="k_cap must be >= 1"):
         returns_before_far_end_detailed([2], 1.0, 0, RngSpec(0), 10)
-    with pytest.raises(LadderError, match="one or more levels"):
+    with pytest.raises(InputRefused, match="one or more levels"):
         returns_before_far_end_detailed([], 1.0, 1, RngSpec(0), 10)
 
 
@@ -431,7 +431,7 @@ def test_replica_experiments_refuse_fewer_than_one_replica(monkeypatch, experime
 
     monkeypatch.setattr(walk, "_advance", no_walk)
     monkeypatch.setattr(walk, "_profile_replica", no_walk)
-    with pytest.raises(LadderError, match="replicas >= 1"):
+    with pytest.raises(InputRefused, match="replicas must be >= 1"):
         experiment(replicas)
 
 

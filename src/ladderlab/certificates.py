@@ -29,11 +29,11 @@ from fractions import Fraction
 import numpy as np
 
 from ladderlab.environment import boundary_core_vec, h_exp1, h_linear, middle_energy
-from ladderlab.ladder import InputRefused, LadderError, check_coupling, check_int, check_weight
+from ladderlab.ladder import (ETA_MAX, TREE_STATES, InputRefused, LadderError, check_choice, check_int,
+                              check_real, check_weight)
 from ladderlab.rng import RngSpec
 
-STATES = "ABCD"
-PAIRS = [(t, t2) for t in STATES for t2 in STATES if (t, t2) != ("A", "B")]
+PAIRS = [(t, t2) for t in TREE_STATES for t2 in TREE_STATES if (t, t2) != ("A", "B")]
 # the bound cases that ``ladderlab verify`` and criterion c06 check: (a, eta) and (a, side)
 MIDDLE_CASES = tuple((a, eta) for a in (0.8, 1.0, 5.0) for eta in (-0.25, 0.0, 0.25))
 BOUNDARY_CASES = tuple((a, side) for a in (0.75, 1.0) for side in ("left", "right"))
@@ -90,10 +90,9 @@ class MinorantCertificate:
 
 def minorant_certificate(t: str, t2: str) -> MinorantCertificate:
     """Closed-form solution of the dual linear program, in exact rationals."""
+    t, t2 = (check_choice(c, "tree letter", TREE_STATES) for c in (t, t2))
     if (t, t2) == ("A", "B"):
         raise LadderError("the pair (A, B) carries infinite energy; nothing to certify")
-    if t not in STATES or t2 not in STATES:
-        raise LadderError(f"unknown tree states ({t!r}, {t2!r})")
 
     def ind(cond: bool) -> Fraction:
         return Fraction(1 if cond else 0)
@@ -310,7 +309,7 @@ def _tree_ops(t: str, t2: str) -> list:
     return ops
 
 
-_TREE_OPS = {t + t2: _tree_ops(t, t2) for t in STATES for t2 in STATES}
+_TREE_OPS = {t + t2: _tree_ops(t, t2) for t in TREE_STATES for t2 in TREE_STATES}
 
 
 def _tree_piece_vec(terms, t: str, t2: str, out=None):
@@ -361,10 +360,8 @@ def _scan(name: str, details: dict, block_min, per_point: int, dims: int,
     positive and a ``grid_step`` that is NaN, negative or infinite are
     refused before any point is drawn."""
     samples = check_int(samples, "samples", 0)
-    if not 0 < radius < math.inf:
-        raise InputRefused(f"{name}: radius must be finite and > 0, got {radius!r}")
-    if not 0 <= grid_step < math.inf:
-        raise InputRefused(f"{name}: grid_step must be finite and >= 0 (0: no grid), got {grid_step!r}")
+    radius = check_real(radius, "radius", 0.0, strict=True)
+    grid_step = check_real(grid_step, "grid_step", 0.0)
     sources = [("uniform", _uniform_blocks(rng or RngSpec(0), samples, radius, dims))]
     if grid_step > 0:
         sources.append(("grid", _grid_blocks(_GRID_RADIUS, grid_step, dims)))
@@ -410,7 +407,7 @@ def check_middle_bound(
     bit for bit.  At the worst point, ties go to the first pair in ``PAIRS``
     order.  The report records the minimum margin; below -1e-6 raises.
     """
-    check_coupling(eta)
+    eta = check_real(eta, "coupling eta", -ETA_MAX, ETA_MAX)
     rate = middle_growth_rate(a)
 
     def block_min(points):
@@ -450,14 +447,13 @@ def check_boundary_bound(
     margins folded by an elementwise minimum.  At the worst point, ties go to
     the first letter.
     """
-    if side not in ("left", "right"):
-        raise LadderError(f"side must be left or right, got {side!r}")
+    check_choice(side, "side", ("left", "right"))
     at_critical = a == 0.75
     rate = None if at_critical else boundary_growth_rate(a)
 
     def block_min(points):
         xlo, xhi, z = points
-        cores = [boundary_core_vec(xlo, xhi, z, t, a, side) for t in range(len(STATES))]
+        cores = [boundary_core_vec(xlo, xhi, z, t, a, side) for t in range(len(TREE_STATES))]
         if at_critical:
             # the exponential part cancels exactly; no overflow possible
             margins = [core - 0.25 * z for core in cores]
@@ -469,12 +465,12 @@ def check_boundary_bound(
         folded = np.minimum.reduce(margins)
 
         def label(k):
-            return {"state": next(t for t, m in zip(STATES, margins) if m[k] == folded[k])}
+            return {"state": next(t for t, m in zip(TREE_STATES, margins) if m[k] == folded[k])}
         return folded, label
 
     return _scan(f"boundary-bound a={a} side={side}",
                  {"rate": rate if rate is not None else "z/4 at a=3/4"}, block_min,
-                 len(STATES), 3, samples, rng, radius, grid_step)
+                 len(TREE_STATES), 3, samples, rng, radius, grid_step)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +486,7 @@ def gamma_derivatives(
     """First and second derivative of the zero-coupling energy along the
     shift that moves the separation only when the signs disagree; the
     fields as in ``middle_energy``, without its ``eta``."""
-    if not -1.0 <= gamma_shift <= 1.0:
-        raise LadderError(f"shift {gamma_shift} outside [-1, 1]")
+    gamma_shift = check_real(gamma_shift, "gamma_shift", -1.0, 1.0)
     if ss == ss2:
         return 0.0, 0.0
     if t == 0 and t2 == 1:
@@ -537,7 +532,7 @@ def gamma_derivative_fd_errors(gen: np.random.Generator, count: int,
     h = 1e-4
     worst1 = worst2 = 0.0
     for _ in range(count):
-        t, t2 = (STATES.index(c) for c in PAIRS[gen.integers(len(PAIRS))])
+        t, t2 = (TREE_STATES.index(c) for c in PAIRS[gen.integers(len(PAIRS))])
         xlo, xhi, xlo2, xhi2, z, gamma = (gen.normal(scale=2) for _ in range(6))
         g = float(gen.uniform(-1, 1))
         a = 1.0 if a_range is None else float(gen.uniform(*a_range))
@@ -548,6 +543,6 @@ def gamma_derivative_fd_errors(gen: np.random.Generator, count: int,
 
         fd1 = (f(g + h) - f(g - h)) / (2 * h)
         fd2 = (f(g + h) - 2 * f(g) + f(g - h)) / (h * h)
-        worst1 = max(worst1, abs(d1 - fd1) / max(1, abs(fd1)))
-        worst2 = max(worst2, abs(d2 - fd2) / max(1, abs(fd2)))
-    return worst1, worst2
+        worst1 = np.maximum(worst1, abs(d1 - fd1) / max(1, abs(fd1)))  # a NaN error stays NaN
+        worst2 = np.maximum(worst2, abs(d2 - fd2) / max(1, abs(fd2)))
+    return float(worst1), float(worst2)

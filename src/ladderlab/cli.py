@@ -161,14 +161,10 @@ def _fmt(v) -> str:
 
 
 def _grid_params(name: str) -> transfer.GridParams:
-    base = transfer.GridParams()
-    if name == "default":
-        return base
     if name == "small":
         return transfer.GridParams(nx_core=8, nx_tail=4, nz_core=24, nz_tail=8, nv=24, nzb=48)
-    if name == "doubled":
-        return base.doubled()
-    raise ConfigError(f"unknown grid preset {name!r}")
+    # "default" or "doubled": the schema's enum and argparse's choices refuse any other name
+    return transfer.GridParams().doubled() if name == "doubled" else transfer.GridParams()
 
 
 def _load_weights(spec: str | None, n: int) -> EdgeWeights:
@@ -247,7 +243,7 @@ def cmd_sample_env(cfg: dict):
         row = [k, float(batch.z0[k])]
         row += batch.xlo[k].tolist() + batch.xhi[k].tolist()
         row += batch.sigma[k].tolist()
-        row += ["ABCD"[v] for v in batch.t[k]]
+        row += [ladder.TREE_STATES[v] for v in batch.t[k]]
         row += batch.z[k].tolist() + batch.gamma[k].tolist()
         row += [float(batch.zn[k])]
         rows.append(row)
@@ -294,7 +290,7 @@ def cmd_verify(cfg: dict):
         add("scaling", worst < 1e-12, {"max_relative_residual": worst, "samples": samples})
     if suite in ("gamma-derivatives", "all"):
         count = samples // 20
-        worst = max(certificates.gamma_derivative_fd_errors(RngSpec(seed, 29).generator(), count))
+        worst = float(np.max(certificates.gamma_derivative_fd_errors(RngSpec(seed, 29).generator(), count)))
         add("gamma-derivatives", worst < 1e-4, {"max_relative_fd_error": worst, "samples": count})
 
     ok = all(c["passed"] for c in checks)

@@ -18,6 +18,7 @@ import numpy as np
 from ladderlab.ladder import (
     LOWER,
     RUNGS,
+    TREE_STATES,
     UPPER,
     EdgeWeights,
     LadderError,
@@ -33,9 +34,6 @@ from ladderlab.ladder import (
 
 INF = math.inf
 _EXP_CAP = 700.0  # math.exp overflows just above 709
-
-T_TO_INT = {"A": 0, "B": 1, "C": 2, "D": 3}
-INT_TO_T = "ABCD"
 
 __all__ = [
     "SpinConfig",
@@ -274,8 +272,8 @@ class SpinConfig:
             raise LadderError("cell field arrays must share a common length n >= 1")
         if z.size != n - 1 or gamma.size != n - 1:
             raise LadderError("rung field arrays must have length n - 1")
-        if not set(self.t) <= set("ABCD"):
-            raise LadderError(f"tree word {self.t!r} uses letters outside ABCD")
+        if not set(self.t) <= set(TREE_STATES):
+            raise LadderError(f"tree word {self.t!r} uses letters outside {TREE_STATES}")
         if not np.all(np.abs(sigma) == 1):
             raise LadderError("sign fields must be +1 or -1")
 
@@ -331,18 +329,19 @@ def h_total(omega: SpinConfig, a: float, deform_j: int = 0) -> float:
     separation term (coupling 0 instead of 1/4)."""
     n = omega.n
     deform_j = check_int(deform_j, "deform_j", 0, n - 1)
-    total = left_energy(omega.z0, float(omega.xlo[0]), float(omega.xhi[0]), T_TO_INT[omega.t[0]], a)
+    t = [TREE_STATES.index(c) for c in omega.t]
+    total = left_energy(omega.z0, float(omega.xlo[0]), float(omega.xhi[0]), t[0], a)
     for i in range(n - 1):
         eta = 0.0 if i < deform_j else 0.25
         total += middle_energy(
-            float(omega.xlo[i]), float(omega.xhi[i]), int(omega.sigma[i]), T_TO_INT[omega.t[i]],
+            float(omega.xlo[i]), float(omega.xhi[i]), int(omega.sigma[i]), t[i],
             float(omega.z[i]), float(omega.gamma[i]),
-            float(omega.xlo[i + 1]), float(omega.xhi[i + 1]), int(omega.sigma[i + 1]), T_TO_INT[omega.t[i + 1]],
+            float(omega.xlo[i + 1]), float(omega.xhi[i + 1]), int(omega.sigma[i + 1]), t[i + 1],
             a, eta,
         )
         if total == INF:
             return INF
-    total += right_energy(float(omega.xlo[n - 1]), float(omega.xhi[n - 1]), T_TO_INT[omega.t[n - 1]], omega.zn, a)
+    total += right_energy(float(omega.xlo[n - 1]), float(omega.xhi[n - 1]), t[n - 1], omega.zn, a)
     return total
 
 
@@ -391,8 +390,8 @@ def scaling_law_residual(gen: np.random.Generator, count: int) -> float:
         base = log_phi(vals, y, "D" * n, a)
         scaled = log_phi(c * vals, math.sqrt(c) * y, "D" * n, a)
         drop = -(3.5 * n + 1.0) * math.log(c)
-        worst = max(worst, abs(scaled - base - drop) / max(1.0, abs(base)))
-    return worst
+        worst = np.maximum(worst, abs(scaled - base - drop) / max(1.0, abs(base)))  # a NaN stays NaN
+    return float(worst)
 
 
 def psi_forward(omega: SpinConfig) -> EnvironmentPoint:
@@ -474,7 +473,7 @@ def gibbs_identity_sweep(gen: np.random.Generator, per_combo: int) -> float:
         for a in (0.8, 1.0, 2.0):
             for _ in range(per_combo):
                 while True:
-                    t = "".join(gen.choice(list("ABCD"), size=n))
+                    t = "".join(gen.choice(list(TREE_STATES), size=n))
                     if "AB" not in t:
                         break
                 omega = SpinConfig(
@@ -483,5 +482,5 @@ def gibbs_identity_sweep(gen: np.random.Generator, per_combo: int) -> float:
                     t=t, z=gen.normal(scale=2.5, size=n - 1),
                     gamma=gen.normal(scale=2.5, size=n - 1), zn=gen.normal(scale=2.5),
                 )
-                worst = max(worst, abs(gibbs_identity_residual(omega, a)))
-    return worst
+                worst = np.maximum(worst, abs(gibbs_identity_residual(omega, a)))  # a NaN stays NaN
+    return float(worst)

@@ -19,6 +19,8 @@ indices.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -40,8 +42,9 @@ __all__ = [
     "SpanningTreeCode",
     "build",
     "check_int",
+    "check_real",
+    "check_choice",
     "check_weight",
-    "check_coupling",
     "check_weights",
     "tree_decode",
     "tree_encode",
@@ -113,6 +116,31 @@ def check_int(value, name: str, lo: int, hi: int | None = None) -> int:
     raise InputRefused(f"{name}={value!r} outside the range: {name} must be {span} and an integer")
 
 
+def check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf, *,
+               strict: bool = False) -> float:
+    """``value`` as a float, or :class:`InputRefused` unless it is a finite Python or NumPy real (not a
+    bool) in ``[lo, hi]``, ``(lo, hi)`` when ``strict``: the one rule for every real an entry point takes."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        v = float(value) if not isinstance(value, int) or abs(value) <= sys.float_info.max else math.inf
+        if math.isfinite(v) and ((lo < v < hi) if strict else (lo <= v <= hi)):
+            return v
+    if hi == math.inf:
+        span = "" if lo == -math.inf else f" and {'>' if strict else '>='} {lo}"
+    elif lo == -math.inf:
+        span = f" and {'<' if strict else '<='} {hi}"
+    else:
+        span = f" and in {'(' if strict else '['}{lo}, {hi}{')' if strict else ']'}"
+    raise InputRefused(f"{name}={value!r} outside the range: {name} must be finite{span}")
+
+
+def check_choice(value, name: str, choices):
+    """``value``, or :class:`InputRefused` unless it is one of ``choices`` (a
+    string is a choice of its letters): the one rule for every named choice."""
+    if value in tuple(choices):
+        return value
+    raise InputRefused(f"unknown {name} {value!r}; expected one of {', '.join(map(repr, choices))}")
+
+
 def build(n: int) -> LadderGraph:
     """The ladder with ``n`` cells (``n >= 1``), built once per size."""
     return _build(check_int(n, "n", 1))
@@ -137,21 +165,11 @@ def _build(n: int) -> LadderGraph:
 
 
 def check_weight(a: float, above: float = 0.0) -> float:
-    """``a``, or :class:`InputRefused` unless it is a finite initial weight
-    strictly above ``above``: 0 for the walk and the density, 1/2 for the
-    coupling kernel and its growth bound, 3/4 for the boundary vectors and
+    """``a`` as a float, or :class:`InputRefused` unless it is a finite initial
+    weight strictly above ``above``: 0 for the walk and the density, 1/2 for
+    the coupling kernel and its growth bound, 3/4 for the boundary vectors and
     their bound."""
-    if not above < a < np.inf:
-        raise InputRefused(f"initial weight a must be finite and > {above}, got a={a!r}")
-    return a
-
-
-def check_coupling(eta: float) -> float:
-    """``eta``, or :class:`InputRefused` unless it is a coupling in
-    [-ETA_MAX, ETA_MAX]."""
-    if not -ETA_MAX <= eta <= ETA_MAX:
-        raise InputRefused(f"coupling eta must be in [-1/4, 1/4], got eta={eta!r}")
-    return eta
+    return check_real(a, "initial weight a", above, strict=True)
 
 
 def check_weights(x, n: int | None = None) -> np.ndarray:
@@ -202,9 +220,9 @@ class SpanningTreeCode:
         object.__setattr__(self, "states", states)
         if not states or any(s not in TREE_STATES for s in states):
             raise LadderError(f"code {states!r} uses letters outside {TREE_STATES}")
-        for i in range(len(states) - 1):
-            if states[i] == "A" and states[i + 1] == "B":
-                raise LadderError(f"code {states!r} has forbidden adjacent AB at position {i}")
+        i = states.find("AB")
+        if i >= 0:
+            raise LadderError(f"code {states!r} has forbidden adjacent AB at position {i}")
 
     @property
     def n(self) -> int:

@@ -30,9 +30,7 @@ import numpy as np
 
 from ladderlab.environment import (  # noqa: F401 (middle_energy: see the module docstring)
     INF,
-    INT_TO_T,
     SpinConfig,
-    T_TO_INT,
     _exp,
     coupling_parts,
     h_exp2,
@@ -42,7 +40,8 @@ from ladderlab.environment import (  # noqa: F401 (middle_energy: see the module
     psi_forward,
     right_energy,
 )
-from ladderlab.ladder import EdgeWeights, InputRefused, LadderError, check_int, check_weight
+from ladderlab.ladder import (TREE_STATES, EdgeWeights, LadderError, check_choice, check_int, check_real,
+                              check_weight)
 from ladderlab.rng import RngSpec
 from ladderlab.stats import batch_means_error, effective_sample_size, linear_fit
 
@@ -116,7 +115,7 @@ class SampleBatch:
             xlo=self.xlo[k].copy(),
             xhi=self.xhi[k].copy(),
             sigma=self.sigma[k].copy(),
-            t="".join(INT_TO_T[v] for v in self.t[k]),
+            t="".join(TREE_STATES[v] for v in self.t[k]),
             z=self.z[k].copy(),
             gamma=self.gamma[k].copy(),
             zn=float(self.zn[k]),
@@ -141,7 +140,7 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
     z0, zn = float(om.z0), float(om.zn)
     xlo, xhi, z, ga = ([float(v) for v in f] for f in (om.xlo, om.xhi, om.z, om.gamma))
     sig = [int(v) for v in om.sigma]
-    t = [T_TO_INT[c] for c in om.t]
+    t = [TREE_STATES.index(c) for c in om.t]
     eta = [0.0 if p < cfg.deform_j else 0.25 for p in range(n1)]
     # cached cell values and boundary energies
     u = [0.5 * (lo + hi) for lo, hi in zip(xlo, xhi)]
@@ -170,7 +169,7 @@ def sample_chain(cfg: McmcConfig) -> SampleBatch:
     def spin() -> SpinConfig:
         return SpinConfig(
             z0=z0, xlo=np.array(xlo), xhi=np.array(xhi), sigma=np.array(sig),
-            t="".join(INT_TO_T[v] for v in t), z=np.array(z), gamma=np.array(ga), zn=zn,
+            t="".join(TREE_STATES[v] for v in t), z=np.array(z), gamma=np.array(ga), zn=zn,
         )
 
     def decide(kind: str, delta: float, uniform: float) -> bool:
@@ -416,14 +415,10 @@ def observable(batch: SampleBatch, name: str, i: int | None = None) -> np.ndarra
     ``log_y_ratio`` is the log modulus ratio of consecutive auxiliary
     variables, linear in the stored fields.
     """
-    if name == "Z0":
-        return batch.z0
-    if name == "Zn":
-        return batch.zn
     columns = {"Xlo": batch.xlo, "Xhi": batch.xhi, "Z": batch.z, "Gamma": batch.gamma,
                "log_y_ratio": batch.gamma}
-    if name not in columns:
-        raise LadderError(f"unknown observable {name!r}")
+    if check_choice(name, "observable", ("Z0", "Zn", *columns)) in ("Z0", "Zn"):
+        return batch.z0 if name == "Z0" else batch.zn
     i = check_int(i, "i", 1, columns[name].shape[1])  # to n on a cell field, n - 1 on a rung field
     if name == "log_y_ratio":
         u = 0.5 * (batch.xlo + batch.xhi)
@@ -452,10 +447,8 @@ def tail_estimate(batch: SampleBatch, name: str, thresholds: Sequence[float],
     a non-finite threshold is refused."""
     if batch.size == 0:
         raise LadderError("empty batch")
+    thresholds = np.array(sorted(check_real(t, "thresholds") for t in thresholds))
     vals = np.abs(observable(batch, name, i))
-    thresholds = np.asarray(sorted(thresholds), dtype=float)
-    if not np.isfinite(thresholds).all():
-        raise InputRefused(f"thresholds must be finite, got {thresholds.tolist()}")
     m = batch.size
     counts = np.array([(vals >= t).sum() for t in thresholds], dtype=np.int64)
     freq = counts / m

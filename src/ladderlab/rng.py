@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ladderlab.ladder import LadderError
+from ladderlab.ladder import LadderError, check_int
 
 
 @dataclass(frozen=True)
@@ -25,11 +25,15 @@ class RngSpec:
     The same (seed, stream) always yields the same generator state, and
     distinct stream indices give statistically independent streams, so
     replicas can run on any worker in any order.  Experiment drivers assign
-    one stream index per replica or chain.
+    one stream index per replica or chain.  Both are integers >= 0.
     """
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0))
+        object.__setattr__(self, "stream", check_int(self.stream, "stream", 0))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))

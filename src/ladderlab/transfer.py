@@ -103,7 +103,8 @@ import numpy as np
 
 from ladderlab.certificates import middle_growth_rate
 from ladderlab.environment import boundary_core_vec, tree_letter
-from ladderlab.ladder import ETA_MAX, InputRefused, LadderError, check_coupling, check_int, check_weight
+from ladderlab.ladder import (ETA_MAX, InputRefused, LadderError, check_choice, check_int, check_real,
+                              check_weight)
 
 __all__ = [
     "GridParams",
@@ -192,8 +193,6 @@ _NODE_COUNTS = ("nx_core", "nx_tail", "nz_core", "nz_tail", "nv", "nzb")
 def _panel_gauss(panels) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = [], []
     for lo, hi, count in panels:
-        if hi <= lo:
-            raise LadderError(f"bad quadrature panel ({lo}, {hi}, {count})")
         n, w = np.polynomial.legendre.leggauss(count)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         nodes.append(mid + half * n)
@@ -253,6 +252,14 @@ def build_grid(params: GridParams | None = None, a: float = 1.0) -> TransferGrid
     params = replace(params, **{name: check_int(getattr(params, name), name, 1) for name in _NODE_COUNTS})
     if params.nx < 8 or params.nz < 8 or params.nv < 8:
         raise InputRefused("need at least 8 nodes per continuous axis")
+    box = {key: check_real(getattr(params, key), key) for key in ("x_lo", "x_hi", "z_lo", "z_hi", "zb_lo")}
+    box["x_break"] = check_real(params.x_break, "x_break", box["x_lo"], box["x_hi"], strict=True)
+    box["z_break"] = check_real(params.z_break, "z_break", box["z_lo"], box["z_hi"], strict=True)
+    box["zb_hi"] = check_real(params.zb_hi, "zb_hi", box["zb_lo"], strict=True)
+    box["w_core"] = check_real(params.w_core, "w_core", 0.0, strict=True)
+    box["w_half"] = check_real(params.w_half, "w_half", box["w_core"])
+    box["eps"] = check_real(params.eps, "eps", 0.0, 1.0, strict=True)
+    params = replace(params, **box)
     eps = params.eps
     budget = math.log(1.0 / eps) + 2.0  # two extra e-folds of safety
     rates = axis_rates(a)
@@ -283,10 +290,6 @@ def build_grid(params: GridParams | None = None, a: float = 1.0) -> TransferGrid
             problems.append(f"{key} >= {need:.2f}")
     if problems:
         raise InputRefused("truncation too small for eps=%g; need %s" % (eps, ", ".join(problems)))
-    if not params.x_lo < params.x_break < params.x_hi:
-        raise LadderError("cell panel break must sit inside the box")
-    if not params.z_lo < params.z_break < params.z_hi:
-        raise LadderError("rung panel break must sit inside the box")
     x_nodes, x_weights = _panel_gauss([
         (params.x_lo, params.x_break, params.nx_core),
         (params.x_break, params.x_hi, params.nx_tail),
@@ -773,11 +776,10 @@ def assemble_kernel(grid: TransferGrid, a: float, eta: float, tag: str = "one",
     plain operator at the same (grid, a, eta), passed as ``plain``: the
     commutator reads its cores, and the side profiles are its own.
     """
-    if tag not in ("one", "gamma"):
-        raise InputRefused(f"unknown kernel tag {tag!r}")
+    check_choice(tag, "kernel tag", ("one", "gamma"))
     if a != grid.a:  # build_grid checked the truncation box for grid.a only
         raise LadderError(f"a={a} on a grid built for a={grid.a}")
-    check_coupling(eta)
+    eta = check_real(eta, "coupling eta", -ETA_MAX, ETA_MAX)
     if tag == "one":
         return OperatorMatrix(grid=grid, a=a, eta=eta, tag=tag, sym=_core_sums(grid, a, eta, 0),
                               left=_side_profiles(grid, a, eta, primed=False),
@@ -851,7 +853,7 @@ def leading_triple(op: OperatorMatrix, seed: int = 0) -> EigenTriple:
     most ``_GAP_MAX_ITER`` products)."""
     if op.tag != "one":
         raise LadderError("eigen-triples are defined for the plain kernel only")
-    gen = np.random.default_rng(seed)
+    gen = np.random.default_rng(check_int(seed, "seed", 0))
     u_left, lam_l, res_l, it_l = _power_iteration(op.vecmat, gen.uniform(0.5, 1.5, size=op.size))
     u_right, lam_r, res_r, it_r = _power_iteration(op.matvec, gen.uniform(0.5, 1.5, size=op.size))
     if res_l > _TOL * 100 or res_r > _TOL * 100:
@@ -895,8 +897,7 @@ def leading_triple(op: OperatorMatrix, seed: int = 0) -> EigenTriple:
 def boundary_vector(grid: TransferGrid, a: float, side: str) -> np.ndarray:
     """Boundary closure vector: the boundary energy integrated over its
     rung field, at every grid state (sign-independent)."""
-    if side not in ("left", "right"):
-        raise LadderError(f"side must be left or right, got {side!r}")
+    check_choice(side, "side", ("left", "right"))
     if check_weight(a, 0.75) != grid.a:  # build_grid checked the truncation box for grid.a only
         raise LadderError(f"a={a} on a grid built for a={grid.a}")
     x = grid.x_nodes

@@ -33,8 +33,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ladderlab.ladder import (EdgeWeights, InputRefused, LadderError, LadderGraph, build, check_int,
-                              check_weight, check_weights)
+from ladderlab.ladder import (EdgeWeights, InputRefused, LadderError, LadderGraph, build, check_choice,
+                              check_int, check_weight, check_weights)
 from ladderlab.rng import RngSpec, _stream_states
 from ladderlab.stats import linear_fit
 
@@ -54,6 +54,7 @@ _FIRST_BLOCK, _BLOCK = 16, 1 << 13
 # w + 1.0 rounds only when w enters a new binade, so a weight that stays at most
 # this large is a + k to within ulp(w) <= 1/4: rint(w - a) is its local time k
 _MAX_WEIGHT = 2 ** 50
+_EDGE_KINDS = ("rung", "lower", "upper")  # the representative edges a profile can read
 
 
 @dataclass(frozen=True)
@@ -220,13 +221,7 @@ def local_time_profile(trace: WalkTrace, graph: LadderGraph,
                        representative: str = "rung") -> list[tuple[int, float]]:
     """Per level, the local time of one representative edge relative to the
     left rung.  Levels run 1..n; the left rung itself has ratio 1 at level 0."""
-    pick = {
-        "rung": graph.rung_index,
-        "lower": graph.lower_index,
-        "upper": graph.upper_index,
-    }.get(representative)
-    if pick is None:
-        raise LadderError(f"unknown representative edge kind {representative!r}")
+    pick = getattr(graph, check_choice(representative, "representative edge kind", _EDGE_KINDS) + "_index")
     k0 = int(trace.local_times[graph.rung_index(0)])
     if k0 == 0:
         raise LadderError("left rung was never crossed; run longer")
@@ -367,8 +362,7 @@ def profile_experiment(n: int, a: float, steps: int, replicas: int, rng: RngSpec
     n, steps = check_int(n, "n", 1), check_int(steps, "steps", 0)
     _check_reinforced(a, steps)
     replicas = check_int(replicas, "replicas", 1)
-    if representative not in ("rung", "lower", "upper"):
-        raise InputRefused(f"unknown representative edge kind {representative!r}")
+    check_choice(representative, "representative edge kind", _EDGE_KINDS)
     lo = check_int(fit_levels[0], "fit_levels[0]", 1)
     hi = min(check_int(fit_levels[1], "fit_levels[1]", 1), n)
     if not lo < hi:

@@ -12,7 +12,6 @@ from ladderlab import certificates
 from ladderlab.certificates import (
     _BLOCK,
     PAIRS,
-    STATES,
     check_boundary_bound,
     check_middle_bound,
     gamma_derivative_fd_errors,
@@ -29,7 +28,7 @@ from ladderlab.certificates import (
 )
 from ladderlab.cli import run
 from ladderlab.environment import _exp, coupling_parts
-from ladderlab.ladder import InputRefused, LadderError
+from ladderlab.ladder import TREE_STATES, InputRefused, LadderError
 from ladderlab.rng import RngSpec
 
 
@@ -119,8 +118,8 @@ def test_minorant_numeric_spot_check():
     for _ in range(1000):
         xlo, xhi, z, gamma, xlo2, xhi2 = rng.uniform(-20, 20, size=6)
         t, t2 = PAIRS[rng.integers(len(PAIRS))]
-        _, ln, lin, tr, *_ = _coupling(xlo, xhi, 1, STATES.index(t), z, gamma,
-                                       xlo2, xhi2, 1, STATES.index(t2), 0.5, 0.25)
+        _, ln, lin, tr, *_ = _coupling(xlo, xhi, 1, TREE_STATES.index(t), z, gamma,
+                                       xlo2, xhi2, 1, TREE_STATES.index(t2), 0.5, 0.25)
         lhs = ln + lin + tr - 0.25 * gamma
         c = minorant_certificate(t, t2)
         rhs = (
@@ -150,8 +149,8 @@ def test_middle_no_exp2_vec_matches_scalar():
         a = rng.uniform(0.6, 4)
         eta = rng.uniform(-0.25, 0.25)
         vec = _middle_no_exp2_vec([np.array([v]) for v in pt], t, t2, a, eta)
-        _, ln, lin, tr, e1, *_ = _coupling(pt[0], pt[1], 1, STATES.index(t), pt[2], pt[3],
-                                           pt[4], pt[5], 1, STATES.index(t2), a, eta)
+        _, ln, lin, tr, e1, *_ = _coupling(pt[0], pt[1], 1, TREE_STATES.index(t), pt[2], pt[3],
+                                           pt[4], pt[5], 1, TREE_STATES.index(t2), a, eta)
         scal = ln + lin + tr + e1 - eta * pt[3]  # all parts but h_exp2
         assert vec[0] == pytest.approx(scal, rel=1e-12, abs=1e-12)
 
@@ -285,11 +284,28 @@ def test_gamma_derivatives_match_finite_differences():
     assert worst2 <= 2e-4
 
 
+@pytest.mark.parametrize("which", [0, 1])
+def test_gamma_derivative_fd_errors_report_a_nan_derivative(monkeypatch, which):
+    # max(worst, nan) kept worst, so one NaN derivative left the result unchanged
+    honest = certificates.gamma_derivatives
+    calls = iter(range(1000))
+
+    def one_nan(*args):
+        d = list(honest(*args))
+        if next(calls) == 3:
+            d[which] = math.nan
+        return tuple(d)
+
+    monkeypatch.setattr(certificates, "gamma_derivatives", one_nan)
+    errors = gamma_derivative_fd_errors(np.random.default_rng(13), 10)
+    assert math.isnan(errors[which]) and errors[1 - which] < 1e-4
+
+
 def _derivative_excess(rng, a, count):
     """max over samples of |derivative| - sign-interaction energy."""
     out = -math.inf
     for _ in range(count):
-        t, t2 = (STATES.index(c) for c in PAIRS[rng.integers(len(PAIRS))])
+        t, t2 = (TREE_STATES.index(c) for c in PAIRS[rng.integers(len(PAIRS))])
         xlo, xhi, xlo2, xhi2, z, gamma = (rng.normal(scale=3) for _ in range(6))
         fields = (xlo, xhi, -1, t, z, gamma, xlo2, xhi2, 1, t2, a)
         e2 = _coupling(*fields, 0.0)[5]
@@ -469,8 +485,8 @@ def test_margin_terms_match_the_chunked_arithmetic_bit_for_bit():
     points[:, :200] = -0.0  # 0 + (-0) is +0: the pieces start from zero
     points[:, 200:400] = np.round(points[:, 200:400])
     terms = _cell_terms(tuple(points))
-    for t in STATES:
-        for t2 in STATES:
+    for t in TREE_STATES:
+        for t2 in TREE_STATES:
             want = _oracle_tree_piece(tuple(points), t, t2)
             assert _tree_piece_vec(terms, t, t2).tobytes() == want.tobytes(), t + t2
     want = _oracle_base(tuple(points), 1.3, 0.1, 0.02)
@@ -546,7 +562,7 @@ def oracle_boundary_scan(samples, a, side, rng, radius=50.0, grid_radius=30.0, g
     min_margin = math.inf
     total = 0
     for points in sources:
-        for t in STATES:
+        for t in TREE_STATES:
             margins = _oracle_boundary_margins(points, t, a, side)
             total += margins.size
             min_margin = min(min_margin, float(np.min(margins)))

@@ -130,6 +130,25 @@ def test_verify_fails_a_check_that_ran_no_samples(tmp_path, suite, samples):
     assert check["details"]["samples"] == 0 and not check["passed"]
 
 
+@pytest.mark.parametrize("which", [0, 1])
+def test_verify_fails_on_a_nan_derivative(tmp_path, monkeypatch, which):
+    # a NaN error used to read as 0.0 (or be dropped by max), so the suite passed
+    from ladderlab import certificates
+
+    honest = certificates.gamma_derivatives
+
+    def nan_derivative(*args):
+        d = list(honest(*args))
+        d[which] = math.nan
+        return tuple(d)
+
+    monkeypatch.setattr(certificates, "gamma_derivatives", nan_derivative)
+    out = tmp_path / "nan.json"
+    assert run(["verify", "--suite", "gamma-derivatives", "--samples", "200", "--out", str(out)]) == 1
+    (check,) = read_json(out)["summary"]["checks"]
+    assert not check["passed"] and check["details"]["max_relative_fd_error"] is None
+
+
 def test_simulate_csv_deterministic(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

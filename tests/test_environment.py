@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladderlab.environment import (
-    T_TO_INT,
     EnvironmentPoint,
     LadderError,
     SpinConfig,
@@ -28,7 +27,7 @@ from ladderlab.environment import (
     right_energy,
     tree_letter,
 )
-from ladderlab.ladder import EdgeWeights, SpanningTreeCode
+from ladderlab.ladder import TREE_STATES, EdgeWeights, SpanningTreeCode
 from ladderlab.transfer import log_mass
 
 
@@ -194,7 +193,7 @@ def test_middle_energy_zero_point():
 def test_middle_energy_reflection_symmetry(seed, eta, a):
     rng = np.random.default_rng(seed)
     flip = (1, 0, 2, 3)  # A <-> B
-    t1, t2 = (T_TO_INT[rng.choice(list("ABCD"))] for _ in range(2))
+    t1, t2 = (TREE_STATES.index(rng.choice(list("ABCD"))) for _ in range(2))
     xlo, xhi, s1 = rng.normal(scale=3), rng.normal(scale=3), int(rng.choice([-1, 1]))
     xlo2, xhi2, s2 = rng.normal(scale=3), rng.normal(scale=3), int(rng.choice([-1, 1]))
     z, gamma = rng.normal(scale=3), rng.normal(scale=3)
@@ -221,7 +220,7 @@ def coupling_points():
 
     def cell():
         return (rng.normal(scale=4), rng.normal(scale=4), int(rng.choice([-1, 1])),
-                T_TO_INT[rng.choice(list("ABCD"))])
+                TREE_STATES.index(rng.choice(list("ABCD"))))
 
     points = []
     for _ in range(50):
@@ -321,7 +320,7 @@ def test_right_energy_lower_bound_sample():
     rng = np.random.default_rng(11)
     for _ in range(10_000):
         xlo, xhi, zn = rng.uniform(-40, 40, size=3)
-        t = T_TO_INT[rng.choice(list("ABCD"))]
+        t = TREE_STATES.index(rng.choice(list("ABCD")))
         val = right_energy(xlo, xhi, t, zn, a=1.0)
         assert val >= (abs(xlo) + abs(xhi) + abs(zn)) / 12.0 - 1e-9
 
@@ -358,7 +357,7 @@ def test_h_total_is_sum_of_pieces():
     rng = np.random.default_rng(5)
     for n in (1, 2, 4):
         omega = random_spin(rng, n)
-        t = [T_TO_INT[c] for c in omega.t]
+        t = [TREE_STATES.index(c) for c in omega.t]
         cells = [(omega.xlo[i], omega.xhi[i], omega.sigma[i], t[i]) for i in range(n)]
         total = left_energy(omega.z0, omega.xlo[0], omega.xhi[0], t[0], 1.3)
         for i in range(n - 1):
@@ -564,6 +563,22 @@ def test_gibbs_identity_random_sweep():
                 omega = random_spin(rng, n, scale=2.5)
                 worst = max(worst, abs(gibbs_identity_residual(omega, a)))
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("sweep, residual", [("gibbs_identity_sweep", "gibbs_identity_residual"),
+                                             ("scaling_law_residual", "log_phi")])
+def test_sweeps_report_a_nan_residual(monkeypatch, sweep, residual):
+    # max(worst, nan) kept worst, so one NaN residual left the sweep's result unchanged
+    from ladderlab import environment
+
+    honest = getattr(environment, residual)
+    calls = iter(range(1000))
+
+    def one_nan(*args):
+        return math.nan if next(calls) == 3 else honest(*args)
+
+    monkeypatch.setattr(environment, residual, one_nan)
+    assert math.isnan(getattr(environment, sweep)(np.random.default_rng(7), 4))
 
 
 def test_gibbs_identity_sign_flip_invariance():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ladderlab.ladder import (
     LOWER,
     RUNGS,
+    TREE_STATES,
     UPPER,
     EdgeWeights,
     InputRefused,
@@ -18,7 +19,9 @@ from ladderlab.ladder import (
     SpanningTreeCode,
     all_codes,
     build,
+    check_choice,
     check_int,
+    check_real,
     count_codes,
     cycle_form,
     indices_from_mask,
@@ -334,13 +337,15 @@ def _weight_vector_entry(name):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Every scan, kernel assembly, walk step and sampler run fails the test if it starts."""
+    """Every scan, node placement, kernel assembly, walk step and sampler run fails the test if it starts."""
     from ladderlab import certificates, mcmc, transfer, walk
 
     def fail(*_):
         raise AssertionError("work started")
 
+    _small_grid()  # cached before its nodes can no longer be placed
     monkeypatch.setattr(certificates, "_uniform_blocks", fail)
+    monkeypatch.setattr(transfer, "_panel_gauss", fail)
     monkeypatch.setattr(transfer, "_cell_pair_table", fail)
     monkeypatch.setattr(walk, "_advance", fail)
     monkeypatch.setattr(mcmc, "sample_chain", fail)
@@ -366,7 +371,7 @@ def test_entry_points_refuse_the_same_parameters(no_work, name, a):
 @pytest.mark.parametrize("name", ["assemble_kernel", "check_middle_bound"])
 @pytest.mark.parametrize("eta", [math.nan, -0.26, 0.26, math.inf])
 def test_entry_points_refuse_the_same_couplings(no_work, name, eta):
-    with pytest.raises(InputRefused, match="coupling eta must be in"):
+    with pytest.raises(InputRefused, match=r"coupling eta must be finite and in \[-0.25, 0.25\]"):
         _coupling_entry(name)(eta)
 
 
@@ -446,8 +451,13 @@ def _integer_entry() -> dict:
     g2 = build(2)
     x2 = np.linspace(0.5, 2.0, 7)
     batch = _small_batch()
+    op = _small_context().op(0.25)
     return {
         ("build", "n"): (lambda v: build(v).edges, 1, None, 2),
+        # RngSpec(2.5) and RngSpec(-1) raised NumPy's TypeError and ValueError; RngSpec(True) drew seed 1
+        ("RngSpec", "seed"): (lambda v: RngSpec(v).generator().random(3), 0, None, 5),
+        ("RngSpec", "stream"): (lambda v: RngSpec(5, v).generator().random(3), 0, None, 2),
+        ("leading_triple", "seed"): (lambda v: transfer.leading_triple(op, v).value, 0, None, 3),
         ("vertex", "i"): (lambda v: g2.vertex(v, 1), 0, 2, 1),
         ("vertex", "level"): (lambda v: g2.vertex(1, v), 1, 2, 2),
         ("rung_index", "i"): (g2.rung_index, 0, 2, 1),
@@ -524,3 +534,163 @@ def test_integer_gate_passes_exactly_the_integers_in_range(value, lo, hi):
     for v in (float(value), np.float64(value), bool(value % 2), str(value), None):
         with pytest.raises(InputRefused):
             check_int(v, "k", lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# one gate per real argument and per named choice: check_real and check_choice
+
+
+@lru_cache(maxsize=1)
+def _real_entry() -> dict:
+    """``(entry point, argument) -> (call, lo, hi, strict, good, also_bad)``:
+    ``call(v)`` runs the entry point with that argument set to ``v``, which
+    its gate accepts in ``[lo, hi]`` (``(lo, hi)`` when ``strict``; None: no
+    bound), ``good`` is a value in range that runs quickly and is exact in
+    float32, and ``also_bad`` lists values another argument's gate refuses."""
+    from dataclasses import replace
+
+    from ladderlab import certificates, mcmc, transfer
+
+    def grid(field, v):
+        built = transfer.build_grid(replace(_small_grid().params, **{field: v}))
+        return built.x_nodes, built.z_nodes, built.zb_nodes, built.shift_halfwidth(built.z_nodes)
+
+    def bound(check, arg, v):
+        first = dict(check_middle_bound=(1.0, 0.0), check_boundary_bound=(1.0, "left"))[check]
+        return getattr(certificates, check)(40, *first, **{"grid_step": 25.0, arg: v}).min_margin
+
+    p = _small_grid().params
+    batch = _small_batch()
+    fields = (0.5, -1.0, 1, 2, 0.3, -0.2, 0.2, 0.7, -1, 3, 1.0)  # gamma_derivatives' fields, signs disagree
+    return {
+        **{(check, "radius"): (partial(bound, check, "radius"), 0.0, None, True, 2.0, [])
+           for check in ("check_middle_bound", "check_boundary_bound")},
+        **{(check, "grid_step"): (partial(bound, check, "grid_step"), 0.0, None, False, 25.0, [])
+           for check in ("check_middle_bound", "check_boundary_bound")},
+        ("check_middle_bound", "eta"):
+            (lambda v: certificates.check_middle_bound(40, 1.0, v, grid_step=25.0).min_margin,
+             -0.25, 0.25, False, 0.25, []),
+        ("assemble_kernel", "eta"): (lambda v: transfer.assemble_kernel(_small_grid(), 1.0, v).sym,
+                                     -0.25, 0.25, False, -0.25, []),
+        ("gamma_derivatives", "gamma_shift"):
+            (lambda v: certificates.gamma_derivatives(*fields, v), -1.0, 1.0, False, 0.5, [2.0]),
+        ("tail_estimate", "thresholds"):
+            (lambda v: mcmc.tail_estimate(batch, "Gamma", [0.5, v], i=1).counts, None, None, False, 1.0, []),
+        ("build_grid", "x_lo"): (partial(grid, "x_lo"), None, None, False, p.x_lo, [p.x_break]),
+        ("build_grid", "x_break"): (partial(grid, "x_break"), p.x_lo, p.x_hi, True, p.x_break, []),
+        ("build_grid", "x_hi"): (partial(grid, "x_hi"), None, None, False, p.x_hi, [p.x_break]),
+        ("build_grid", "z_lo"): (partial(grid, "z_lo"), None, None, False, p.z_lo, [p.z_break]),
+        ("build_grid", "z_break"): (partial(grid, "z_break"), p.z_lo, p.z_hi, True, p.z_break, []),
+        ("build_grid", "z_hi"): (partial(grid, "z_hi"), None, None, False, p.z_hi, [p.z_break]),
+        ("build_grid", "zb_lo"): (partial(grid, "zb_lo"), None, None, False, p.zb_lo, [p.zb_hi]),
+        ("build_grid", "zb_hi"): (partial(grid, "zb_hi"), p.zb_lo, None, True, p.zb_hi, []),
+        # a core half-width above the window's half-width made some quadrature weights negative
+        ("build_grid", "w_core"): (partial(grid, "w_core"), 0.0, None, True, p.w_core,
+                                   [math.nextafter(p.w_half, math.inf), 20.0]),
+        ("build_grid", "w_half"): (partial(grid, "w_half"), p.w_core, None, False, p.w_half, []),
+        # eps = 0 and -1 used to raise ZeroDivisionError and ValueError; 2**-26 is looser than 1e-8
+        ("build_grid", "eps"): (partial(grid, "eps"), 0.0, 1.0, True, 2.0 ** -26, [-1.0]),
+    }
+
+
+@pytest.mark.parametrize("name, arg", list(_real_entry()))
+def test_entry_points_refuse_the_same_reals(no_work, name, arg):
+    # a NaN zb_lo or eps, an infinite x_hi and w_core = 20 used to build a grid
+    call, lo, hi, strict, _, also_bad = _real_entry()[name, arg]
+    bad = [math.nan, math.inf, -math.inf, True, "1", None]
+    if lo is not None:
+        bad += [math.nextafter(lo, -math.inf)] + ([lo] if strict else [])
+    if hi is not None:
+        bad += [math.nextafter(hi, math.inf)] + ([hi] if strict else [])
+    for v in bad:
+        with pytest.raises(InputRefused, match=rf"\b{arg}=.* outside the range: .*\b{arg} must be finite"):
+            call(v)
+    for v in also_bad:
+        with pytest.raises(InputRefused, match="outside the range"):
+            call(v)
+
+
+@pytest.mark.parametrize("name, arg", list(_real_entry()))
+def test_entry_points_read_numpy_reals_as_python_floats(name, arg):
+    call, _, _, _, good, _ = _real_entry()[name, arg]
+    want = call(float(good))
+    for kind in (np.float64, np.float32):
+        np.testing.assert_equal(call(kind(good)), want)
+
+
+@lru_cache(maxsize=1)
+def _choice_entry() -> dict:
+    """``(entry point, argument) -> (call, choices)``: ``call(v)`` runs the
+    entry point with that argument set to ``v``, and ``choices`` are the
+    values it accepts.  The walk trace is made here, before ``no_work``."""
+    from ladderlab import certificates, mcmc, transfer, walk
+    from ladderlab.rng import RngSpec
+
+    def tag(v):
+        plain = _small_context().op(0.0) if v == "gamma" else None
+        return transfer.assemble_kernel(_small_grid(), 1.0, 0.0, tag=v, plain=plain)
+
+    g3 = build(3)
+    trace = walk.errw_run(g3, 1.0, 2000, g3.vertex(0, 2), RngSpec(11))
+    batch = _small_batch()
+    sides = ("left", "right")
+    kinds = ("rung", "lower", "upper")
+    return {
+        ("assemble_kernel", "tag"): (tag, ("one", "gamma")),
+        ("boundary_vector", "side"): (lambda v: transfer.boundary_vector(_small_grid(), 1.0, v), sides),
+        ("check_boundary_bound", "side"):
+            (lambda v: certificates.check_boundary_bound(40, 1.0, v, grid_step=25.0), sides),
+        ("local_time_profile", "representative"): (lambda v: walk.local_time_profile(trace, g3, v), kinds),
+        ("profile_experiment", "representative"): (lambda v: walk.profile_experiment(
+            3, 1.0, 20_000, 2, RngSpec(47), representative=v, fit_levels=(1, 2)), kinds),
+        ("observable", "name"):
+            (lambda v: mcmc.observable(batch, v, 1), ("Z0", "Zn", "Xlo", "Xhi", "Z", "Gamma", "log_y_ratio")),
+        ("minorant_certificate", "t"): (lambda v: certificates.minorant_certificate(v, "C"), tuple(TREE_STATES)),
+        ("minorant_certificate", "t2"): (lambda v: certificates.minorant_certificate("C", v), tuple(TREE_STATES)),
+    }
+
+
+@pytest.mark.parametrize("name, arg", list(_choice_entry()))
+def test_entry_points_refuse_the_same_choices(no_work, name, arg):
+    # but for the kernel tag and the profile's representative, a refused choice raised a plain LadderError
+    call, choices = _choice_entry()[name, arg]
+    bad = ["x", "E", "", None, 0, True, "AB", "up", 1.5, *(c + " " for c in choices), *map(str.swapcase, choices)]
+    for v in bad:
+        with pytest.raises(InputRefused, match=r"^unknown .*; expected one of '"):
+            call(v)
+
+
+@pytest.mark.parametrize("name, arg", list(_choice_entry()))
+def test_entry_points_accept_every_listed_choice(name, arg):
+    call, choices = _choice_entry()[name, arg]
+    for v in choices:
+        call(v)
+
+
+def test_choice_gate_reads_a_string_as_its_letters():
+    assert [check_choice(c, "tree letter", TREE_STATES) for c in TREE_STATES] == list(TREE_STATES)
+    for v in ("AB", "ABCD", "", "a"):
+        with pytest.raises(InputRefused, match=f"^unknown tree letter {re.escape(repr(v))}; "
+                                               f"expected one of 'A', 'B', 'C', 'D'$"):
+            check_choice(v, "tree letter", TREE_STATES)
+
+
+_BOUND = st.one_of(st.none(), st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.25, 0.25, 0.5]))
+
+
+@given(st.one_of(st.floats(), st.integers(-10 ** 6, 10 ** 6), st.sampled_from([math.nan, math.inf, 0.5])),
+       _BOUND, _BOUND, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_real_gate_passes_exactly_the_finite_reals_in_range(value, lo, hi, strict):
+    bounds = (-math.inf if lo is None else lo, math.inf if hi is None else hi)
+    inside = (bounds[0] < value < bounds[1]) if strict else (bounds[0] <= value <= bounds[1])
+    for v in (value, np.float64(value)):
+        if math.isfinite(value) and inside:
+            got = check_real(v, "r", *bounds, strict=strict)
+            assert type(got) is float and got == value
+        else:
+            with pytest.raises(InputRefused, match=f"^r={re.escape(repr(v))} outside the range: r must be finite"):
+                check_real(v, "r", *bounds, strict=strict)
+    for v in (bool(value), str(value), None, [value], 10 ** 400, -(10 ** 400)):
+        with pytest.raises(InputRefused):
+            check_real(v, "r", *bounds, strict=strict)

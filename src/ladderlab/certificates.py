@@ -92,7 +92,7 @@ def minorant_certificate(t: str, t2: str) -> MinorantCertificate:
     """Closed-form solution of the dual linear program, in exact rationals."""
     t, t2 = (check_choice(c, "tree letter", TREE_STATES) for c in (t, t2))
     if (t, t2) == ("A", "B"):
-        raise LadderError("the pair (A, B) carries infinite energy; nothing to certify")
+        raise InputRefused("the pair (A, B) carries infinite energy; nothing to certify")
 
     def ind(cond: bool) -> Fraction:
         return Fraction(1 if cond else 0)

@@ -21,9 +21,11 @@ from ladderlab.ladder import (
     TREE_STATES,
     UPPER,
     EdgeWeights,
+    InputRefused,
     LadderError,
     SpanningTreeCode,
     build,
+    check_choice,
     check_int,
     check_weight,
     check_weights,
@@ -257,25 +259,16 @@ class SpinConfig:
     zn: float
 
     def __post_init__(self):
-        xlo = np.asarray(self.xlo, dtype=float)
-        xhi = np.asarray(self.xhi, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=np.int8)
-        z = np.asarray(self.z, dtype=float)
-        gamma = np.asarray(self.gamma, dtype=float)
-        object.__setattr__(self, "xlo", xlo)
-        object.__setattr__(self, "xhi", xhi)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "gamma", gamma)
-        n = xlo.size
-        if n < 1 or xhi.size != n or sigma.size != n or len(self.t) != n:
-            raise LadderError("cell field arrays must share a common length n >= 1")
-        if z.size != n - 1 or gamma.size != n - 1:
-            raise LadderError("rung field arrays must have length n - 1")
-        if not set(self.t) <= set(TREE_STATES):
-            raise LadderError(f"tree word {self.t!r} uses letters outside {TREE_STATES}")
-        if not np.all(np.abs(sigma) == 1):
-            raise LadderError("sign fields must be +1 or -1")
+        object.__setattr__(self, "t", "".join(check_choice(c, "tree letter", TREE_STATES) for c in self.t))
+        for name, dtype in (("xlo", float), ("xhi", float), ("sigma", np.int8), ("z", float), ("gamma", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        n = self.xlo.size
+        if n < 1 or self.xhi.size != n or self.sigma.size != n or len(self.t) != n:
+            raise InputRefused("cell field arrays must share a common length n >= 1")
+        if self.z.size != n - 1 or self.gamma.size != n - 1:
+            raise InputRefused("rung field arrays must have length n - 1")
+        if not np.all(np.abs(self.sigma) == 1):
+            raise InputRefused("sign fields must be +1 or -1")
 
     @property
     def n(self) -> int:

@@ -216,13 +216,13 @@ class SpanningTreeCode:
     states: str
 
     def __post_init__(self):
-        states = "".join(self.states)
+        states = "".join(check_choice(c, "tree letter", TREE_STATES) for c in self.states)
         object.__setattr__(self, "states", states)
-        if not states or any(s not in TREE_STATES for s in states):
-            raise LadderError(f"code {states!r} uses letters outside {TREE_STATES}")
+        if not states:
+            raise InputRefused(f"code {states!r} uses letters outside {TREE_STATES}")
         i = states.find("AB")
         if i >= 0:
-            raise LadderError(f"code {states!r} has forbidden adjacent AB at position {i}")
+            raise InputRefused(f"code {states!r} has forbidden adjacent AB at position {i}")
 
     @property
     def n(self) -> int:

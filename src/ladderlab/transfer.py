@@ -59,9 +59,9 @@ sign-mismatch factor underflows for z below about -6) are left out of the
 products, and nodes without an exact mirror are summed directly.
 
 The shift-weighted ("gamma") kernel is built only from the plain kernel at
-the same grid, a and eta: its cores are the w-weighted Gram sums plus the
-commutator of the plain cores with the mean cell field, and its side
-profiles are the plain operator's own arrays.
+the same grid (which carries a) and eta: its cores are the w-weighted Gram
+sums plus the commutator of the plain cores with the mean cell field, and
+its side profiles are the plain operator's own arrays.
 
 Chain brackets are one contraction: a prefix from the left boundary by
 ``vecmat``, a suffix from the right one by ``matvec``, met at one kernel
@@ -262,6 +262,7 @@ def build_grid(params: GridParams | None = None, a: float = 1.0) -> TransferGrid
     params = replace(params, **box)
     eps = params.eps
     budget = math.log(1.0 / eps) + 2.0  # two extra e-folds of safety
+    a = check_weight(a, 0.5)
     rates = axis_rates(a)
     required = {
         "x_hi": budget / rates["x_plus"],
@@ -309,6 +310,12 @@ def build_grid(params: GridParams | None = None, a: float = 1.0) -> TransferGrid
         conservative_radius=math.log(1.0 / eps) / middle_growth_rate(a),
         tail_report={"required": required, "rates": rates, "eps": eps},
     )
+
+
+def _check_grid_weight(grid: TransferGrid, a: float, above: float) -> None:
+    a = check_weight(a, above)  # build_grid checked the truncation box for grid.a only
+    if a != grid.a:
+        raise InputRefused(f"a={a} on a grid built for a={grid.a}")
 
 
 _A, _B = 0, 1  # tree-letter indices of A and B
@@ -369,7 +376,6 @@ class OperatorMatrix:
     """
 
     grid: TransferGrid
-    a: float
     eta: float
     tag: str  # "one" for the plain kernel, "gamma" for the shift-weighted one
     sym: np.ndarray  # half-row cores, shape (2 or 3, 2, nx(nx+1)/2, nx²), square-root weighted
@@ -516,13 +522,13 @@ def _block_product(v: np.ndarray, op: OperatorMatrix, adjoint: bool) -> np.ndarr
     return (y[:, letter] * p_out[:, None, :]).reshape(v.shape)
 
 
-def _side_profiles(grid: TransferGrid, a: float, eta: float, primed: bool) -> np.ndarray:
+def _side_profiles(grid: TransferGrid, eta: float, primed: bool) -> np.ndarray:
     """Per-letter cell prefactors, shape (4, nx * nx)."""
     x = grid.x_nodes
     xlo = x[:, None]
     xhi = x[None, :]
     u = 0.5 * (xlo + xhi)
-    base = (a + 0.5) * u - 0.25 * (np.exp(-xlo) + np.exp(-xhi))
+    base = (grid.a + 0.5) * u - 0.25 * (np.exp(-xlo) + np.exp(-xhi))
     base = base + (-1.0 if primed else 1.0) * eta * u
     # the letter energy with a zero rung term; the cores carry the rung term
     return np.stack([np.exp(base - tree_letter(t, xlo, xhi, u, 0.0, int(primed))).reshape(-1)
@@ -678,7 +684,7 @@ def _fold_mirrors(out: np.ndarray, sign: float, half: _HalfRows) -> None:
                 add(t2, pre.swapaxes(-1, -2), out=t2)
 
 
-def _core_sums(grid: TransferGrid, a: float, eta: float, power: int) -> np.ndarray:
+def _core_sums(grid: TransferGrid, eta: float, power: int) -> np.ndarray:
     """Half-row cores C[0, 0, s], C[1, 0, s] and, unless the letter swap is
     exact, the partner P[s] (see ``OperatorMatrix``) of the kernel whose
     rung integrand carries the extra factor ``w**power``, square-root
@@ -716,7 +722,7 @@ def _core_sums(grid: TransferGrid, a: float, eta: float, power: int) -> np.ndarr
     the sign-mismatch cores."""
     nx = grid.nx
     z, w, qw = _rung_nodes(grid)
-    rho = qw * np.exp((a + 0.5) * z + eta * w)
+    rho = qw * np.exp((grid.a + 0.5) * z + eta * w)
     c_a = np.exp(-(z - 0.5 * w))  # extra factor when the left letter is A
     c_b = np.exp(-(z + 0.5 * w))  # extra factor when the right letter is B
     agree, differ = _sign_factors(z, w)
@@ -743,7 +749,7 @@ def _core_sums(grid: TransferGrid, a: float, eta: float, power: int) -> np.ndarr
             targets.append((sums[2, same], at_mirror(coef), coef))
 
     def add_slab(nodes):  # the table dies with the call
-        table = _cell_pair_table(grid.x_nodes, z[nodes], w[nodes], a)
+        table = _cell_pair_table(grid.x_nodes, z[nodes], w[nodes], grid.a)
         _add_products(table, [(out, built[nodes]) for out, built, _ in targets])
         swapped = [(out, coef[nodes]) for out, _, coef in targets]
         if any(coef.any() for _, coef in swapped):
@@ -768,25 +774,24 @@ def _core_sums(grid: TransferGrid, a: float, eta: float, power: int) -> np.ndarr
 
 def assemble_kernel(grid: TransferGrid, a: float, eta: float, tag: str = "one",
                     plain: OperatorMatrix | None = None) -> OperatorMatrix:
-    """Assemble the factorized coupling operator on the grid.
+    """Assemble the factorized coupling operator on the grid; ``a`` must be ``grid.a``.
 
     ``tag='gamma'`` weights the integrand with the separation variable:
     shift plus mean-field difference, i.e. the shift-weighted kernel plus
     the commutator with the per-state mean field.  It is built from the
-    plain operator at the same (grid, a, eta), passed as ``plain``: the
+    plain operator at the same (grid, eta), passed as ``plain``: the
     commutator reads its cores, and the side profiles are its own.
     """
     check_choice(tag, "kernel tag", ("one", "gamma"))
-    if a != grid.a:  # build_grid checked the truncation box for grid.a only
-        raise LadderError(f"a={a} on a grid built for a={grid.a}")
+    _check_grid_weight(grid, a, 0.5)
     eta = check_real(eta, "coupling eta", -ETA_MAX, ETA_MAX)
     if tag == "one":
-        return OperatorMatrix(grid=grid, a=a, eta=eta, tag=tag, sym=_core_sums(grid, a, eta, 0),
-                              left=_side_profiles(grid, a, eta, primed=False),
-                              right=_side_profiles(grid, a, eta, primed=True))
-    if plain is None or (plain.tag, plain.grid, plain.a, plain.eta) != ("one", grid, a, eta):
-        raise LadderError("the gamma kernel needs the plain operator at its grid, a and eta")
-    sym = _core_sums(grid, a, eta, 1)
+        return OperatorMatrix(grid=grid, eta=eta, tag=tag, sym=_core_sums(grid, eta, 0),
+                              left=_side_profiles(grid, eta, primed=False),
+                              right=_side_profiles(grid, eta, primed=True))
+    if plain is None or (plain.tag, plain.grid, plain.eta) != ("one", grid, eta):
+        raise InputRefused("the gamma kernel needs the plain operator at its grid, a and eta")
+    sym = _core_sums(grid, eta, 1)
     x = grid.x_nodes
     u = 0.5 * (x[:, None] + x[None, :]).reshape(-1)  # mean cell field
     rows = u[_half_rows(grid.nx).up][:, None]
@@ -794,7 +799,7 @@ def assemble_kernel(grid: TransferGrid, a: float, eta: float, tag: str = "one",
     # σ = -1 here and +1 for the plain one, takes the same commutator
     for core, base in zip(sym.reshape((-1,) + sym.shape[2:]), plain.sym.reshape((-1,) + sym.shape[2:])):
         core += rows * base - base * u[None, :]
-    return OperatorMatrix(grid=grid, a=a, eta=eta, tag=tag, sym=sym,
+    return OperatorMatrix(grid=grid, eta=eta, tag=tag, sym=sym,
                           left=plain.left, right=plain.right)
 
 
@@ -852,7 +857,7 @@ def leading_triple(op: OperatorMatrix, seed: int = 0) -> EigenTriple:
     once the Rayleigh quotient's eigen-residual falls below ``_GAP_TOL`` (at
     most ``_GAP_MAX_ITER`` products)."""
     if op.tag != "one":
-        raise LadderError("eigen-triples are defined for the plain kernel only")
+        raise InputRefused("eigen-triples are defined for the plain kernel only")
     gen = np.random.default_rng(check_int(seed, "seed", 0))
     u_left, lam_l, res_l, it_l = _power_iteration(op.vecmat, gen.uniform(0.5, 1.5, size=op.size))
     u_right, lam_r, res_r, it_r = _power_iteration(op.matvec, gen.uniform(0.5, 1.5, size=op.size))
@@ -898,8 +903,7 @@ def boundary_vector(grid: TransferGrid, a: float, side: str) -> np.ndarray:
     """Boundary closure vector: the boundary energy integrated over its
     rung field, at every grid state (sign-independent)."""
     check_choice(side, "side", ("left", "right"))
-    if check_weight(a, 0.75) != grid.a:  # build_grid checked the truncation box for grid.a only
-        raise LadderError(f"a={a} on a grid built for a={grid.a}")
+    _check_grid_weight(grid, a, 0.75)
     x = grid.x_nodes
     xlo = x[:, None, None]
     xhi = x[None, :, None]
@@ -907,7 +911,7 @@ def boundary_vector(grid: TransferGrid, a: float, side: str) -> np.ndarray:
     h_exp = 0.25 * (np.exp(-xlo) + np.exp(-xhi)) + 0.5 * np.exp(-zb)
     out = np.empty((4, 2, grid.nx * grid.nx))  # letter, sign, cell
     for t in range(4):
-        out[t] = (np.exp(-(boundary_core_vec(xlo, xhi, zb, t, a, side) + h_exp))
+        out[t] = (np.exp(-(boundary_core_vec(xlo, xhi, zb, t, grid.a, side) + h_exp))
                   @ grid.zb_weights).reshape(-1)
     out = out.reshape(-1)
     if np.any(out <= 0):
@@ -965,32 +969,32 @@ class TransferContext:
     """Grid, kernels, leading triples and boundary vectors bundled for the chain formulas."""
 
     def __init__(self, grid: TransferGrid, a: float):
+        _check_grid_weight(grid, a, 0.5)
         self.grid = grid
-        self.a = a
         self._ops: dict = {}
         self._triples: dict = {}
 
     def op(self, eta: float, tag: str = "one") -> OperatorMatrix:
-        key = (round(eta, 12), tag)
-        if key not in self._ops:
+        eta = check_real(eta, "coupling eta", -ETA_MAX, ETA_MAX)
+        if (eta, tag) not in self._ops:
             plain = self.op(eta) if tag == "gamma" else None
-            self._ops[key] = assemble_kernel(self.grid, self.a, eta, tag, plain=plain)
-        return self._ops[key]
+            self._ops[eta, tag] = assemble_kernel(self.grid, self.grid.a, eta, tag, plain=plain)
+        return self._ops[eta, tag]
 
     def triple(self, eta: float, seed: int = 0) -> EigenTriple:
         """The plain kernel's leading triple, solved once per (eta, seed)."""
-        key = (round(eta, 12), seed)
-        if key not in self._triples:
-            self._triples[key] = leading_triple(self.op(eta), seed=seed)
-        return self._triples[key]
+        eta, seed = check_real(eta, "coupling eta", -ETA_MAX, ETA_MAX), check_int(seed, "seed", 0)
+        if (eta, seed) not in self._triples:
+            self._triples[eta, seed] = leading_triple(self.op(eta), seed=seed)
+        return self._triples[eta, seed]
 
     @cached_property
     def gl_u(self) -> np.ndarray:
-        return boundary_vector(self.grid, self.a, "left") * self.grid.sqrt_w
+        return boundary_vector(self.grid, self.grid.a, "left") * self.grid.sqrt_w
 
     @cached_property
     def gr_u(self) -> np.ndarray:
-        return boundary_vector(self.grid, self.a, "right") * self.grid.sqrt_w
+        return boundary_vector(self.grid, self.grid.a, "right") * self.grid.sqrt_w
 
 
 def chain_expectation(ctx: TransferContext, n: int, j: int, i: int,

@@ -301,6 +301,8 @@ def _initial_weight_entry(name):
         "log_mass": (lambda a: transfer.log_mass(2, a), 0.0),
         "axis_rates": (transfer.axis_rates, 0.5),
         "build_grid": (lambda a: transfer.build_grid(a=a), 0.5),
+        "assemble_kernel": (lambda a: transfer.assemble_kernel(_small_grid(), a, 0.0), 0.5),
+        "TransferContext": (lambda a: transfer.TransferContext(_small_grid(), a), 0.5),
         "middle_growth_rate": (certificates.middle_growth_rate, 0.5),
         "check_middle_bound": (lambda a: certificates.check_middle_bound(10, a, 0.0), 0.5),
         "boundary_vector": (lambda a: transfer.boundary_vector(_small_grid(), a, "left"), 0.75),
@@ -352,9 +354,9 @@ def no_work(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["McmcConfig", "errw_run", "returns_before_far_end_detailed", "log_phi",
-                                  "log_mass", "axis_rates", "build_grid", "middle_growth_rate",
-                                  "check_middle_bound", "boundary_vector", "boundary_growth_rate",
-                                  "check_boundary_bound"])
+                                  "log_mass", "axis_rates", "build_grid", "assemble_kernel", "TransferContext",
+                                  "middle_growth_rate", "check_middle_bound", "boundary_vector",
+                                  "boundary_growth_rate", "check_boundary_bound"])
 @pytest.mark.parametrize("a", [math.nan, math.inf, -1.0, 0.0, "gate", "below the gate"])
 def test_entry_points_refuse_the_same_parameters(no_work, name, a):
     # a = inf used to pass McmcConfig, build_grid, log_phi and both bound scans
@@ -366,6 +368,70 @@ def test_entry_points_refuse_the_same_parameters(no_work, name, a):
         return
     with pytest.raises(InputRefused, match=f"initial weight a must be finite and > {gate}"):
         call(a)
+
+
+@pytest.mark.parametrize("name", ["assemble_kernel", "boundary_vector", "TransferContext"])
+def test_entry_points_refuse_an_a_the_grid_was_not_built_for(no_work, name):
+    # assemble_kernel and boundary_vector raised a plain LadderError, and the context was built
+    with pytest.raises(InputRefused, match=r"^a=2\.0 on a grid built for a=1\.0$"):
+        _initial_weight_entry(name)[0](2.0)
+
+
+def test_grid_stores_its_initial_weight_as_a_python_float():
+    # build_grid stored the np.float32 it was given
+    from ladderlab.transfer import build_grid
+
+    grid = build_grid(_small_grid().params, a=np.float32(1.0))
+    assert type(grid.a) is float and grid.a == 1.0
+
+
+@pytest.mark.parametrize("method", ["op", "triple"])
+def test_context_refuses_the_couplings_its_kernels_refuse(no_work, method):
+    # "0.25" and None raised TypeError from the cache key's round() before any gate
+    from ladderlab.transfer import TransferContext
+
+    ctx = TransferContext(_small_grid(), 1.0)
+    for eta in ("0.25", None, math.nan, 0.26):
+        with pytest.raises(InputRefused, match=r"^coupling eta=.* outside the range"):
+            getattr(ctx, method)(eta)
+
+
+def test_context_keys_its_operators_and_triples_by_the_gated_arguments():
+    # the cache key round(eta, 12) returned the operator built at 0.1 for 0.1 + 1e-13,
+    # and a cached triple was returned for the seed True
+    from ladderlab.transfer import TransferContext
+
+    ctx = TransferContext(_small_grid(), 1.0)
+    assert ctx.op(0.1).eta == 0.1
+    assert ctx.op(0.1 + 1e-13).eta == 0.1 + 1e-13
+    assert ctx.op(np.float64(0.1)) is ctx.op(0.1)
+    assert ctx.op(0.1 + 1e-13, "gamma").eta == 0.1 + 1e-13
+    assert ctx.triple(np.float64(0.1), np.int64(1)) is ctx.triple(0.1, 1)
+    with pytest.raises(InputRefused, match="^seed=True outside the range"):
+        ctx.triple(0.1, True)
+
+
+def test_malformed_operators_and_words_are_refused_inputs():
+    # each raised a plain LadderError
+    from ladderlab import certificates, transfer
+    from ladderlab.environment import SpinConfig
+
+    gamma = _small_context().op(0.0, "gamma")
+    cell = dict(z0=0.0, xlo=[0.0], xhi=[0.0], sigma=[1], t="C", z=[], gamma=[], zn=0.0)
+    for call, match in [
+        (lambda: transfer.assemble_kernel(_small_grid(), 1.0, 0.0, tag="gamma"), "needs the plain operator"),
+        (lambda: transfer.assemble_kernel(_small_grid(), 1.0, 0.0, tag="gamma", plain=gamma),
+         "needs the plain operator"),
+        (lambda: transfer.leading_triple(gamma), "plain kernel only"),
+        (lambda: SpanningTreeCode(""), "^code '' uses letters outside ABCD$"),
+        (lambda: SpanningTreeCode("CAB"), "forbidden adjacent AB at position 1"),
+        (lambda: SpinConfig(**{**cell, "t": "CC"}), "common length"),
+        (lambda: SpinConfig(**{**cell, "z": [0.0]}), "rung field arrays"),
+        (lambda: SpinConfig(**{**cell, "sigma": [2]}), "sign fields"),
+        (lambda: certificates.minorant_certificate("A", "B"), "infinite energy"),
+    ]:
+        with pytest.raises(InputRefused, match=match):
+            call()
 
 
 @pytest.mark.parametrize("name", ["assemble_kernel", "check_middle_bound"])
@@ -624,6 +690,7 @@ def _choice_entry() -> dict:
     entry point with that argument set to ``v``, and ``choices`` are the
     values it accepts.  The walk trace is made here, before ``no_work``."""
     from ladderlab import certificates, mcmc, transfer, walk
+    from ladderlab.environment import SpinConfig
     from ladderlab.rng import RngSpec
 
     def tag(v):
@@ -647,6 +714,9 @@ def _choice_entry() -> dict:
             (lambda v: mcmc.observable(batch, v, 1), ("Z0", "Zn", "Xlo", "Xhi", "Z", "Gamma", "log_y_ratio")),
         ("minorant_certificate", "t"): (lambda v: certificates.minorant_certificate(v, "C"), tuple(TREE_STATES)),
         ("minorant_certificate", "t2"): (lambda v: certificates.minorant_certificate("C", v), tuple(TREE_STATES)),
+        ("SpanningTreeCode", "states"): (lambda v: SpanningTreeCode(["C", v]), tuple(TREE_STATES)),
+        ("SpinConfig", "t"): (lambda v: SpinConfig(z0=0.0, xlo=[0.0, 0.0], xhi=[0.0, 0.0], sigma=[1, 1],
+                                                   t=["C", v], z=[0.0], gamma=[0.0], zn=0.0), tuple(TREE_STATES)),
     }
 
 
